@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import cinv, cmul, is_zero_coeff, rat, rat_den
+from .cyclotomic import cinv, rat, rat_den
 from .errors import GenericityError, QVerifyError
 from .series import QMonomial, QSeries, ceil_rat, geom_inv, qmono
 from .theta import _check_base, binom2, jtheta, jtheta_val, poch_inf
@@ -26,17 +26,28 @@ def _zero_with_window(T) -> QSeries:
     return QSeries.zero(s, int(T * s))
 
 
-def eval_padded(build, order, tries: int = 10) -> QSeries:
-    """Run `build(T)` with increasing T until its sound window reaches order."""
+#: evaluations `eval_padded` makes before it gives up on reaching the order
+_PAD_TRIES = 10
+
+
+def eval_padded(build, order) -> QSeries:
+    """Run `build(T)` from T = order until its sound window reaches `order`
+    and return the result truncated to exactly `order`.
+
+    Each round that falls short adds its shortfall plus one to T.  After
+    `_PAD_TRIES` rounds short of `order`, raises QVerifyError naming the
+    window reached, so no caller ever gets a shorter window back.
+    """
     order = rat(order)
     pad = rat(0)
-    for _ in range(tries):
+    for _ in range(_PAD_TRIES):
         res = build(order + pad)
         w = res.window_q()
         if w is None or w >= order:
             return res.truncate_q(order)
         pad += (order - w) + 1
-    raise QVerifyError(f"window did not converge to {order} (last pad {pad})")
+    raise QVerifyError(f"sound window reached only q^({w}), short of the "
+                       f"requested order {order}, after {_PAD_TRIES} evaluations")
 
 
 def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
@@ -186,9 +197,9 @@ def times_geom_inv(s: QSeries, m: QMonomial) -> QSeries:
         val = a.terms.get(k)
         prev = out.get(k - d)
         if prev is not None:
-            t = cmul(prev, c)
+            t = prev * c
             val = t if val is None else val + t
-        if val is not None and not is_zero_coeff(val):
+        if val:
             out[k] = val
     return QSeries(scl, a.order, out)
 

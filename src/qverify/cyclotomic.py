@@ -359,22 +359,6 @@ def as_coeff(x):
     return rat(x)
 
 
-def is_zero_coeff(x) -> bool:
-    return not isinstance(x, CycRat) and x == 0
-
-
-def cadd(a, b):
-    if isinstance(a, CycRat) or isinstance(b, CycRat):
-        return a + b
-    return a + b
-
-
-def cmul(a, b):
-    if isinstance(a, CycRat) or isinstance(b, CycRat):
-        return a * b
-    return a * b
-
-
 def cinv(x):
     if isinstance(x, CycRat):
         return x.inverse()
@@ -401,7 +385,7 @@ def _roots_of_unity(m: int) -> dict:
     cur = as_coeff(1)
     for j in range(m):
         table.setdefault(cur, j)
-        cur = cmul(cur, z)
+        cur = cur * z
     return table
 
 def root_of_unity_log(x):

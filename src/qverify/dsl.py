@@ -652,7 +652,7 @@ def eval_expr(node, order) -> QSeries:
 
     ``order`` is the target window in q-units.  The result's sound window
     may fall short of it when negative valuations are involved; callers who
-    need a specific window should retry at a padded order (see runner).
+    need a specific window pass this through ``appell.eval_padded``.
     """
     if isinstance(node, Num):
         return QSeries.from_coeff(node.value)

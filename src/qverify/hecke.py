@@ -19,7 +19,7 @@ module as verification targets.
 from math import gcd
 
 from .appell import eval_padded, m_eval
-from .cyclotomic import is_zero_coeff, rat
+from .cyclotomic import rat
 from .errors import GenericityError
 from .series import QMonomial, QSeries, ceil_rat, qmono
 from .theta import _check_base, binom2, jtheta, jtheta_val, poch_inf
@@ -58,7 +58,7 @@ def _series_from_monomials(monos, window) -> QSeries:
         k = int(m.expo * scale)
         cur = terms.get(k)
         cur = m.coeff if cur is None else cur + m.coeff
-        if is_zero_coeff(cur):
+        if not cur:
             terms.pop(k, None)
         else:
             terms[k] = cur

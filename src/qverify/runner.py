@@ -1,11 +1,13 @@
 """Identity verification runner.
 
-Evaluates both sides of an identity as exact truncated series and compares
-them coefficient by coefficient on the common sound window, capped at the
-requested order.  A ``pass`` means every coefficient on that window agrees
-exactly; a ``fail`` reports the smallest mismatching exponent together with
-the two coefficients; an ``error`` captures any evaluation problem (poles,
-division by zero, bad arguments) as a diagnostic instead of a crash.
+Evaluates each side of an identity as an exact truncated series through
+``appell.eval_padded``, which re-runs it at a padded order until its sound
+window reaches the requested order, and compares the two coefficient by
+coefficient below q^order.  A ``pass`` means every coefficient below q^order
+agrees exactly; a ``fail`` reports the smallest mismatching exponent together
+with the two coefficients; an ``error`` captures any evaluation problem
+(poles, division by zero, bad arguments, a side whose window cannot reach the
+order) as a diagnostic instead of a crash.
 
 Suites of identities run in input order; with ``jobs > 1`` the evaluations
 are distributed over a process pool but reports keep the input order, so
@@ -19,19 +21,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .cyclotomic import coeff_str, rat
+from .appell import eval_padded
+from .cyclotomic import coeff_str
 from .errors import ParseError
-from .series import QSeries, ceil_rat, floor_rat
+from .series import QSeries
 from .dsl import IdentityRecord, eval_expr
 
 __all__ = ["VerificationReport", "verify_identity", "run_suite",
            "reports_to_json", "DEFAULT_ORDER"]
 
 DEFAULT_ORDER = 100
-
-# how many times to re-evaluate at a padded order when negative valuations
-# eat into the sound window
-_MAX_EVAL_ROUNDS = 4
 
 
 @dataclass
@@ -40,8 +39,8 @@ class VerificationReport:
     status: str  # "pass" | "fail" | "error"
     order: int  # requested comparison order (q-units)
     first_mismatch: object = None  # Rat or None
-    lhs_coeff: object = None  # CycRat or None
-    rhs_coeff: object = None  # CycRat or None
+    lhs_coeff: object = None  # Rat | CycRat or None
+    rhs_coeff: object = None  # Rat | CycRat or None
     ms: int = 0
     message: object = None  # str or None (errors only)
 
@@ -74,15 +73,6 @@ def effective_order(record: IdentityRecord, default_order=DEFAULT_ORDER,
     return default_order
 
 
-def _min_window(lhs: QSeries, rhs: QSeries):
-    wl, wr = lhs.window_q(), rhs.window_q()
-    if wl is None:
-        return wr
-    if wr is None:
-        return wl
-    return min(wl, wr)
-
-
 def verify_identity(record: IdentityRecord, default_order=DEFAULT_ORDER,
                     force_order=None) -> VerificationReport:
     order = effective_order(record, default_order, force_order)
@@ -93,18 +83,9 @@ def verify_identity(record: IdentityRecord, default_order=DEFAULT_ORDER,
         return VerificationReport(name=record.name, order=order, ms=ms, **kw)
 
     try:
-        ev_order = order
-        for _ in range(_MAX_EVAL_ROUNDS):
-            lhs = eval_expr(record.lhs, ev_order)
-            rhs = eval_expr(record.rhs, ev_order)
-            window = _min_window(lhs, rhs)
-            if window is None or window >= order:
-                break
-            # pad by the deficit (negative valuations shift windows by a
-            # bounded offset) and try again
-            ev_order += order - floor_rat(window) + 4
-        lhs = lhs.truncate_q(order)
-        rhs = rhs.truncate_q(order)
+        # each side is padded on its own; both come back truncated to order
+        lhs = eval_padded(lambda T: eval_expr(record.lhs, T), order)
+        rhs = eval_padded(lambda T: eval_expr(record.rhs, T), order)
         diff = QSeries.first_difference(lhs, rhs)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"

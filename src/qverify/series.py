@@ -23,10 +23,8 @@ from .cyclotomic import (
     RAT_TYPES,
     as_coeff,
     cinv,
-    cmul,
     coeff_root,
     coeff_str,
-    is_zero_coeff,
     rat,
     rat_den,
 )
@@ -64,7 +62,7 @@ class QMonomial:
 
     def __init__(self, coeff, expo=0):
         coeff = as_coeff(coeff)
-        if is_zero_coeff(coeff):
+        if not coeff:
             raise ValueError("QMonomial coefficient must be nonzero")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "expo", rat(expo))
@@ -75,18 +73,18 @@ class QMonomial:
     def __mul__(self, other):
         if not isinstance(other, QMonomial):
             return NotImplemented
-        return QMonomial(cmul(self.coeff, other.coeff), self.expo + other.expo)
+        return QMonomial(self.coeff * other.coeff, self.expo + other.expo)
 
     def __truediv__(self, other):
         if not isinstance(other, QMonomial):
             return NotImplemented
-        return QMonomial(cmul(self.coeff, cinv(other.coeff)), self.expo - other.expo)
+        return QMonomial(self.coeff * cinv(other.coeff), self.expo - other.expo)
 
     def inverse(self):
         return QMonomial(cinv(self.coeff), -self.expo)
 
     def __neg__(self):
-        return QMonomial(cmul(self.coeff, rat(-1)), self.expo)
+        return QMonomial(-self.coeff, self.expo)
 
     def __pow__(self, e):
         if isinstance(e, int):
@@ -96,10 +94,10 @@ class QMonomial:
                 base = self.coeff
                 while k:
                     if k & 1:
-                        acc = cmul(acc, base)
+                        acc = acc * base
                     k >>= 1
                     if k:
-                        base = cmul(base, base)
+                        base = base * base
                 return QMonomial(acc, self.expo * e)
             return self.inverse() ** (-e)
         e = rat(e)
@@ -176,7 +174,7 @@ class QSeries:
     @classmethod
     def from_coeff(cls, c) -> "QSeries":
         c = as_coeff(c)
-        return cls(1, None, {} if is_zero_coeff(c) else {0: c})
+        return cls(1, None, {0: c} if c else {})
 
     # -- scale handling ----------------------------------------------------
 
@@ -243,7 +241,7 @@ class QSeries:
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.scale, self.order, {k: cmul(c, rat(-1)) for k, c in self.terms.items()})
+        return QSeries(self.scale, self.order, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, QMonomial):
@@ -258,8 +256,8 @@ class QSeries:
             if cur is None:
                 terms[k] = c
             else:
-                s = cadd_fast(cur, c)
-                if is_zero_coeff(s):
+                s = cur + c
+                if not s:
                     del terms[k]
                 else:
                     terms[k] = s
@@ -278,17 +276,17 @@ class QSeries:
         shift = int(m.expo * s)
         c0 = m.coeff
         order = None if a.order is None else a.order + shift
-        return QSeries(s, order, {k + shift: cmul(c, c0) for k, c in a.terms.items()})
+        return QSeries(s, order, {k + shift: c * c0 for k, c in a.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
             c = as_coeff(other)
-            if is_zero_coeff(c):
+            if not c:
                 return QSeries.zero(self.scale, None)
             return QSeries(self.scale, self.order,
-                           {k: cmul(v, c) for k, v in self.terms.items()})
+                           {k: v * c for k, v in self.terms.items()})
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = QSeries.unify(self, other)
@@ -314,13 +312,13 @@ class QSeries:
                 k = ka + kb
                 if window is not None and k >= window:
                     break
-                prod = cmul(ca, cb)
+                prod = ca * cb
                 cur = out.get(k)
                 if cur is None:
                     out[k] = prod
                 else:
-                    s = cadd_fast(cur, prod)
-                    if is_zero_coeff(s):
+                    s = cur + prod
+                    if not s:
                         del out[k]
                     else:
                         out[k] = s
@@ -357,10 +355,10 @@ class QSeries:
                 wk = w.get(n - k)
                 if wk is None:
                     continue
-                p = cmul(u[k], wk)
-                acc = p if acc is None else cadd_fast(acc, p)
-            if acc is not None and not is_zero_coeff(acc):
-                w[n] = cmul(cmul(acc, u0inv), rat(-1))
+                p = u[k] * wk
+                acc = p if acc is None else acc + p
+            if acc:
+                w[n] = -(acc * u0inv)
         res_order = ku - v  # = order - 2v, or hint for exact input
         return QSeries(self.scale, res_order, {k - v: c for k, c in w.items()})
 
@@ -409,7 +407,7 @@ class QSeries:
         for k in sorted(keys):
             ca = a.terms.get(k, rat(0))
             cb = b.terms.get(k, rat(0))
-            if not coeffs_equal(ca, cb):
+            if ca != cb:
                 return (rat(k, a.scale), ca, cb)
         return None
 
@@ -420,15 +418,6 @@ class QSeries:
             shown += ", ..."
         w = "exact" if self.order is None else f"O(q^({self.window_q()}))"
         return f"QSeries[{shown} | {w}]"
-
-
-def cadd_fast(a, b):
-    return a + b
-
-
-def coeffs_equal(a, b) -> bool:
-    # CycRat.__eq__ handles the mixed case (canonical CycRat is never rational)
-    return a == b
 
 
 def series_equal(a: QSeries, b: QSeries) -> bool:
@@ -449,7 +438,7 @@ def geom_inv(m: QMonomial, scale: int, window: int) -> QSeries:
     if e == 0:
         if c == 1:
             raise GenericityError("pole: 1/(1 - 1)")
-        return QSeries(s, None, {0: cinv(cadd_fast(rat(1), cmul(c, rat(-1))))})
+        return QSeries(s, None, {0: cinv(rat(1) - c)})
     terms: dict = {}
     if e > 0:
         d = int(e * s)
@@ -457,16 +446,16 @@ def geom_inv(m: QMonomial, scale: int, window: int) -> QSeries:
         k = 0
         while k * d < window:
             terms[k * d] = acc
-            acc = cmul(acc, c)
+            acc = acc * c
             k += 1
     else:
         d = int((-e) * s)
         cinv_c = cinv(c)
-        acc = cmul(cinv_c, rat(-1))
+        acc = -cinv_c
         k = 1
         while k * d < window:
             terms[k * d] = acc
-            acc = cmul(acc, cinv_c)
+            acc = acc * cinv_c
             k += 1
     return QSeries(s, window, terms)
 
@@ -479,14 +468,14 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
     for k, c in s.terms.items():
         # q^(k/scale) -> m^(k/scale)
         mk = m ** rat(k, s.scale)
-        new_expos[k] = (mk.expo, cmul(c, mk.coeff))
+        new_expos[k] = (mk.expo, c * mk.coeff)
     new_scale = common_scale(*(e for e, _ in new_expos.values())) if new_expos else rat_den(m.expo)
     terms = {}
     for e, c in new_expos.values():
         key = int(e * new_scale)
         cur = terms.get(key)
-        terms[key] = c if cur is None else cadd_fast(cur, c)
-    terms = {k: c for k, c in terms.items() if not is_zero_coeff(c)}
+        terms[key] = c if cur is None else cur + c
+    terms = {k: c for k, c in terms.items() if c}
     if s.order is None:
         order = None
     else:

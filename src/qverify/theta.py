@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import cinv, cmul, is_zero_coeff, rat
+from .cyclotomic import cinv, rat
 from .errors import UnsupportedArgument
 from .series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 
@@ -56,28 +56,28 @@ def poch_inf(x: QMonomial, base: QMonomial, order) -> QSeries:
         if d == 0:
             # constant factor (1 - c)
             f = rat(1) - c
-            if is_zero_coeff(f):
+            if not f:
                 return QSeries(1, None, {})
-            terms = {k: cmul(v, f) for k, v in terms.items()}
+            terms = {k: v * f for k, v in terms.items()}
         else:
             # terms *= (1 - c*q^d)
             updates = {}
             for k, v in terms.items():
                 kk = k + d
                 if kk < W:
-                    updates[kk] = cmul(v, c)
+                    updates[kk] = v * c
             for kk, dv in updates.items():
                 cur = terms.get(kk)
                 if cur is None:
-                    terms[kk] = cmul(dv, rat(-1))
+                    terms[kk] = -dv
                 else:
                     s = cur - dv
-                    if is_zero_coeff(s):
+                    if not s:
                         del terms[kk]
                     else:
                         terms[kk] = s
         d += E
-        c = cmul(c, bc)
+        c = c * bc
     return QSeries(scale, W, terms)
 
 
@@ -146,20 +146,20 @@ def jtheta(x: QMonomial, base: QMonomial, order) -> QSeries:
                 terms[expo] = coeff
             else:
                 s = cur + coeff
-                if is_zero_coeff(s):
+                if not s:
                     del terms[expo]
                 else:
                     terms[expo] = s
             expo += expo_step
             expo_step += E
-            coeff = cmul(coeff, coeff_step)
-            coeff_step = cmul(coeff_step, bc)
+            coeff = coeff * coeff_step
+            coeff_step = coeff_step * bc
 
     off = int(pref.expo * scale)
     c0 = pref.coeff
     walk(off, e, c0, -xp.coeff)  # n = 0, 1, 2, ...
-    down = cmul(-bc, cinv(xp.coeff))
-    walk(off + E - e, 2 * E - e, cmul(c0, down), cmul(down, bc))  # n = -1, -2, ...
+    down = -bc * cinv(xp.coeff)
+    walk(off + E - e, 2 * E - e, c0 * down, down * bc)  # n = -1, -2, ...
     return QSeries(scale, W, terms)
 
 
@@ -177,15 +177,15 @@ def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
         expo = binom2(n) * E + n * e
         if expo >= W:
             return False
-        coeff = cmul(base.coeff ** binom2(n), x.coeff ** n)
+        coeff = base.coeff ** binom2(n) * x.coeff ** n
         if n % 2:
-            coeff = cmul(coeff, rat(-1))
+            coeff = -coeff
         cur = terms.get(expo)
         if cur is None:
             terms[expo] = coeff
         else:
             s = cur + coeff
-            if is_zero_coeff(s):
+            if not s:
                 del terms[expo]
             else:
                 terms[expo] = s
@@ -209,19 +209,16 @@ def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
     return QSeries(scale, W, terms)
 
 
-@lru_cache(maxsize=None)
 def J(a, m, order) -> QSeries:
     """J_{a,m} = j(q^a; q^m)."""
     return jtheta(qmono(1, rat(a)), qmono(1, rat(m)), order)
 
 
-@lru_cache(maxsize=None)
 def Jbar(a, m, order) -> QSeries:
     """Jbar_{a,m} = j(-q^a; q^m)."""
     return jtheta(qmono(-1, rat(a)), qmono(1, rat(m)), order)
 
 
-@lru_cache(maxsize=None)
 def Jm(m, order) -> QSeries:
     """J_m = (q^m; q^m)_inf."""
     return poch_inf(qmono(1, rat(m)), qmono(1, rat(m)), order)

@@ -10,6 +10,7 @@ from qverify.errors import ParseError
 from qverify.runner import (VerificationReport, check_unique_names,
                             effective_order, reports_to_json, run_suite,
                             suite_exit_code, verify_identity)
+from qverify.series import QSeries
 
 GOOD = 'identity good { lhs = 2*m(q, q^2, -1); rhs = 1; }'
 BAD = ('identity bad { lhs = 2*m(q^2, q^6, -1) + 2*catalog("sigma_6th"); '
@@ -53,6 +54,17 @@ def test_window_padding_reaches_requested_order():
     rep = verify_identity(rec, force_order=30)
     assert rep.status == "fail"
     assert rep.first_mismatch == 27
+
+
+def test_stalled_window_is_error_not_pass(monkeypatch):
+    # a side whose window stays at q^10 however far it is padded cannot
+    # certify order 30: the runner must fail closed instead of comparing
+    # on the shorter window
+    monkeypatch.setattr("qverify.runner.eval_expr",
+                        lambda node, T: QSeries(1, 10, {}))
+    rep = verify_identity(_rec(GOOD), force_order=30)
+    assert rep.status == "error"
+    assert "q^(10)" in rep.message and "order 30" in rep.message
 
 
 def test_effective_order_precedence():
