@@ -13,12 +13,11 @@ internal padding until the soundly-tracked result window reaches it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
 
-from .cyclotomic import cinv, rat, rat_den
+from .cyclotomic import rat, rat_den
 from .errors import GenericityError, QVerifyError
-from .series import QMonomial, QSeries, ceil_rat, geom_inv, qmono
-from .theta import _check_base, binom2, jtheta, jtheta_val, poch_inf
+from .series import QMonomial, QSeries, ceil_rat, geom_inv, one_minus, qmono
+from .theta import _check_base, binom2, jtheta, jtheta_val
 
 
 def _zero_with_window(T) -> QSeries:
@@ -150,7 +149,7 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
             raise GenericityError(f"theta zero in denominator at {arg!r}")
 
     def build(T):
-        j1 = poch_inf(base, base, T)
+        j1 = jtheta(base, base**3, T)  # J_1 = (base; base)_inf
         num = (j1**3) * jtheta(z1 / z0, base, T) * jtheta(x * z0 * z1, base, T)
         num = num.mul_monomial(z0)
         den = (
@@ -169,41 +168,6 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 # ---------------------------------------------------------------------------
 
 
-def times_geom_inv(s: QSeries, m: QMonomial) -> QSeries:
-    """s / (1 - m) computed by direct back-substitution (linear per window).
-
-    For m with positive exponent this is y_k = s_k + c * y_{k-d}; other cases
-    reduce to it or to a scalar multiple.
-    """
-    e = m.expo
-    if e == 0:
-        if m.coeff == 1:
-            raise GenericityError("pole: 1/(1 - 1)")
-        return s * cinv(rat(1) - m.coeff)
-    if e < 0:
-        # 1/(1-m) = -m^{-1} / (1 - m^{-1})
-        inv = m.inverse()
-        return times_geom_inv(s.mul_monomial(-inv), inv)
-    if s.order is None:
-        raise ValueError("times_geom_inv needs a finite window")
-    scl = lcm(s.scale, rat_den(e))
-    a = s.rescaled(scl)
-    if not a.terms:
-        return a
-    d = int(e * scl)
-    c = m.coeff
-    out: dict = {}
-    for k in range(min(a.terms), a.order):
-        val = a.terms.get(k)
-        prev = out.get(k - d)
-        if prev is not None:
-            t = prev * c
-            val = t if val is None else val + t
-        if val:
-            out[k] = val
-    return QSeries(scl, a.order, out)
-
-
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n))."""
     _check_base(base)
@@ -214,12 +178,12 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
 
     def build(T):
         W = ceil_rat(T)
-        R = times_geom_inv(QSeries(1, W, {0: rat(1)}), x)  # 1/(1-x)
+        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
         acc = R
         n = 1
         while n * n * E < T:
-            R = times_geom_inv(R, x * base**n)
-            R = times_geom_inv(R, (base**n) / x)
+            R = R.divide(one_minus(x * base**n))
+            R = R.divide(one_minus((base**n) / x))
             acc = acc + R.mul_monomial(base ** (n * n))
             n += 1
         acc = acc - QSeries.from_coeff(1)
@@ -239,13 +203,13 @@ def g_alt_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
 
     def build(T):
         W = ceil_rat(T)
-        R = times_geom_inv(QSeries(1, W, {0: rat(1)}), x)
-        R = times_geom_inv(R, base / x)
+        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
+        R = R.divide(one_minus(base / x))
         acc = R
         n = 1
         while n * (n + 1) * E < T:
-            R = times_geom_inv(R, x * base**n)
-            R = times_geom_inv(R, (base ** (n + 1)) / x)
+            R = R.divide(one_minus(x * base**n))
+            R = R.divide(one_minus((base ** (n + 1)) / x))
             acc = acc + R.mul_monomial(base ** (n * (n + 1)))
             n += 1
         return acc

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import rat
-from .series import QMonomial, QSeries, qmono
-from .appell import times_geom_inv
+from .series import QMonomial, QSeries, one_minus, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "eulerian_sum"]
@@ -33,10 +32,11 @@ __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "euleri
 #             / prod_j (y_j; d_j)_{e_j(n)}
 # with nondecreasing counts c_i, e_j.  The running product over all
 # Pochhammer factors is maintained incrementally: advancing a count by one
-# multiplies by a single binomial (1 - mono) or divides by one via
-# times_geom_inv, both O(window) operations.  Terms have unit leading
-# Pochhammer coefficients, so the valuation of term(n) equals the monomial
-# exponent; summation stops once that bound reaches the window.
+# multiplies by a single binomial (1 - mono) or divides by one with
+# QSeries.divide (long division against a two-term divisor); both are
+# O(window) operations.  Terms have unit leading Pochhammer coefficients, so
+# the valuation of term(n) equals the monomial exponent; summation stops once
+# that bound reaches the window.
 # --------------------------------------------------------------------------
 
 
@@ -61,7 +61,7 @@ def eulerian_sum(order, monos_fn, vbound, num=(), den=(), const=None, start=0):
             while counts[i] < target:
                 binom_mono = x * b ** counts[i]
                 if invert[i]:
-                    prod = times_geom_inv(prod, binom_mono)
+                    prod = prod.divide(one_minus(binom_mono))
                 else:
                     prod = prod - prod.mul_monomial(binom_mono)
                 counts[i] += 1

@@ -25,6 +25,7 @@ arithmetic operations, integer powers ``^k``, and calls into the engine:
     strfn[N,m,l]       affine string function C^N_{m,l}(q)
     catalog("name")    Eulerian expansion of a registry function
     catalog("name").repr[i]  its i-th closed-form representation
+    catalog("name", MONO)    the Eulerian expansion with q -> MONO
 
 ``#`` starts a comment running to the end of the line.  Arguments of the
 engine calls must evaluate to exact monomials c*q^e.
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import rat, zeta as zeta_root
-from .errors import ParseError, UnsupportedArgument
-from .series import QMonomial, QSeries, qmono, ceil_rat
+from .errors import ParseError, UnsupportedArgument, UnsupportedSubstitution
+from .series import QMonomial, QSeries, compose_monomial, qmono, ceil_rat
 from . import theta as _theta
 from . import appell as _appell
 from . import hecke as _hecke
@@ -105,6 +106,7 @@ class Call:
 class CatalogRef:
     name: str
     index: object = None  # None for the Eulerian form, int for .repr[i]
+    subst: object = None  # expression for MONO in catalog("name", MONO)
 
 
 @dataclass(frozen=True)
@@ -369,9 +371,10 @@ class _Parser:
         t = self.expect_kind("NAME")  # 'catalog'
         self.expect("(")
         name = self.expect_kind("STRING").value
+        subst = self.parse_expression() if self.accept(",") else None
         self.expect(")")
         index = None
-        if self.accept("."):
+        if subst is None and self.accept("."):
             field = self.expect_kind("NAME")
             if field.value != "repr":
                 self.error("only '.repr[i]' can follow catalog(...)", field)
@@ -380,7 +383,7 @@ class _Parser:
             self.expect("]")
             if index < 0:
                 self.error("representation index must be >= 0", field)
-        return CatalogRef(name, index)
+        return CatalogRef(name, index, subst)
 
     def parse_call(self):
         head_tok = self.expect_kind("NAME")
@@ -534,6 +537,8 @@ def pretty(node) -> str:
             ) + ")"
         return s
     if isinstance(node, CatalogRef):
+        if node.subst is not None:
+            return f'catalog("{node.name}", {pretty(node.subst)})'
         s = f'catalog("{node.name}")'
         if node.index is not None:
             s += f".repr[{node.index}]"
@@ -680,6 +685,12 @@ def eval_expr(node, order) -> QSeries:
         return base ** node.k
     if isinstance(node, CatalogRef):
         entry = _catalog.catalog_lookup(node.name)
+        if node.subst is not None:
+            m = _as_monomial(eval_expr(node.subst, order), "catalog substitution")
+            if m.expo <= 0:
+                raise UnsupportedSubstitution("catalog substitution needs a positive exponent")
+            # the Eulerian window E becomes E * expo(m) after q -> m
+            return compose_monomial(entry.eulerian(ceil_rat(rat(order) / m.expo)), m)
         if node.index is None:
             return entry.eulerian(int(order))
         return eval_expr(_catalog_repr_ast(node.name, node.index), order)

@@ -22,7 +22,7 @@ from .appell import eval_padded, m_eval
 from .cyclotomic import rat
 from .errors import GenericityError
 from .series import QMonomial, QSeries, ceil_rat, qmono
-from .theta import _check_base, binom2, jtheta, jtheta_val, poch_inf
+from .theta import _check_base, binom2, jtheta, jtheta_val
 
 __all__ = [
     "f_eval",
@@ -270,7 +270,7 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
 
     def build(T):
         bigM = _bpow(base, M)
-        jm = poch_inf(bigM, bigM, T)
+        jm = jtheta(bigM, bigM**3, T)  # J_M = (base^M; base^M)_inf
         acc = None
         for rstar in range(p):
             for sstar in range(p):
@@ -323,7 +323,7 @@ def theta_abc_eval(a, b, c, x, y, base, order) -> QSeries:
 
     def build(T):
         bigb = _bpow(base, big)
-        jm3 = poch_inf(bigb, bigb, T) ** 3
+        jm3 = jtheta(bigb, bigb**3, T) ** 3  # (bigb; bigb)_inf^3
         acc = None
         for d in range(bc):
             for e in range(ba):
@@ -416,14 +416,11 @@ def _big_theta_3(n, x, y, base, order) -> QSeries:
         def jt(mono, k):
             return jtheta(mono, _bpow(base, k), T)
 
-        def jm(k):
-            bk = _bpow(base, k)
-            return poch_inf(bk, bk, T)
-
+        # J_k = (base^k; base^k)_inf enters as J_{k,3k} = jt(base^k, 3k)
         pre = _bpow(base, n * binom2(n + 1)) * (-x) * ((-y) ** n)
         num = (
-            jm(3 * n)
-            * jm(3 * P)
+            jt(_bpow(base, 3 * n), 9 * n)
+            * jt(_bpow(base, 3 * P), 9 * P)
             * jt(y / x, 3 * P)
             * jt(_bpow(base, n * n + n) * x, P)
             * jt(_bpow(base, n * n + n) * y, P)
@@ -433,7 +430,8 @@ def _big_theta_3(n, x, y, base, order) -> QSeries:
         d3 = _bpow(base, 3 * n * n + 3 * n) * (y**3)
         for mono, k in ((d1, 3 * n * P), (d2, 3 * P), (d3, 3 * P)):
             _require_nonzero(mono, _bpow(base, k))
-        den = (jm(P) ** 2) * jt(d1, 3 * n * P) * jt(d2, 3 * P) * jt(d3, 3 * P)
+        den = (jt(_bpow(base, P), 3 * P) ** 2) * jt(d1, 3 * n * P) * jt(d2, 3 * P) \
+            * jt(d3, 3 * P)
         e1 = 3 * n * n + 5 * n + 3
         e2 = 3 * n * n + 7 * n + 6
         brace = jt(_bpow(base, e1) * x * x * y, 3 * P) * jt(
@@ -456,39 +454,36 @@ def _big_theta_4(n, x, y, base, order) -> QSeries:
         def jt(mono, k):
             return jtheta(mono, _bpow(base, k), T)
 
-        def jm(k):
-            bk = _bpow(base, k)
-            return poch_inf(bk, bk, T)
-
+        # J_k = (base^k; base^k)_inf enters as J_{k,3k} = jt(base^k, 3k)
         x2, y2 = x * x, y * y
         xy = x * y
         s1 = (
             jt(_bpow(base, 6 * n + 16) * x2 * y2, 4 * P)
             * jt(-(_bpow(base, 2 * P) * y / x), 4 * P)
             * jt(_bpow(base, n + 4) * xy, 2 * P)
-        ).divide(jm(2 * P) ** 3 * jm(8 * P))
+        ).divide(jt(_bpow(base, 2 * P), 6 * P) ** 3 * jt(_bpow(base, 8 * P), 24 * P))
         s1_brace = jt(-(_bpow(base, 2 * n + 8) * x2 * y2), 4 * P) * jt(
             _bpow(base, 2 * P) * y2 / x2, 4 * P
-        ) * (jm(4 * P) ** 2) + (
+        ) * (jt(_bpow(base, 4 * P), 12 * P) ** 2) + (
             jt(-(_bpow(base, 6 * n + 16) * x2 * y2), 4 * P)
             * (jt(_bpow(base, 2 * P) * y / x, 4 * P) ** 2)
             * (jt(-(y / x), 4 * P) ** 2)
-        ).divide(jm(4 * P)).mul_monomial(_bpow(base, n + 4) * x2)
+        ).divide(jt(_bpow(base, 4 * P), 12 * P)).mul_monomial(_bpow(base, n + 4) * x2)
         s1 = s1 * s1_brace
 
         s2 = (
             jt(_bpow(base, 2 * n + 8) * x2 * y2, 4 * P)
             * jt(-(y / x), 4 * P)
             * jt(_bpow(base, 3 * n + 8) * xy, 2 * P)
-        ).divide(jm(2 * P) ** 2)
+        ).divide(jt(_bpow(base, 2 * P), 6 * P) ** 2)
         s2_brace = (
             jt(-(_bpow(base, 2 * n + 8) * x2 * y2), 4 * P)
             * jt(_bpow(base, 2 * P) * y2 / x2, 4 * P)
-            * jm(8 * P)
-        ).divide(jm(4 * P)).mul_monomial(_bpow(base, n + 1) / y) + (
+            * jt(_bpow(base, 8 * P), 24 * P)
+        ).divide(jt(_bpow(base, 4 * P), 12 * P)).mul_monomial(_bpow(base, n + 1) / y) + (
             jt(-(_bpow(base, 6 * n + 16) * x2 * y2), 4 * P)
             * (jt(_bpow(base, 4 * P) * y2 / x2, 8 * P) ** 2)
-        ).divide(jm(8 * P)).mul_monomial(base * x)
+        ).divide(jt(_bpow(base, 8 * P), 24 * P)).mul_monomial(base * x)
         s2 = s2 * s2_brace
 
         combo = (s1 * jt(_bpow(base, 4 * n), 16 * n)) - (
@@ -524,7 +519,7 @@ def string_function(N, m, l, base, order) -> QSeries:
 
     def build(T):
         f = f_eval(1, 1 + N, 1, x, y, base, T)
-        return f.divide(poch_inf(base, base, T) ** 3)
+        return f.divide(jtheta(base, base**3, T) ** 3)
 
     return eval_padded(build, order)
 
@@ -585,7 +580,7 @@ def string_function_oracle(N, m, l, base, order) -> QSeries:
                     monos.append(-mono if (k - j) % 2 == 0 else mono)
             d += 1
         s = _series_from_monomials(monos, T)
-        return s.divide(poch_inf(base, base, T) ** 3)
+        return s.divide(jtheta(base, base**3, T) ** 3)
 
     return eval_padded(build, order)
 

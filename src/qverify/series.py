@@ -8,10 +8,13 @@ exact everywhere, e.g. a polynomial).  Every operation computes the largest
 window on which the result is sound:
 
 * product window  = min(Ka + val(B), Kb + val(A))
-* inverse window  = K - 2*val  (unit back-substitution after factoring q^val)
+* quotient window = min(Ka - val(B), Kb - 2*val(B) + val(A)), dropping the
+  term of an exact side (long division against B's leading term; the
+  inverse is the quotient 1/B, window Kb - 2*val(B))
 
 where val is the smallest stored exponent (or the window itself when the
-known part is empty).
+known part is empty).  An exact monomial divisor gives an exact shift; two
+exact sides need a window hint.
 """
 
 from __future__ import annotations
@@ -327,47 +330,65 @@ class QSeries:
     __rmul__ = __mul__
 
     def inverse(self, window_hint=None) -> "QSeries":
-        """Multiplicative inverse.  For a finite-order series the result
-        window is order - 2*val; an exact non-monomial series needs a
-        window_hint (scaled units)."""
-        if not self.terms:
-            raise DivisionByZero("inverse of a series with no known nonzero term")
-        v = min(self.terms)
-        if len(self.terms) == 1 and self.order is None:
-            c = self.terms[v]
-            return QSeries(self.scale, None, {-v: cinv(c)})
-        if self.order is None:
-            if window_hint is None:
-                raise ValueError("window_hint required to invert an exact series")
-            ku = window_hint + v  # unit-part window
-        else:
-            ku = self.order - v
-        u = {k - v: c for k, c in self.terms.items()}  # unit part, u[0] != 0
-        u0inv = cinv(u[0])
-        w = {0: u0inv}
-        usup = sorted(k for k in u if k > 0)
-        # back-substitution: w_n = -u0^{-1} * sum_{k>=1} u_k w_{n-k}
-        for n in range(1, ku):
-            acc = None
-            for k in usup:
-                if k > n:
-                    break
-                wk = w.get(n - k)
-                if wk is None:
-                    continue
-                p = u[k] * wk
-                acc = p if acc is None else acc + p
-            if acc:
-                w[n] = -(acc * u0inv)
-        res_order = ku - v  # = order - 2v, or hint for exact input
-        return QSeries(self.scale, res_order, {k - v: c for k, c in w.items()})
+        """Multiplicative inverse, ``1.divide(self, window_hint)``: for a
+        finite-order series the window is order - 2*val; an exact
+        non-monomial series needs a window_hint (scaled units)."""
+        return QSeries.from_coeff(1).divide(self, window_hint)
 
     def divide(self, other: "QSeries", window_hint=None) -> "QSeries":
+        """self / other by long division against other's leading term b_0:
+        q_n = (a_{n+v_b} - sum_{k>0} b_k q_{n-k}) / b_0, in
+        O(window * nnz(other)) with no second product.
+
+        The window is the module's quotient window; an exact divisor with
+        one term gives an exact shift.  window_hint (scaled units, on the
+        common grid) is read only when both sides are exact and the divisor
+        has several terms, and is then required.
+        """
         a, b = QSeries.unify(self, other)
-        hint = window_hint
-        if b.order is None and len(b.terms) > 1 and hint is None and a.order is not None:
-            hint = a.order - (a.effval() or 0) - min(b.terms)
-        return a * b.inverse(hint)
+        if not b.terms:
+            raise DivisionByZero("division by a series with no known nonzero term")
+        if not a.terms and a.order is None:
+            return QSeries.zero(a.scale, None)
+        vb = min(b.terms)
+        b0inv = cinv(b.terms[vb])
+        if b.order is None and len(b.terms) == 1:
+            order = None if a.order is None else a.order - vb
+            return QSeries(a.scale, order, {k - vb: c * b0inv for k, c in a.terms.items()})
+        va = a.effval()
+        if b.order is None:
+            if a.order is None:
+                if window_hint is None:
+                    raise ValueError("window_hint required to divide two exact series")
+                window = window_hint + va
+            else:
+                window = a.order - vb
+        elif a.order is None:
+            window = b.order - 2 * vb + va
+        else:
+            window = min(a.order - vb, b.order - 2 * vb + va)
+        # rem is the remainder, indexed by quotient exponent; each quotient
+        # term c subtracts c * b_k from the entry k above it.  A unit b_0 (the
+        # common case) skips a multiply per term.
+        unit = b0inv == 1
+        step = sorted((k - vb, -c) for k, c in b.terms.items() if k != vb)
+        rem = {k - vb: c for k, c in a.terms.items() if k - vb < window}
+        out: dict = {}
+        for n in range(va - vb, window):
+            c = rem.pop(n, None)
+            if not c:
+                continue
+            if not unit:
+                c = c * b0inv
+            out[n] = c
+            for k, f in step:
+                m = n + k
+                if m >= window:
+                    break
+                p = f * c
+                cur = rem.get(m)
+                rem[m] = p if cur is None else cur + p
+        return QSeries(a.scale, window, out)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
@@ -424,40 +445,22 @@ def series_equal(a: QSeries, b: QSeries) -> bool:
     return QSeries.first_difference(a, b) is None
 
 
+def one_minus(m: QMonomial) -> QSeries:
+    """The exact binomial 1 - m, to divide by; m == 1 raises GenericityError
+    (the genuine pole 1/(1 - 1))."""
+    if m.is_one:
+        raise GenericityError(f"pole: 1/(1 - {m!r})")
+    return QSeries.from_coeff(1) - QSeries.from_monomial(m)
+
+
 def geom_inv(m: QMonomial, scale: int, window: int) -> QSeries:
     """1/(1 - m) as a series on the given grid, known below window (scaled).
 
-    m with positive exponent expands as sum m^k; negative exponent uses
-    1/(1-m) = -m^{-1}/(1-m^{-1}); zero exponent is a constant, and m == 1
-    raises GenericityError (a genuine pole).
+    Exact when m is a constant; m == 1 raises GenericityError (a genuine
+    pole).
     """
     s = lcm(scale, common_scale(m.expo))
-    window = window * (s // scale)
-    e = m.expo
-    c = m.coeff
-    if e == 0:
-        if c == 1:
-            raise GenericityError("pole: 1/(1 - 1)")
-        return QSeries(s, None, {0: cinv(rat(1) - c)})
-    terms: dict = {}
-    if e > 0:
-        d = int(e * s)
-        acc = rat(1)
-        k = 0
-        while k * d < window:
-            terms[k * d] = acc
-            acc = acc * c
-            k += 1
-    else:
-        d = int((-e) * s)
-        cinv_c = cinv(c)
-        acc = -cinv_c
-        k = 1
-        while k * d < window:
-            terms[k * d] = acc
-            acc = acc * cinv_c
-            k += 1
-    return QSeries(s, window, terms)
+    return QSeries(s, None, {0: rat(1)}).divide(one_minus(m), window * (s // scale))
 
 
 def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:

@@ -220,8 +220,9 @@ def Jbar(a, m, order) -> QSeries:
 
 
 def Jm(m, order) -> QSeries:
-    """J_m = (q^m; q^m)_inf."""
-    return poch_inf(qmono(1, rat(m)), qmono(1, rat(m)), order)
+    """J_m = (q^m; q^m)_inf, evaluated as J_{m,3m} = j(q^m; q^(3m)): by the
+    triple product (B; B)_inf = j(B; B^3), the pentagonal-number sum."""
+    return jtheta(qmono(1, rat(m)), qmono(1, 3 * rat(m)), order)
 
 
 def jprod(args, base: QMonomial, order) -> QSeries:

@@ -3,6 +3,7 @@ and the g/h/k Lambert-series bridges."""
 
 import pytest
 
+import test_series as ts
 from qverify.appell import (
     changing_z_delta,
     eval_padded,
@@ -12,11 +13,10 @@ from qverify.appell import (
     k_eval,
     m_alt_oracle,
     m_eval,
-    times_geom_inv,
 )
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
-from qverify.series import QSeries, qmono
+from qverify.series import QSeries, one_minus, qmono
 from qverify.theta import jtheta, poch_inf
 
 Q = qmono(1, 1)
@@ -41,19 +41,20 @@ def Jb(k, base, T):
 
 
 # ---------------------------------------------------------------------------
-# the s/(1-m) back-substitution helper
+# s/(1-m), the division step of g and the Eulerian sums
 # ---------------------------------------------------------------------------
 
 
-def test_times_geom_inv_matches_series_division():
+def test_divide_by_binomial_matches_inverse_then_multiply():
     s = QSeries(1, 20, {0: rat(1), 3: rat(-2), 5: rat(7)})
     for m in (qmono(1, 1), qmono(-1, 2), qmono(W3, rat(1, 2)), qmono(2, 0), qmono(1, -1)):
-        lhs = times_geom_inv(s, m)
+        lhs = s.divide(one_minus(m))
         den = QSeries.from_coeff(1) - QSeries.from_monomial(m)
-        rhs = s.divide(den, window_hint=60)
+        rhs = ts.divide_oracle(s, den)
         assert_match(lhs, rhs, 15)
+        assert lhs.window_q() == rhs.window_q()
     with pytest.raises(GenericityError):
-        times_geom_inv(s, ONE)
+        one_minus(ONE)
 
 
 # ---------------------------------------------------------------------------

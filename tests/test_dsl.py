@@ -11,7 +11,7 @@ from qverify.dsl import (BinOp, Call, CatalogRef, IdentityRecord, Neg, Num,
                          Pow, QPow, eval_expr, parse_expression,
                          parse_identities, pretty, pretty_identity, tokenize)
 from qverify.errors import (GenericityError, ParseError, UnknownCatalogName,
-                            UnsupportedArgument)
+                            UnsupportedArgument, UnsupportedSubstitution)
 from qverify.series import QSeries, qmono, series_equal
 from qverify.theta import Jm, jtheta
 
@@ -125,7 +125,7 @@ def test_fixpoint_on_tricky_expressions():
         "-(q + 1)*2", "2*(-q)", "q^(-3/2)", "(1 + q)^(-2)",
         "1 - (2 - 3)", "1/(2/3)", "-Jm[1]^2",
         "poch(-q; q^2; inf)^2", "poch(q; q; 5)",
-        'm(zeta(1,4)*q^(1/2), q^3, -q)',
+        'm(zeta(1,4)*q^(1/2), q^3, -q)', 'catalog("f_3rd", -q^(1/2))',
     ]:
         ast1 = parse_expression(src)
         assert parse_expression(pretty(ast1)) == ast1, src
@@ -193,6 +193,28 @@ def test_eval_unknown_catalog_and_repr_range():
         eval_expr(parse_expression('catalog("nope")'), 10)
     with pytest.raises(UnsupportedArgument):
         eval_expr(parse_expression('catalog("f_3rd").repr[99]'), 10)
+
+
+def test_catalog_substitution_parses_and_evaluates():
+    node = parse_expression('catalog("f_3rd", q^2)')
+    assert node == CatalogRef("f_3rd", None, QPow(rat(2)))
+    assert pretty(node) == 'catalog("f_3rd", q^2)'
+    T = 31
+    f3 = CATALOG["f_3rd"].eulerian(T)
+    s = eval_expr(node, T)  # f(q^2)
+    assert s.window_q() >= T
+    assert [s.coeff_at(k) for k in range(T)] == [
+        f3.coeff_at(k // 2) if k % 2 == 0 else 0 for k in range(T)]
+    s = eval_expr(parse_expression('catalog("f_3rd", -q)'), T)  # f(-q)
+    assert s.window_q() >= T
+    assert [s.coeff_at(k) for k in range(T)] == [
+        (-1) ** k * f3.coeff_at(k) for k in range(T)]
+    with pytest.raises(UnsupportedArgument):
+        eval_expr(parse_expression('catalog("f_3rd", 1 + q)'), 10)
+    with pytest.raises(UnsupportedSubstitution):
+        eval_expr(parse_expression('catalog("f_3rd", q^(-1))'), 10)
+    with pytest.raises(ParseError):
+        parse_expression('catalog("f_3rd", q).repr[0]')
 
 
 def test_eval_error_context():

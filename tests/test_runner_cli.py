@@ -56,6 +56,16 @@ def test_window_padding_reaches_requested_order():
     assert rep.first_mismatch == 27
 
 
+def test_catalog_substitution_reaches_requested_order():
+    # q -> q^(1/10) needs the Eulerian series to order 200 for a window of
+    # q^20; the planted mismatch at q^19 must be seen, never a shorter pass
+    rec = _rec('identity s { lhs = catalog("f_3rd", q^(1/10)); '
+               'rhs = catalog("f_3rd", q^(1/10)) + q^19; }')
+    rep = verify_identity(rec, force_order=20)
+    assert rep.status == "fail"
+    assert rep.first_mismatch == 19
+
+
 def test_stalled_window_is_error_not_pass(monkeypatch):
     # a side whose window stays at q^10 however far it is padded cannot
     # certify order 30: the runner must fail closed instead of comparing

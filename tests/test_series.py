@@ -1,9 +1,15 @@
-"""Truncated-series kernel: windows, ring laws, inversion, substitution."""
+"""Truncated-series kernel: windows, ring laws, inversion, substitution.
+
+Division is checked against the earlier two-step kernel (back-substitution
+for the inverse, then a dense product), kept here as ``divide_oracle``.
+"""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qverify.cyclotomic import rat, zeta
+from qverify.cyclotomic import cinv, rat, zeta
 from qverify.errors import (
     DivisionByZero,
     GenericityError,
@@ -61,6 +67,53 @@ def brute_convolution(a_terms, b_terms, window):
             if k < window:
                 out[k] = out.get(k, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def inverse_oracle(self, window_hint=None) -> QSeries:
+    """Multiplicative inverse.  For a finite-order series the result
+    window is order - 2*val; an exact non-monomial series needs a
+    window_hint (scaled units)."""
+    if not self.terms:
+        raise DivisionByZero("inverse of a series with no known nonzero term")
+    v = min(self.terms)
+    if len(self.terms) == 1 and self.order is None:
+        c = self.terms[v]
+        return QSeries(self.scale, None, {-v: cinv(c)})
+    if self.order is None:
+        if window_hint is None:
+            raise ValueError("window_hint required to invert an exact series")
+        ku = window_hint + v  # unit-part window
+    else:
+        ku = self.order - v
+    u = {k - v: c for k, c in self.terms.items()}  # unit part, u[0] != 0
+    u0inv = cinv(u[0])
+    w = {0: u0inv}
+    usup = sorted(k for k in u if k > 0)
+    # back-substitution: w_n = -u0^{-1} * sum_{k>=1} u_k w_{n-k}
+    for n in range(1, ku):
+        acc = None
+        for k in usup:
+            if k > n:
+                break
+            wk = w.get(n - k)
+            if wk is None:
+                continue
+            p = u[k] * wk
+            acc = p if acc is None else acc + p
+        if acc:
+            w[n] = -(acc * u0inv)
+    res_order = ku - v  # = order - 2v, or hint for exact input
+    return QSeries(self.scale, res_order, {k - v: c for k, c in w.items()})
+
+
+def divide_oracle(self, other: QSeries, window_hint=None) -> QSeries:
+    """self / other as inverse-then-multiply: ``inverse_oracle`` of the
+    divisor, then the dense product (the earlier ``QSeries.divide``)."""
+    a, b = QSeries.unify(self, other)
+    hint = window_hint
+    if b.order is None and len(b.terms) > 1 and hint is None and a.order is not None:
+        hint = a.order - (a.effval() or 0) - min(b.terms)
+    return a * inverse_oracle(b, hint)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +272,44 @@ def test_divide_auto_hint():
     assert [q.coeff_at(n) for n in range(10)] == [1] * 10
     with pytest.raises(DivisionByZero):
         num.divide(QSeries.zero(1, None))
+
+
+_DIVIDE_COEFFS = (
+    (rat(1), rat(-1), rat(2), rat(-3, 2), rat(5, 7)),
+    (rat(1), zeta(1, 3), -zeta(2, 3), rat(2) * zeta(1, 3) - rat(1, 3)),
+    (rat(-1), zeta(1, 4), zeta(3, 4) * rat(3, 2), rat(1) + zeta(1, 4)),
+)
+
+
+def _random_divide_side(rng, exact, coeffs, divisor):
+    """A random series on grid 1, 2 or 3 with valuation in [-6, 7); a
+    divisor always has a leading term, a dividend is sometimes empty (the
+    exact zero series when it is exact)."""
+    scale = rng.choice((1, 2, 3))
+    lo = rng.randint(-6, 6) * scale + rng.randrange(scale)
+    span = rng.randint(1, 8 * scale)
+    terms = {} if not divisor and rng.random() < 0.1 else {lo: rng.choice(coeffs)}
+    if terms and not (divisor and exact and rng.random() < 0.25):  # else a monomial
+        for _ in range(rng.randint(0, 5)):
+            terms[rng.randint(lo + 1, lo + span)] = rng.choice(coeffs)
+    order = None if exact else lo + span + rng.randint(0, 4 * scale)
+    return QSeries(scale, order, terms)
+
+
+def test_divide_matches_inverse_then_multiply_randomized():
+    rng = random.Random(20121208)
+    for i in range(400):
+        a_exact, b_exact = i % 2 == 1, (i // 2) % 2 == 1
+        coeffs = _DIVIDE_COEFFS[(i // 4) % 3]
+        a = _random_divide_side(rng, a_exact, coeffs, divisor=False)
+        b = _random_divide_side(rng, b_exact, coeffs, divisor=True)
+        hint = rng.randint(1, 30) if a_exact and b_exact else None
+        got = a.divide(b, hint)
+        want = divide_oracle(a, b, hint)
+        case = f"draw {i}: {a!r} / {b!r}, hint {hint}"
+        assert got.scale == want.scale, case
+        assert got.order == want.order, case
+        assert got.terms == want.terms, case
 
 
 def test_pow_matches_repeated_mul():

@@ -3,7 +3,8 @@
 The kernel evaluates j(x; base) as the sparse bilateral sum; the Jacobi
 triple product (x)_inf (base/x)_inf (base)_inf, built here from poch_inf,
 serves as its independent oracle, next to the straightforward bilateral-sum
-oracle in qverify.theta.  Frozen coefficient lists below were computed by
+oracle in qverify.theta.  J_m = (q^m; q^m)_inf is evaluated as j(q^m; q^(3m))
+and checked against the poch_inf product.  Frozen coefficient lists below were computed by
 hand from the defining sums.
 """
 
@@ -118,6 +119,19 @@ def test_euler_product_matches_pentagonal_signs():
     e = Jm(1, 120)
     for n in range(120):
         assert e.coeff_at(n) == pentagonal_sign(n)
+
+
+def test_Jm_matches_poch_inf_product_oracle():
+    """J_m is evaluated as J_{m,3m}; (B; B)_inf from poch_inf is its oracle,
+    also for the bases the hecke and appell J_m factors use."""
+    for m in (1, 2, 5, rat(1, 2), 12):
+        for T in (1, 7, 60, rat(61, 2)):
+            got, want = Jm(m, T), poch_inf(qmono(1, m), qmono(1, m), T)
+            assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms)
+    for B in (Q, qmono(1, 5), qmono(-1, 2), qmono(1, rat(1, 2)), qmono(W3, 1), qmono(2, 3)):
+        for T in (1, 7, 60, rat(61, 2)):
+            got, want = jtheta(B, B**3, T), poch_inf(B, B, T)
+            assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms)
 
 
 def test_poch_inf_edge_cases():
