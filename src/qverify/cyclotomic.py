@@ -28,15 +28,21 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is an install dependency
     Rat = Fraction
 
+_RAT = type(Rat(1))
 #: types acceptable wherever a rational is expected
-RAT_TYPES = (int, Fraction, type(Rat(1)))
+RAT_TYPES = (int, Fraction, _RAT)
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
 def rat(p, q=1):
-    """Exact rational from integers, strings like '5/8', or Fractions."""
+    """Exact rational from integers, strings like '5/8', or Fractions; a Rat
+    (immutable) is returned as it is."""
+    if type(p) is _RAT and q == 1:
+        return p
+    if type(p) is int and type(q) is int:
+        return Rat(p, q)
     if q != 1:
         return Rat(p) / Rat(q)
     if isinstance(p, str):
@@ -54,11 +60,21 @@ def rat_den(x) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    from sympy import Poly, Symbol, cyclotomic_poly
-
-    x = Symbol("x")
-    return tuple(int(c) for c in reversed(Poly(cyclotomic_poly(n, x), x).all_coeffs()))
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending:
+    x^n - 1 divided exactly by Phi_d for every proper divisor d of n."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        phi_d = cyclotomic_coeffs(d)
+        deg = len(phi_d) - 1
+        # synthetic division by the monic Phi_d, top coefficient first
+        quot = [0] * (len(p) - deg)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = p[i + deg]
+            if c:
+                for j, f in enumerate(phi_d):
+                    p[i + j] -= c * f
+        p = quot
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,17 @@ window on which the result is sound:
 where val is the smallest stored exponent (or the window itself when the
 known part is empty).  An exact monomial divisor gives an exact shift; two
 exact sides need a window hint.
+
+Products and quotients of rational operands run on Python ints: each side is
+cleared to integer numerators over the lcm of its denominators, the product
+or long-division loop works on those, and each result coefficient is built
+once, as a ``Rat``.  Operands with a ``CycRat`` coefficient run through the
+same loops on their coefficients as they are.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import (
     CycRat,
@@ -143,6 +149,28 @@ def qmono(coeff=1, expo=0) -> QMonomial:
     return QMonomial(coeff, expo)
 
 
+def _cleared(terms: dict):
+    """(nums, D) with terms[k] == nums[k] / D: integer numerators over the
+    lcm D of the denominators when every coefficient is rational, else (a
+    CycRat among them) the terms themselves over D = 1."""
+    den = 1
+    for c in terms.values():
+        if type(c) is CycRat:
+            return terms, 1
+        d = c.denominator
+        if d != 1:
+            den = lcm(den, int(d))
+    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in terms.items()}, den
+
+
+def _scaled(nums: dict, num: int, den: int) -> dict:
+    """The coefficients nums[k] * num / den as Rat | CycRat; an int numerator
+    becomes one Rat, rat(n * num, den)."""
+    f = rat(num, den)
+    return {k: rat(n * num, den) if type(n) is int else (n if f == 1 else n * f)
+            for k, n in nums.items()}
+
+
 def _min_order(a, b):
     if a is None:
         return b
@@ -191,8 +219,6 @@ class QSeries:
         return QSeries(new_scale, order, {k * f: c for k, c in self.terms.items()})
 
     def minimize_scale(self) -> "QSeries":
-        from math import gcd
-
         g = self.scale
         for k in self.terms:
             g = gcd(g, k)
@@ -279,9 +305,19 @@ class QSeries:
         shift = int(m.expo * s)
         c0 = m.coeff
         order = None if a.order is None else a.order + shift
-        return QSeries(s, order, {k + shift: c * c0 for k, c in a.terms.items()})
+        if c0 == 1:
+            terms = {k + shift: c for k, c in a.terms.items()}
+        elif c0 == -1:
+            terms = {k + shift: -c for k, c in a.terms.items()}
+        else:
+            terms = {k + shift: c * c0 for k, c in a.terms.items()}
+        return QSeries(s, order, terms)
 
     def __mul__(self, other):
+        """Product with a series, monomial or coefficient.  Two series are
+        convolved below the module's product window; rational operands are
+        convolved as integer numerators and each result coefficient is
+        built once, over the product of the two denominators."""
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
@@ -308,9 +344,11 @@ class QSeries:
             va = a.effval()
             vb = b.effval()
             window = min(a.order + vb, b.order + va)
+        na, da = _cleared(a.terms)
+        nb, db = _cleared(b.terms)
         out: dict = {}
-        bitems = sorted(b.terms.items())
-        for ka, ca in sorted(a.terms.items()):
+        bitems = sorted(nb.items())
+        for ka, ca in sorted(na.items()):
             for kb, cb in bitems:
                 k = ka + kb
                 if window is not None and k >= window:
@@ -325,7 +363,7 @@ class QSeries:
                         del out[k]
                     else:
                         out[k] = s
-        return QSeries(a.scale, window, out)
+        return QSeries(a.scale, window, _scaled(out, 1, da * db))
 
     __rmul__ = __mul__
 
@@ -338,7 +376,13 @@ class QSeries:
     def divide(self, other: "QSeries", window_hint=None) -> "QSeries":
         """self / other by long division against other's leading term b_0:
         q_n = (a_{n+v_b} - sum_{k>0} b_k q_{n-k}) / b_0, in
-        O(window * nnz(other)) with no second product.
+        O(window * nnz(other)) with no second product.  Rational operands
+        are divided as integer numerators na / nb over their denominators
+        da, db and the quotient is scaled by db / da once.  The content of
+        nb (the gcd of its numerators, signed like its leading one) is
+        folded into da, so a leading numerator of -1, or of +-content, takes
+        the unit path; only another leading numerator costs a multiply per
+        quotient term.
 
         The window is the module's quotient window; an exact divisor with
         one term gives an exact shift.  window_hint (scaled units, on the
@@ -351,9 +395,9 @@ class QSeries:
         if not a.terms and a.order is None:
             return QSeries.zero(a.scale, None)
         vb = min(b.terms)
-        b0inv = cinv(b.terms[vb])
         if b.order is None and len(b.terms) == 1:
             order = None if a.order is None else a.order - vb
+            b0inv = cinv(b.terms[vb])
             return QSeries(a.scale, order, {k - vb: c * b0inv for k, c in a.terms.items()})
         va = a.effval()
         if b.order is None:
@@ -367,12 +411,22 @@ class QSeries:
             window = b.order - 2 * vb + va
         else:
             window = min(a.order - vb, b.order - 2 * vb + va)
-        # rem is the remainder, indexed by quotient exponent; each quotient
-        # term c subtracts c * b_k from the entry k above it.  A unit b_0 (the
-        # common case) skips a multiply per term.
+        # a / b = (na / nb) * db / da.  rem is the remainder, indexed by
+        # quotient exponent; each quotient term c subtracts c * b_k from the
+        # entry k above it.  A unit b_0 (the common case) skips a multiply
+        # per term and keeps integer numerators integral.
+        na, da = _cleared(a.terms)
+        nb, db = _cleared(b.terms)
+        if type(nb[vb]) is int:
+            g = gcd(*nb.values())
+            g = g if nb[vb] > 0 else -g
+            if g != 1:
+                nb = {k: c // g for k, c in nb.items()}
+                da *= g
+        b0inv = cinv(nb[vb])
         unit = b0inv == 1
-        step = sorted((k - vb, -c) for k, c in b.terms.items() if k != vb)
-        rem = {k - vb: c for k, c in a.terms.items() if k - vb < window}
+        step = sorted((k - vb, -c) for k, c in nb.items() if k != vb)
+        rem = {k - vb: c for k, c in na.items() if k - vb < window}
         out: dict = {}
         for n in range(va - vb, window):
             c = rem.pop(n, None)
@@ -388,7 +442,7 @@ class QSeries:
                 p = f * c
                 cur = rem.get(m)
                 rem[m] = p if cur is None else cur + p
-        return QSeries(a.scale, window, out)
+        return QSeries(a.scale, window, _scaled(out, db, da))
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):

@@ -32,6 +32,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 401):
+        poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        assert cyclotomic_coeffs(n) == tuple(int(c) for c in reversed(poly.all_coeffs())), n
+
+
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 5, 6, 8, 12)] == [1, 1, 2, 2, 4, 2, 4, 4]
 

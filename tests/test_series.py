@@ -1,7 +1,8 @@
 """Truncated-series kernel: windows, ring laws, inversion, substitution.
 
-Division is checked against the earlier two-step kernel (back-substitution
-for the inverse, then a dense product), kept here as ``divide_oracle``.
+The product is checked against the earlier coefficient-by-coefficient loop,
+kept here as ``mul_oracle``; division against the earlier two-step kernel
+(back-substitution for the inverse, then that product), ``divide_oracle``.
 """
 
 import random
@@ -69,6 +70,45 @@ def brute_convolution(a_terms, b_terms, window):
     return {k: v for k, v in out.items() if v}
 
 
+def mul_oracle(self: QSeries, other: QSeries) -> QSeries:
+    """Series product one Rat | CycRat term pair at a time (the earlier
+    ``QSeries.__mul__`` on two series)."""
+    a, b = QSeries.unify(self, other)
+    if not a.terms and a.order is None:
+        return QSeries.zero(a.scale, None)
+    if not b.terms and b.order is None:
+        return QSeries.zero(a.scale, None)
+    # sound window
+    if a.order is None and b.order is None:
+        window = None
+    elif a.order is None:
+        window = b.order + min(a.terms)
+    elif b.order is None:
+        window = a.order + min(b.terms)
+    else:
+        va = a.effval()
+        vb = b.effval()
+        window = min(a.order + vb, b.order + va)
+    out: dict = {}
+    bitems = sorted(b.terms.items())
+    for ka, ca in sorted(a.terms.items()):
+        for kb, cb in bitems:
+            k = ka + kb
+            if window is not None and k >= window:
+                break
+            prod = ca * cb
+            cur = out.get(k)
+            if cur is None:
+                out[k] = prod
+            else:
+                s = cur + prod
+                if not s:
+                    del out[k]
+                else:
+                    out[k] = s
+    return QSeries(a.scale, window, out)
+
+
 def inverse_oracle(self, window_hint=None) -> QSeries:
     """Multiplicative inverse.  For a finite-order series the result
     window is order - 2*val; an exact non-monomial series needs a
@@ -108,12 +148,12 @@ def inverse_oracle(self, window_hint=None) -> QSeries:
 
 def divide_oracle(self, other: QSeries, window_hint=None) -> QSeries:
     """self / other as inverse-then-multiply: ``inverse_oracle`` of the
-    divisor, then the dense product (the earlier ``QSeries.divide``)."""
+    divisor, then ``mul_oracle`` (the earlier ``QSeries.divide``)."""
     a, b = QSeries.unify(self, other)
     hint = window_hint
     if b.order is None and len(b.terms) > 1 and hint is None and a.order is not None:
         hint = a.order - (a.effval() or 0) - min(b.terms)
-    return a * inverse_oracle(b, hint)
+    return mul_oracle(a, inverse_oracle(b, hint))
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +314,17 @@ def test_divide_auto_hint():
         num.divide(QSeries.zero(1, None))
 
 
-_DIVIDE_COEFFS = (
+_COEFF_ROWS = (
     (rat(1), rat(-1), rat(2), rat(-3, 2), rat(5, 7)),
+    (rat(1, 6), rat(-5, 4), rat(7, 10), rat(-1, 6), rat(-1), rat(2), rat(-3, 2), rat(5, 7)),
     (rat(1), zeta(1, 3), -zeta(2, 3), rat(2) * zeta(1, 3) - rat(1, 3)),
     (rat(-1), zeta(1, 4), zeta(3, 4) * rat(3, 2), rat(1) + zeta(1, 4)),
 )
+# (left row, right row): each row with itself, then rational x CycRat mixes
+_ROW_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (3, 1), (0, 3))
 
 
-def _random_divide_side(rng, exact, coeffs, divisor):
+def _random_side(rng, exact, coeffs, divisor):
     """A random series on grid 1, 2 or 3 with valuation in [-6, 7); a
     divisor always has a leading term, a dividend is sometimes empty (the
     exact zero series when it is exact)."""
@@ -296,20 +339,38 @@ def _random_divide_side(rng, exact, coeffs, divisor):
     return QSeries(scale, order, terms)
 
 
+def _random_pair(rng, i, divisor):
+    """Draw i's two sides: every exact/finite pairing in turn, rows from
+    ``_ROW_PAIRS`` in turn."""
+    a_exact, b_exact = i % 2 == 1, (i // 2) % 2 == 1
+    ra, rb = _ROW_PAIRS[(i // 4) % len(_ROW_PAIRS)]
+    a = _random_side(rng, a_exact, _COEFF_ROWS[ra], divisor=False)
+    b = _random_side(rng, b_exact, _COEFF_ROWS[rb], divisor=divisor)
+    return a, b
+
+
+def _assert_same_series(got, want, case):
+    assert got.scale == want.scale, case
+    assert got.order == want.order, case
+    assert got.terms == want.terms, case
+    assert not [c for c in got.terms.values() if type(c) is int], case
+
+
+def test_mul_matches_fraction_product_randomized():
+    rng = random.Random(12081421)
+    for i in range(560):
+        a, b = _random_pair(rng, i, divisor=False)
+        _assert_same_series(a * b, mul_oracle(a, b), f"draw {i}: {a!r} * {b!r}")
+
+
 def test_divide_matches_inverse_then_multiply_randomized():
     rng = random.Random(20121208)
-    for i in range(400):
-        a_exact, b_exact = i % 2 == 1, (i // 2) % 2 == 1
-        coeffs = _DIVIDE_COEFFS[(i // 4) % 3]
-        a = _random_divide_side(rng, a_exact, coeffs, divisor=False)
-        b = _random_divide_side(rng, b_exact, coeffs, divisor=True)
-        hint = rng.randint(1, 30) if a_exact and b_exact else None
+    for i in range(560):
+        a, b = _random_pair(rng, i, divisor=True)
+        hint = rng.randint(1, 30) if a.order is None and b.order is None else None
         got = a.divide(b, hint)
         want = divide_oracle(a, b, hint)
-        case = f"draw {i}: {a!r} / {b!r}, hint {hint}"
-        assert got.scale == want.scale, case
-        assert got.order == want.order, case
-        assert got.terms == want.terms, case
+        _assert_same_series(got, want, f"draw {i}: {a!r} / {b!r}, hint {hint}")
 
 
 def test_pow_matches_repeated_mul():
