@@ -5,7 +5,10 @@ The central object is
     m(x, base, z) = (1/j(z;base)) * sum_{r in Z} (-1)^r base^binom(r,2) z^r
                                                / (1 - base^{r-1} x z)
 
-evaluated as a truncated series in q with exact coefficients.  Every evaluator
+evaluated as a truncated series in q with exact coefficients.  The bilateral
+sums (``bilateral_sum``) expand each summand mono(r) / (1 - w(r)) as the
+geometric run sum_k mono(r) w(r)^k (in powers of 1/w(r) when its exponent is
+negative), added in place into one accumulator.  Every evaluator
 takes the desired window in plain q-units and re-runs itself with extra
 internal padding until the soundly-tracked result window reaches it.
 """
@@ -16,13 +19,8 @@ from functools import lru_cache
 
 from .cyclotomic import rat, rat_den
 from .errors import GenericityError, QVerifyError
-from .series import QMonomial, QSeries, ceil_rat, geom_inv, one_minus, qmono
+from .series import QMonomial, QSeries, _Acc, ceil_rat, one_minus, qmono
 from .theta import _check_base, binom2, jtheta, jtheta_val
-
-
-def _zero_with_window(T) -> QSeries:
-    s = rat_den(T)
-    return QSeries.zero(s, int(T * s))
 
 
 #: evaluations `eval_padded` makes before it gives up on reaching the order
@@ -55,47 +53,23 @@ def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
     mono(r) and w(r) are QMonomial-valued; the valuation of the r-th term
     (mono(r).expo, plus -w(r).expo when that exponent is negative) must be a
     convex function of r, which holds for the theta-like sums used here.
+    Each direction of r stops at its first term past the window once the
+    valuations stop falling; each summand is added as a geometric run.
     """
     T = rat(T)
-    acc = _zero_with_window(T)
-
-    def term_val(r):
-        mono = mono_of_r(r)
-        w = w_of_r(r)
-        v = mono.expo
-        if w.expo < 0:
-            v = v - w.expo
-        return v, mono, w
-
-    def add(mono, w):
-        nonlocal acc
-        if w.is_one:
-            raise GenericityError(f"pole: summand 1/(1 - {w!r})")
-        width = T - mono.expo
-        g = geom_inv(w, 1, ceil_rat(width)) if width > 0 else None
-        if g is None:
-            return
-        acc = acc + g.mul_monomial(mono)
-
-    prev = None
-    r = 0
-    while True:
-        v, mono, w = term_val(r)
-        if v >= T and prev is not None and v >= prev:
-            break
-        add(mono, w)
-        prev = v
-        r += 1
-    prev = None
-    r = -1
-    while True:
-        v, mono, w = term_val(r)
-        if v >= T and prev is not None and v >= prev:
-            break
-        add(mono, w)
-        prev = v
-        r -= 1
-    return acc
+    s = rat_den(T)
+    acc = _Acc(s, int(T * s))
+    for r, dr in ((0, 1), (-1, -1)):
+        prev = None
+        while True:
+            mono, w = mono_of_r(r), w_of_r(r)
+            v = mono.expo - min(w.expo, 0)
+            if v >= T and prev is not None and v >= prev:
+                break
+            acc.add_geom(mono, w)
+            prev = v
+            r += dr
+    return acc.freeze()
 
 
 @lru_cache(maxsize=None)
@@ -113,25 +87,6 @@ def m_eval(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
             T,
         )
         return S.divide(jtheta(z, base, T))
-
-    return eval_padded(build, order)
-
-
-def m_alt_oracle(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
-    """Independent evaluation via the shifted-index form
-    m(x,base,z) = (-z/j(z;base)) sum_r (-1)^r base^binom(r+1,2) z^r / (1 - base^r x z)."""
-    _check_base(base)
-    order = rat(order)
-    if jtheta_val(z, base) is None:
-        raise GenericityError(f"j(z; base) vanishes for z = {z!r}")
-
-    def build(T):
-        S = bilateral_sum(
-            lambda r: (base ** binom2(r + 1)) * (z**r) * qmono(-1 if r % 2 else 1),
-            lambda r: (base**r) * x * z,
-            T,
-        )
-        return S.mul_monomial(-z).divide(jtheta(z, base, T))
 
     return eval_padded(build, order)
 
@@ -179,40 +134,15 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     def build(T):
         W = ceil_rat(T)
         R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
-        acc = R
+        acc = _Acc(R.scale, R.order, R.terms)
         n = 1
         while n * n * E < T:
             R = R.divide(one_minus(x * base**n))
             R = R.divide(one_minus((base**n) / x))
-            acc = acc + R.mul_monomial(base ** (n * n))
+            acc.add_series(base ** (n * n), R)
             n += 1
-        acc = acc - QSeries.from_coeff(1)
-        return acc.mul_monomial(x.inverse())
-
-    return eval_padded(build, order)
-
-
-def g_alt_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
-    """Independent evaluation of g via
-    g(x, base) = sum_{n>=0} base^{n(n+1)} / ((x;base)_{n+1} (base/x;base)_{n+1})."""
-    _check_base(base)
-    order = rat(order)
-    E = base.expo
-    if x.expo < 0 or x.expo > E:
-        raise GenericityError(f"g(x, base) needs 0 <= expo(x) <= expo(base), got {x!r}")
-
-    def build(T):
-        W = ceil_rat(T)
-        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
-        R = R.divide(one_minus(base / x))
-        acc = R
-        n = 1
-        while n * (n + 1) * E < T:
-            R = R.divide(one_minus(x * base**n))
-            R = R.divide(one_minus((base ** (n + 1)) / x))
-            acc = acc + R.mul_monomial(base ** (n * (n + 1)))
-            n += 1
-        return acc
+        acc.add_mono(QMonomial(-1))
+        return acc.freeze().mul_monomial(x.inverse())
 
     return eval_padded(build, order)
 

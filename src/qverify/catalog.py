@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclotomic import rat
-from .series import QMonomial, QSeries, one_minus, qmono
+from .series import QMonomial, QSeries, _Acc, one_minus, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "eulerian_sum"]
@@ -32,11 +32,11 @@ __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "euleri
 #             / prod_j (y_j; d_j)_{e_j(n)}
 # with nondecreasing counts c_i, e_j.  The running product over all
 # Pochhammer factors is maintained incrementally: advancing a count by one
-# multiplies by a single binomial (1 - mono) or divides by one with
+# multiplies by a single binomial (1 - mono) in place, or divides by one with
 # QSeries.divide (long division against a two-term divisor); both are
-# O(window) operations.  Terms have unit leading Pochhammer coefficients, so
-# the valuation of term(n) equals the monomial exponent; summation stops once
-# that bound reaches the window.
+# O(window) operations, and the terms are summed in place.  Terms have unit
+# leading Pochhammer coefficients, so the valuation of term(n) equals the
+# monomial exponent; summation stops once that bound reaches the window.
 # --------------------------------------------------------------------------
 
 
@@ -50,27 +50,31 @@ def eulerian_sum(order, monos_fn, vbound, num=(), den=(), const=None, start=0):
     """
     T = int(order)
     prod = QSeries(1, T, {0: rat(1)})
-    specs = list(num) + list(den)
-    invert = [False] * len(num) + [True] * len(den)
-    counts = [0] * len(specs)
-    total = QSeries.zero(1, T)
+    num_counts, den_counts = [0] * len(num), [0] * len(den)
+    total = _Acc(1, T)
     n = start
     while vbound(n) < T:
-        for i, (x, b, cf) in enumerate(specs):
-            target = cf(n)
-            while counts[i] < target:
-                binom_mono = x * b ** counts[i]
-                if invert[i]:
-                    prod = prod.divide(one_minus(binom_mono))
-                else:
-                    prod = prod - prod.mul_monomial(binom_mono)
-                counts[i] += 1
+        factors = list(_advance(num, num_counts, n))
+        if factors:
+            acc = _Acc(prod.scale, prod.order, prod.terms)
+            for m in factors:
+                acc.times_one_minus(m)
+            prod = acc.freeze()
+        for m in _advance(den, den_counts, n):
+            prod = prod.divide(one_minus(m))
         for mono in monos_fn(n):
-            total = total + prod.mul_monomial(mono)
+            total.add_series(mono, prod)
         n += 1
     if const is not None:
-        total = total + QSeries.from_coeff(const)
-    return total
+        total.add_mono(QMonomial(const))
+    return total.freeze()
+
+
+def _advance(specs, counts, n):
+    """Yield the binomials x*b^k that bring each spec's count up to count_fn(n)."""
+    for i, (x, b, cf) in enumerate(specs):
+        yield from (x * b**k for k in range(counts[i], cf(n)))
+        counts[i] = max(counts[i], cf(n))
 
 
 def _poch_sum(monos_fn, vbound, num=(), den=(), const=None, start=0):

@@ -21,13 +21,20 @@ cleared to integer numerators over the lcm of its denominators, the product
 or long-division loop works on those, and each result coefficient is built
 once, as a ``Rat``.  Operands with a ``CycRat`` coefficient run through the
 same loops on their coefficients as they are.
+
+The sparse sums (j(x;q), f_{a,b,c}, Appell-Lerch and Eulerian series) are
+built in place in one accumulator, ``_Acc``, and frozen once into a QSeries.
+Where exponents are quadratic in the summation index, each term is its
+neighbour times a monomial: one walker, ``_walk``, steps such terms on the
+integer grid and stops past the window once the exponents rise.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .cyclotomic import (
+    ONE,
     CycRat,
     RAT_TYPES,
     as_coeff,
@@ -495,6 +502,114 @@ class QSeries:
         return f"QSeries[{shown} | {w}]"
 
 
+def _add(terms: dict, k: int, c) -> None:
+    """terms[k] += c, dropping the key when the sum is zero."""
+    cur = terms.get(k)
+    if cur is None:
+        terms[k] = c
+    else:
+        s = cur + c
+        if s:
+            terms[k] = s
+        else:
+            del terms[k]
+
+
+def _walk(acc: "_Acc", expo: int, step: int, step2: int, coeff, cstep, cratio) -> None:
+    """Add the terms coeff*q^expo of a sequence into acc, on acc's grid.
+
+    Term to term, expo grows by step and step by step2 >= 0; coeff is
+    multiplied by cstep and cstep by cratio.  The exponents are convex, so
+    the walk stops at the first one at or past acc's (finite) window once
+    step >= 0 (step2 > 0 is needed when step starts negative).
+    """
+    terms, window = acc.terms, acc.order
+    grow = cratio != 1
+    while expo < window or step < 0:
+        if expo < window:
+            _add(terms, expo, coeff)
+        expo += step
+        step += step2
+        coeff = coeff * cstep
+        if grow:
+            cstep = cstep * cratio
+
+
+class _Acc:
+    """A sum built in place in its own terms dict on the grid (1/scale)*Z,
+    refined as the parts need, below a window (scaled units; None while
+    every part is exact) that only falls; frozen once into a QSeries.
+    Series added to it are read, never changed."""
+
+    __slots__ = ("scale", "order", "terms")
+
+    def __init__(self, scale: int = 1, order=None, terms=()):
+        self.scale = scale
+        self.order = order
+        self.terms = dict(terms)
+
+    def refine(self, scale: int) -> None:
+        """Refine the grid so that it also carries (1/scale)*Z."""
+        s = lcm(self.scale, scale)
+        if s != self.scale:
+            f = s // self.scale
+            self.terms = {k * f: c for k, c in self.terms.items()}
+            if self.order is not None:
+                self.order *= f
+            self.scale = s
+
+    def add_mono(self, m: QMonomial) -> None:
+        self.refine(rat_den(m.expo))
+        _add(self.terms, int(m.expo * self.scale), m.coeff)
+
+    def add_series(self, m: QMonomial, s: QSeries) -> None:
+        """Add m*s; the window falls to s's window shifted by m when that is
+        lower (the grid is refined first, so the shift is on the new grid)."""
+        self.refine(lcm(s.scale, rat_den(m.expo)))
+        f = self.scale // s.scale
+        shift = int(m.expo * self.scale)
+        if s.order is not None and (self.order is None or s.order * f + shift < self.order):
+            self.order = s.order * f + shift
+        window = inf if self.order is None else self.order
+        terms, c0 = self.terms, m.coeff
+        unit, neg = c0 == 1, c0 == -1
+        for k, c in s.terms.items():
+            k = k * f + shift
+            if k < window:
+                _add(terms, k, c if unit else -c if neg else c * c0)
+
+    def add_geom(self, m: QMonomial, w: QMonomial) -> None:
+        """Add m/(1 - w) below the (finite) window: the run m*w^k, k >= 0, or
+        -m*w^(-k), k >= 1, when expo(w) < 0; a constant w gives the exact
+        constant m/(1 - w), and w == 1 raises GenericityError.  When m lies
+        at or past the window nothing is added and the grid is kept."""
+        if w.is_one:
+            raise GenericityError(f"pole: summand 1/(1 - {w!r})")
+        if m.expo * self.scale >= self.order:
+            return
+        self.refine(lcm(rat_den(m.expo), rat_den(w.expo)))
+        k, d = int(m.expo * self.scale), int(w.expo * self.scale)
+        if d == 0:
+            _add(self.terms, k, m.coeff * cinv(1 - w.coeff))
+        elif d > 0:
+            _walk(self, k, d, 0, m.coeff, w.coeff, ONE)
+        else:
+            winv = cinv(w.coeff)
+            _walk(self, k - d, -d, 0, -m.coeff * winv, winv, ONE)
+
+    def times_one_minus(self, m: QMonomial) -> None:
+        """Multiply by (1 - m) in place, for m constant or with positive
+        exponent (the window stays): add -m times a copy of the terms."""
+        self.add_series(-m, QSeries(self.scale, None, dict(self.terms)))
+
+    def freeze(self) -> QSeries:
+        """The sum as a QSeries, truncated below the window; the accumulator
+        is spent."""
+        s = QSeries(self.scale, self.order, self.terms)
+        self.terms = None
+        return s
+
+
 def series_equal(a: QSeries, b: QSeries) -> bool:
     return QSeries.first_difference(a, b) is None
 
@@ -527,12 +642,9 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
         mk = m ** rat(k, s.scale)
         new_expos[k] = (mk.expo, c * mk.coeff)
     new_scale = common_scale(*(e for e, _ in new_expos.values())) if new_expos else rat_den(m.expo)
-    terms = {}
+    terms: dict = {}
     for e, c in new_expos.values():
-        key = int(e * new_scale)
-        cur = terms.get(key)
-        terms[key] = c if cur is None else cur + c
-    terms = {k: c for k, c in terms.items() if c}
+        _add(terms, int(e * new_scale), c)
     if s.order is None:
         order = None
     else:

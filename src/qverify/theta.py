@@ -11,6 +11,9 @@ QSeries known strictly below the requested order (given in plain q-units).
 General x is first normalized with the index shift
     j(B^n * x'; B) = (-1)^n B^(-binom(n,2)) x'^(-n) j(x'; B),  0 < expo(x') <= expo(B),
 so the exponents of the sum for j(x'; B) grow monotonically away from n = 0.
+Each direction of n is one run of the series module's term walker, which
+f_{a,b,c} and the Appell-Lerch sums share; the Pochhammer products apply
+each factor (1 - x*base^i) in place to one accumulator.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 from .cyclotomic import cinv, rat
 from .errors import UnsupportedArgument
-from .series import QMonomial, QSeries, ceil_rat, common_scale, qmono
+from .series import QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale, qmono
 
 
 def _check_base(base: QMonomial):
@@ -46,39 +49,11 @@ def poch_inf(x: QMonomial, base: QMonomial, order) -> QSeries:
     if e == 0 and x.coeff == 1:
         return QSeries(1, None, {})
     scale = common_scale(e, base.expo)
-    W = ceil_rat(order * scale)
-    E = int(base.expo * scale)
-    d = int(e * scale)
-    terms = {0: rat(1)}
-    c = x.coeff
-    bc = base.coeff
-    while d < W:
-        if d == 0:
-            # constant factor (1 - c)
-            f = rat(1) - c
-            if not f:
-                return QSeries(1, None, {})
-            terms = {k: v * f for k, v in terms.items()}
-        else:
-            # terms *= (1 - c*q^d)
-            updates = {}
-            for k, v in terms.items():
-                kk = k + d
-                if kk < W:
-                    updates[kk] = v * c
-            for kk, dv in updates.items():
-                cur = terms.get(kk)
-                if cur is None:
-                    terms[kk] = -dv
-                else:
-                    s = cur - dv
-                    if not s:
-                        del terms[kk]
-                    else:
-                        terms[kk] = s
-        d += E
-        c = c * bc
-    return QSeries(scale, W, terms)
+    acc = _Acc(scale, ceil_rat(order * scale), {0: rat(1)})
+    while x.expo < order:
+        acc.times_one_minus(x)
+        x = x * base
+    return acc.freeze()
 
 
 def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:
@@ -86,13 +61,11 @@ def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:
     _check_base(base)
     if n < 0:
         raise UnsupportedArgument("finite Pochhammer needs n >= 0")
-    scale = common_scale(x.expo, base.expo)
-    s = QSeries(scale, None, {0: rat(1)})
-    cur = x
+    acc = _Acc(common_scale(x.expo, base.expo), None, {0: rat(1)})
     for _ in range(n):
-        s = s - s.mul_monomial(cur)
-        cur = cur * base
-    return s
+        acc.times_one_minus(x)
+        x = x * base
+    return acc.freeze()
 
 
 def jtheta_shift(x: QMonomial, base: QMonomial):
@@ -137,76 +110,13 @@ def jtheta(x: QMonomial, base: QMonomial, order) -> QSeries:
     E = int(base.expo * scale)
     e = int(xp.expo * scale)
     bc = base.coeff
-    terms: dict = {}
-
-    def walk(expo, expo_step, coeff, coeff_step):
-        while expo < W:
-            cur = terms.get(expo)
-            if cur is None:
-                terms[expo] = coeff
-            else:
-                s = cur + coeff
-                if not s:
-                    del terms[expo]
-                else:
-                    terms[expo] = s
-            expo += expo_step
-            expo_step += E
-            coeff = coeff * coeff_step
-            coeff_step = coeff_step * bc
-
+    acc = _Acc(scale, W)
     off = int(pref.expo * scale)
     c0 = pref.coeff
-    walk(off, e, c0, -xp.coeff)  # n = 0, 1, 2, ...
+    _walk(acc, off, e, E, c0, -xp.coeff, bc)  # n = 0, 1, 2, ...
     down = -bc * cinv(xp.coeff)
-    walk(off + E - e, 2 * E - e, c0 * down, down * bc)  # n = -1, -2, ...
-    return QSeries(scale, W, terms)
-
-
-def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
-    """Independent bilateral-sum evaluation sum_n (-1)^n base^binom(n,2) x^n."""
-    _check_base(base)
-    order = rat(order)
-    scale = common_scale(x.expo, base.expo)
-    W = ceil_rat(order * scale)
-    E = int(base.expo * scale)
-    e = int(x.expo * scale)
-    terms: dict = {}
-
-    def add_term(n: int) -> bool:
-        expo = binom2(n) * E + n * e
-        if expo >= W:
-            return False
-        coeff = base.coeff ** binom2(n) * x.coeff ** n
-        if n % 2:
-            coeff = -coeff
-        cur = terms.get(expo)
-        if cur is None:
-            terms[expo] = coeff
-        else:
-            s = cur + coeff
-            if not s:
-                del terms[expo]
-            else:
-                terms[expo] = s
-        return True
-
-    # The exponent binom(n,2)E + n*e is convex in n (second difference E > 0),
-    # so each direction may stop once the term is out of window *and* the
-    # exponent is nondecreasing onward.
-    n = 0
-    while True:
-        live = add_term(n)
-        if not live and n * E + e >= 0:
-            break
-        n += 1
-    n = -1
-    while True:
-        live = add_term(n)
-        if not live and (n - 1) * E + e <= 0:
-            break
-        n -= 1
-    return QSeries(scale, W, terms)
+    _walk(acc, off + E - e, 2 * E - e, E, c0 * down, down * bc, bc)  # n = -1, -2, ...
+    return acc.freeze()
 
 
 def J(a, m, order) -> QSeries:

@@ -1,0 +1,268 @@
+"""Independent evaluations that the tests check the engine against.
+
+Each oracle enumerates its sum in its own way and adds its terms with the
+helpers here (a dict sum, or ``geom_inv`` and ``QSeries.__add__``), never
+with the engine's accumulator or term walker.
+"""
+
+from math import lcm
+
+from qverify.appell import eval_padded
+from qverify.cyclotomic import rat, rat_den
+from qverify.errors import GenericityError
+from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, geom_inv, one_minus, qmono
+from qverify.theta import _check_base, binom2, jtheta, jtheta_val
+
+
+def add_term(terms: dict, k: int, c) -> None:
+    """terms[k] += c, dropping a zero sum."""
+    s = terms.get(k, 0) + c
+    if s:
+        terms[k] = s
+    else:
+        terms.pop(k, None)
+
+
+def series_from_monomials(monos, window) -> QSeries:
+    """Sum a finite list of monomials into a series known below ``window``."""
+    window = rat(window)
+    scale = lcm(rat_den(window), *(rat_den(m.expo) for m in monos))
+    terms: dict = {}
+    for m in monos:
+        add_term(terms, int(m.expo * scale), m.coeff)
+    return QSeries(scale, ceil_rat(window * scale), terms)
+
+
+def bilateral_sum_oracle(mono_of_r, w_of_r, T) -> QSeries:
+    """sum_{r in Z} mono(r) / (1 - w(r)) below q^T: each summand expanded by
+    ``geom_inv`` long division and added with ``QSeries.__add__``; each
+    direction of r stops once the (convex) valuations are past T and rising."""
+    T = rat(T)
+    acc = QSeries.zero(rat_den(T), int(T * rat_den(T)))
+    for r, dr in ((0, 1), (-1, -1)):
+        prev = None
+        while True:
+            mono, w = mono_of_r(r), w_of_r(r)
+            v = mono.expo - min(w.expo, 0)
+            if v >= T and prev is not None and v >= prev:
+                break
+            if w.is_one:
+                raise GenericityError(f"pole: summand 1/(1 - {w!r})")
+            if mono.expo < T:
+                acc = acc + geom_inv(w, 1, ceil_rat(T - mono.expo)).mul_monomial(mono)
+            prev = v
+            r += dr
+    return acc
+
+
+def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
+    """Independent bilateral-sum evaluation sum_n (-1)^n base^binom(n,2) x^n."""
+    _check_base(base)
+    order = rat(order)
+    scale = common_scale(x.expo, base.expo)
+    W = ceil_rat(order * scale)
+    E = int(base.expo * scale)
+    e = int(x.expo * scale)
+    terms: dict = {}
+
+    def visit(n: int) -> bool:
+        expo = binom2(n) * E + n * e
+        if expo >= W:
+            return False
+        coeff = base.coeff ** binom2(n) * x.coeff ** n
+        add_term(terms, expo, -coeff if n % 2 else coeff)
+        return True
+
+    # The exponent binom(n,2)E + n*e is convex in n (second difference E > 0),
+    # so each direction may stop once the term is out of window *and* the
+    # exponent is nondecreasing onward.
+    n = 0
+    while True:
+        live = visit(n)
+        if not live and n * E + e >= 0:
+            break
+        n += 1
+    n = -1
+    while True:
+        live = visit(n)
+        if not live and (n - 1) * E + e <= 0:
+            break
+        n -= 1
+    return QSeries(scale, W, terms)
+
+
+def m_alt_oracle(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
+    """Independent evaluation via the shifted-index form
+    m(x,base,z) = (-z/j(z;base)) sum_r (-1)^r base^binom(r+1,2) z^r / (1 - base^r x z)."""
+    _check_base(base)
+    order = rat(order)
+    if jtheta_val(z, base) is None:
+        raise GenericityError(f"j(z; base) vanishes for z = {z!r}")
+
+    def build(T):
+        S = bilateral_sum_oracle(
+            lambda r: (base ** binom2(r + 1)) * (z**r) * qmono(-1 if r % 2 else 1),
+            lambda r: (base**r) * x * z,
+            T,
+        )
+        return S.mul_monomial(-z).divide(jtheta(z, base, T))
+
+    return eval_padded(build, order)
+
+
+def g_alt_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
+    """Independent evaluation of g via
+    g(x, base) = sum_{n>=0} base^{n(n+1)} / ((x;base)_{n+1} (base/x;base)_{n+1})."""
+    _check_base(base)
+    order = rat(order)
+    E = base.expo
+    if x.expo < 0 or x.expo > E:
+        raise GenericityError(f"g(x, base) needs 0 <= expo(x) <= expo(base), got {x!r}")
+
+    def build(T):
+        W = ceil_rat(T)
+        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
+        R = R.divide(one_minus(base / x))
+        acc = R
+        n = 1
+        while n * (n + 1) * E < T:
+            R = R.divide(one_minus(x * base**n))
+            R = R.divide(one_minus((base ** (n + 1)) / x))
+            acc = acc + R.mul_monomial(base ** (n * (n + 1)))
+            n += 1
+        return acc
+
+    return eval_padded(build, order)
+
+
+def f_direct_oracle(a, b, c, x, y, base, order) -> QSeries:
+    """Anti-diagonal enumeration of f_{a,b,c}(x, y, base), each term by direct
+    powers.
+
+    Each quadrant is scanned by diagonals d = r+s; a closed-form convex lower
+    bound on the exponent over the whole diagonal decides termination.
+    """
+    T = rat(order)
+    E = base.expo
+    ex, ey = x.expo, y.expo
+    monos = []
+
+    m0 = min(a, c)
+    shift_pos = min(ex, ey, rat(0))
+
+    def pos_bound(d):
+        # binom(r,2)+binom(s,2) >= 2*binom(d/2,2) by convexity; b*r*s >= 0.
+        h = rat(d, 2)
+        return m0 * E * h * (h - 1) + d * shift_pos
+
+    d = 0
+    while True:
+        lb = pos_bound(d)
+        if lb >= T and pos_bound(d + 1) >= lb:
+            break
+        for r in range(d + 1):
+            s = d - r
+            qexp = a * binom2(r) + b * r * s + c * binom2(s)
+            if qexp * E + r * ex + s * ey < T:
+                mono = (x**r) * (y**s) * base**qexp
+                monos.append(mono if d % 2 == 0 else -mono)
+        d += 1
+
+    shift_neg = min(-ex, -ey, rat(0))
+
+    def neg_bound(d):
+        h = rat(d, 2) + 2
+        return m0 * E * h * (h - 1) + b * E + (d + 2) * shift_neg
+
+    d = 0
+    while True:
+        lb = neg_bound(d)
+        if lb >= T and neg_bound(d + 1) >= lb:
+            break
+        for u in range(d + 1):
+            v = d - u
+            qexp = a * binom2(u + 2) + b * (u + 1) * (v + 1) + c * binom2(v + 2)
+            if qexp * E - (1 + u) * ex - (1 + v) * ey < T:
+                mono = (x ** (-1 - u)) * (y ** (-1 - v)) * base**qexp
+                monos.append(-mono if d % 2 == 0 else mono)
+        d += 1
+
+    return series_from_monomials(monos, T)
+
+
+def string_function_oracle(N, m, l, base, order) -> QSeries:
+    """Direct evaluation of the string function's defining double sum,
+
+        (1/J_1^3) { sum_{j>=1, k<=0} - sum_{j<=0, k>=1} }
+            (-1)^{k-j} q^{binom(k-j,2) - N*j*k + k(m-l)/2 + j(m+l)/2},
+
+    enumerated by anti-diagonals with a convex lower bound for termination.
+    """
+    if (m - l) % 2:
+        raise ValueError("m and l must have equal parity")
+    E = base.expo
+    cm = rat(m - l, 2)
+    cp = rat(m + l, 2)
+
+    def build(T):
+        monos = []
+        # quadrant j >= 1, k <= 0: j = 1 + u, k = -w
+        lin_lo = min(cp, rat(0)) - max(cm, rat(0))
+
+        def bound(dd):
+            return E * (rat((dd + 1) * (dd + 2), 2) + lin_lo * (dd + 1))
+
+        d = 0
+        while True:
+            lb = bound(d)
+            if lb >= T and bound(d + 1) >= lb:
+                break
+            for u in range(d + 1):
+                w = d - u
+                j, k = 1 + u, -w
+                qexp = binom2(k - j) - N * j * k + k * cm + j * cp
+                if qexp * E < T:
+                    mono = base**qexp
+                    monos.append(mono if (k - j) % 2 == 0 else -mono)
+            d += 1
+        # quadrant j <= 0, k >= 1: j = -u, k = 1 + w, with an overall minus;
+        # here k - j = d + 1, so the quadratic part is binom(d+1, 2).
+        lin_lo2 = min(cm, rat(0)) - max(cp, rat(0))
+
+        def bound2(dd):
+            return E * (rat(dd * (dd + 1), 2) + lin_lo2 * (dd + 1))
+
+        d = 0
+        while True:
+            lb = bound2(d)
+            if lb >= T and bound2(d + 1) >= lb:
+                break
+            for u in range(d + 1):
+                w = d - u
+                j, k = -u, 1 + w
+                qexp = binom2(k - j) - N * j * k + k * cm + j * cp
+                if qexp * E < T:
+                    mono = base**qexp
+                    monos.append(-mono if (k - j) % 2 == 0 else mono)
+            d += 1
+        s = series_from_monomials(monos, T)
+        return s.divide(jtheta(base, base**3, T) ** 3)
+
+    return eval_padded(build, order)
+
+
+def kp_lhs_oracle(order) -> QSeries:
+    """The classical indefinite sum over 2k >= l >= 0 of
+    (-1)^k q^{[5(2k+1)^2 - (2l+1)^2]/4}, enumerated directly."""
+    T = rat(order)
+    q = qmono(1, 1)
+    monos = []
+    k = 0
+    while k * k + 3 * k + 1 < T:  # minimum exponent on row k is at l = 2k
+        for l in range(2 * k + 1):
+            qexp = rat(5 * (2 * k + 1) ** 2 - (2 * l + 1) ** 2, 4)
+            if qexp < T:
+                mono = q**qexp
+                monos.append(mono if k % 2 == 0 else -mono)
+        k += 1
+    return series_from_monomials(monos, T)

@@ -17,13 +17,14 @@ import time
 import test_appell as ta
 import test_hecke as th
 import test_theta as tt
+from oracles import jtheta_sum_oracle, kp_lhs_oracle, string_function_oracle
 
 from qverify.appell import changing_z_delta, eval_padded, g_eval, h_eval, k_eval, m_eval
 from qverify.catalog import catalog_lookup, eulerian_sum
 from qverify.cli import builtin_records, catalog_records
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
-from qverify.hecke import f_eval, kp_lhs_oracle, string_function, string_function_oracle
+from qverify.hecke import f_eval, string_function
 from qverify.runner import run_suite
 from qverify.series import QSeries, compose_monomial, qmono
 from qverify.theta import (
@@ -32,7 +33,6 @@ from qverify.theta import (
     binom2,
     jprod,
     jtheta,
-    jtheta_sum_oracle,
     poch_inf,
 )
 

@@ -4,14 +4,13 @@ and the g/h/k Lambert-series bridges."""
 import pytest
 
 import test_series as ts
+from oracles import g_alt_oracle, m_alt_oracle
 from qverify.appell import (
     changing_z_delta,
     eval_padded,
-    g_alt_oracle,
     g_eval,
     h_eval,
     k_eval,
-    m_alt_oracle,
     m_eval,
 )
 from qverify.cyclotomic import rat, zeta

@@ -6,18 +6,16 @@ import random
 
 import pytest
 
+from oracles import f_direct_oracle, kp_lhs_oracle, string_function_oracle
 from qverify.appell import eval_padded
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
 from qverify.hecke import (
     big_theta_eval,
-    f_direct_oracle,
     f_eval,
     g_abc_eval,
     h_abc_eval,
-    kp_lhs_oracle,
     string_function,
-    string_function_oracle,
     theta_abc_eval,
     theta_np_eval,
 )
@@ -126,6 +124,36 @@ def test_f_matches_anti_diagonal_oracle():
                 f_eval(a, b, c, x, y, Q, 30),
                 f_direct_oracle(a, b, c, x, y, Q, 30),
                 30,
+            )
+    # Fractional bases, coefficients 2 and -1/2, and x, y with negative
+    # exponents, so that rows first fall and then rise: the walk's stop rule
+    # against the oracle's direct powers.
+    pairs = (
+        (qmono(2, -1), qmono(rat(-1, 2), -1)),
+        (qmono(rat(-1, 2), rat(-3, 2)), qmono(2, 2)),
+        (qmono(2, rat(1, 2)), qmono(rat(-1, 2), -2)),
+    )
+    bases = (Q, qmono(1, rat(1, 2)), qmono(rat(-1, 2), rat(1, 2)))
+    for a, b, c in ((1, 2, 1), (2, 3, 1), (1, 5, 2)):
+        for x, y in pairs:
+            for base in bases:
+                for order in (30, 60):
+                    assert_match(
+                        f_eval(a, b, c, x, y, base, order),
+                        f_direct_oracle(a, b, c, x, y, base, order),
+                        order,
+                    )
+    # Rows that start past the window and fall into it, and row starts for
+    # r, s < 0 that fall into it: the walk's and the rows' stop rules.
+    for (a, b, c), x, y in (
+        ((1, 2, 1), qmono(2, 20), qmono(rat(-1, 2), -10)),
+        ((1, 5, 2), qmono(rat(-1, 2), 20), qmono(2, -50)),
+    ):
+        for order in (30, 60):
+            assert_match(
+                f_eval(a, b, c, x, y, Q, order),
+                f_direct_oracle(a, b, c, x, y, Q, order),
+                order,
             )
 
 

@@ -22,6 +22,7 @@ from qverify.series import (
     MONO_Q,
     QMonomial,
     QSeries,
+    _Acc,
     ceil_rat,
     common_scale,
     compose_monomial,
@@ -371,6 +372,63 @@ def test_divide_matches_inverse_then_multiply_randomized():
         got = a.divide(b, hint)
         want = divide_oracle(a, b, hint)
         _assert_same_series(got, want, f"draw {i}: {a!r} / {b!r}, hint {hint}")
+
+
+def _random_mono(rng, coeffs, lo, hi):
+    """c*q^e with c from coeffs and e on the grid 1/1, 1/2, 1/3 or 1/6."""
+    den = rng.choice((1, 2, 3, 6))
+    return qmono(rng.choice(coeffs), rat(rng.randint(lo * den, hi * den), den))
+
+
+def test_accumulator_matches_series_sums_randomized():
+    """_Acc against the sums it replaces: add_mono as ``+ from_monomial``,
+    add_series as ``+ mul_monomial``, add_geom as ``+ geom_inv(...)
+    .mul_monomial``, times_one_minus as ``s - s.mul_monomial``.  Grids 1, 2,
+    3 and 6 mix; a part is often added once more with the opposite sign, so
+    coefficients cancel; series windows fall below the accumulator's; w has
+    positive, negative and zero exponent."""
+    rng = random.Random(1208142101)
+    ops = ("mono", "series", "geom", "one_minus")
+    for i in range(400):
+        coeffs = _COEFF_ROWS[i % len(_COEFF_ROWS)]
+        scale = rng.choice((1, 2, 3, 6))
+        order = None if i % 5 == 0 else rng.randint(-2 * scale, 24 * scale)
+        acc, want = _Acc(scale, order), QSeries.zero(scale, order)
+        added, case = [], f"draw {i}: start {scale}, {order}"
+        for _ in range(rng.randint(1, 7)):
+            op = rng.choice(ops[:2] + ops[3:] if want.order is None else ops)
+            m = _random_mono(rng, coeffs, -4, 8)
+            case += f"; {op} {m!r}"
+            if op == "mono":
+                acc.add_mono(m)
+                want = want + QSeries.from_monomial(m)
+            elif op == "series":
+                s = _random_side(rng, rng.random() < 0.3, coeffs, divisor=False)
+                added.append((s, dict(s.terms)))
+                case += f" * {s!r}"
+                for sign in (1, -1) if rng.random() < 0.3 else (1,):
+                    sm = qmono(sign * m.coeff, m.expo)
+                    acc.add_series(sm, s)
+                    want = want + s.mul_monomial(sm)
+            elif op == "geom":
+                w = _random_mono(rng, coeffs, -3, 3)
+                if w.is_one:
+                    continue
+                case += f" / (1 - {w!r})"
+                acc.add_geom(m, w)
+                if m.expo * want.scale < want.order:
+                    width = ceil_rat(rat(want.order, want.scale) - m.expo)
+                    want = want + geom_inv(w, 1, width).mul_monomial(m)
+            else:
+                m = _random_mono(rng, coeffs, 0, 6)
+                acc.times_one_minus(m)
+                want = want - want.mul_monomial(m)
+        _assert_same_series(acc.freeze(), want, case)
+        for s, terms in added:
+            assert s.terms == terms, case
+    acc = _Acc(1, 10)
+    with pytest.raises(GenericityError):
+        acc.add_geom(MONO_Q, MONO_ONE)
 
 
 def test_pow_matches_repeated_mul():

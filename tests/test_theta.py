@@ -3,7 +3,7 @@
 The kernel evaluates j(x; base) as the sparse bilateral sum; the Jacobi
 triple product (x)_inf (base/x)_inf (base)_inf, built here from poch_inf,
 serves as its independent oracle, next to the straightforward bilateral-sum
-oracle in qverify.theta.  J_m = (q^m; q^m)_inf is evaluated as j(q^m; q^(3m))
+oracle in tests/oracles.py.  J_m = (q^m; q^m)_inf is evaluated as j(q^m; q^(3m))
 and checked against the poch_inf product.  Frozen coefficient lists below were computed by
 hand from the defining sums.
 """
@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import jtheta_sum_oracle
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import UnsupportedArgument
 from qverify.series import QSeries, geom_inv, qmono
@@ -24,7 +25,6 @@ from qverify.theta import (
     jprod,
     jtheta,
     jtheta_shift,
-    jtheta_sum_oracle,
     jtheta_val,
     poch_fin,
     poch_inf,
