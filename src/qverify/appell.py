@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .catalog import eulerian_sum
 from .cyclotomic import rat, rat_den
 from .errors import GenericityError, QVerifyError
-from .series import QMonomial, QSeries, _Acc, ceil_rat, one_minus, qmono
+from .series import QMonomial, QSeries, _Acc, qmono
 from .theta import _check_base, binom2, jtheta, jtheta_val
 
 
@@ -124,25 +125,20 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 
 
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
-    """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n))."""
+    """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
+
+    One call of the Eulerian engine, ``catalog.eulerian_sum``: its stop rule
+    holds because both Pochhammer x's, x and base/x, have exponent >= 0.
+    """
     _check_base(base)
     order = rat(order)
-    E = base.expo
-    if x.expo < 0 or x.expo > E:
+    if x.expo < 0 or x.expo > base.expo:
         raise GenericityError(f"g(x, base) needs 0 <= expo(x) <= expo(base), got {x!r}")
 
     def build(T):
-        W = ceil_rat(T)
-        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
-        acc = _Acc(R.scale, R.order, R.terms)
-        n = 1
-        while n * n * E < T:
-            R = R.divide(one_minus(x * base**n))
-            R = R.divide(one_minus((base**n) / x))
-            acc.add_series(base ** (n * n), R)
-            n += 1
-        acc.add_mono(QMonomial(-1))
-        return acc.freeze().mul_monomial(x.inverse())
+        return eulerian_sum(T, lambda n: (base ** (n * n),),
+                            den=((x, base, lambda n: n + 1), (base / x, base, lambda n: n)),
+                            const=-1).mul_monomial(x.inverse())
 
     return eval_padded(build, order)
 

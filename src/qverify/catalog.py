@@ -15,10 +15,11 @@ function written with an underbar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 
-from .cyclotomic import rat
-from .series import QMonomial, QSeries, _Acc, one_minus, qmono
+from .cyclotomic import rat, rat_den
+from .series import QMonomial, _Acc, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "eulerian_sum"]
@@ -31,40 +32,43 @@ __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "euleri
 #     term(n) = (one or two monomials in q) * prod_i (x_i; b_i)_{c_i(n)}
 #             / prod_j (y_j; d_j)_{e_j(n)}
 # with nondecreasing counts c_i, e_j.  The running product over all
-# Pochhammer factors is maintained incrementally: advancing a count by one
-# multiplies by a single binomial (1 - mono) in place, or divides by one with
-# QSeries.divide (long division against a two-term divisor); both are
-# O(window) operations, and the terms are summed in place.  Terms have unit
-# leading Pochhammer coefficients, so the valuation of term(n) equals the
-# monomial exponent; summation stops once that bound reaches the window.
+# Pochhammer factors is one accumulator for the whole sum: advancing a count
+# by one multiplies it by a single binomial (1 - mono) in place
+# (``times_one_minus``) or divides it by one in place (``over_one_minus``),
+# both O(window), and each term adds the product times its monomials into a
+# second accumulator.  Summation stops at the first n whose least monomial
+# exponent reaches the window.  That is sound when the least exponent does
+# not decrease in n and every Pochhammer x has exponent >= 0: the product
+# then has valuation >= 0, so no term from n on reaches below the window.
 # --------------------------------------------------------------------------
 
 
-def eulerian_sum(order, monos_fn, vbound, num=(), den=(), const=None, start=0):
-    """Sum ``term(n)`` for ``n >= start`` while ``vbound(n) < order``.
+def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
+    """Sum ``term(n)`` for ``n >= start`` below q^order (order in q-units,
+    on the grid of its denominator), stopping at the first n whose least
+    exponent of ``monos_fn(n)`` reaches the order.
 
-    ``monos_fn(n)`` returns the monomial part(s) of the n-th term,
+    ``monos_fn(n)`` returns the monomial part(s) of the n-th term, and
     ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
-    into / divided out of the term, and ``vbound(n)`` is a nondecreasing
-    lower bound for the exponents of ``monos_fn(n)``.
+    into / divided out of the term; ``const`` is added once.  The least
+    exponent of ``monos_fn(n)`` must not decrease in n, and every x must
+    have exponent >= 0.
     """
-    T = int(order)
-    prod = QSeries(1, T, {0: rat(1)})
+    order = rat(order)
+    s = rat_den(order)
+    prod = _Acc(s, int(order * s), {0: rat(1)})
+    total = _Acc(s, prod.order)
     num_counts, den_counts = [0] * len(num), [0] * len(den)
-    total = _Acc(1, T)
-    n = start
-    while vbound(n) < T:
-        factors = list(_advance(num, num_counts, n))
-        if factors:
-            acc = _Acc(prod.scale, prod.order, prod.terms)
-            for m in factors:
-                acc.times_one_minus(m)
-            prod = acc.freeze()
+    for n in count(start):
+        monos = monos_fn(n)
+        if min(m.expo for m in monos) >= order:
+            break
+        for m in _advance(num, num_counts, n):
+            prod.times_one_minus(m)
         for m in _advance(den, den_counts, n):
-            prod = prod.divide(one_minus(m))
-        for mono in monos_fn(n):
+            prod.over_one_minus(m)
+        for mono in monos:
             total.add_series(mono, prod)
-        n += 1
     if const is not None:
         total.add_mono(QMonomial(const))
     return total.freeze()
@@ -77,9 +81,9 @@ def _advance(specs, counts, n):
         counts[i] = max(counts[i], cf(n))
 
 
-def _poch_sum(monos_fn, vbound, num=(), den=(), const=None, start=0):
+def _poch_sum(monos_fn, num=(), den=(), const=None, start=0):
     def build(order):
-        return eulerian_sum(order, monos_fn, vbound, num, den, const, start)
+        return eulerian_sum(order, monos_fn, num, den, const, start)
 
     return build
 
@@ -137,30 +141,26 @@ _ENTRIES = [
     # ---- second order ----------------------------------------------------
     _entry(
         "A_2nd",
-        _poch_sum(_qn(lambda n: n + 1), lambda n: n + 1,
+        _poch_sum(_qn(lambda n: n + 1),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _poch_sum(_qn(lambda n: (n + 1) ** 2), lambda n: (n + 1) ** 2,
-                      num=(_ps(-1, 1, 2, _N),),
+            _poch_sum(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-m(q, q^4, q^2)",),
     ),
     _entry(
         "B_2nd",
-        _poch_sum(_qn(lambda n: n), lambda n: n,
-                  num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
+        _poch_sum(_qn(lambda n: n), num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _poch_sum(_qn(lambda n: n * n + n), lambda n: n * n + n,
-                      num=(_ps(-1, 2, 2, _N),),
+            _poch_sum(_qn(lambda n: n * n + n), num=(_ps(-1, 2, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-q^(-1)*m(1, q^4, q^3)",),
     ),
     _entry(
         "mu_2nd",
-        _poch_sum(_qn(lambda n: n * n, _ALT), lambda n: n * n,
-                  num=(_ps(1, 1, 2, _N),),
+        _poch_sum(_qn(lambda n: n * n, _ALT), num=(_ps(1, 1, 2, _N),),
                   den=(_ps(-1, 2, 2, _N), _ps(-1, 2, 2, _N))),
         reprs=(
             "2*m(-q, q^4, -1) + 2*m(-q, q^4, q)",
@@ -170,8 +170,7 @@ _ENTRIES = [
     # ---- third order -----------------------------------------------------
     _entry(
         "f_3rd",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
-                  den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
+        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
         reprs=(
             "2 - 2*g(-1; q)",
             "2*m(-q, q^3, q) + 2*m(-q, q^3, q^2)",
@@ -180,8 +179,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi_3rd",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
-                  den=(_ps(-1, 2, 2, _N),)),
+        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "(1 - zeta(1,4))*(1 + zeta(1,4)*g(zeta(1,4); q))",
             "(1 + zeta(1,4))*m(zeta(1,4)*q, q^3, -1)"
@@ -193,8 +191,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_3rd",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
-                  den=(_ps(1, 1, 2, _N),), start=1),
+        _poch_sum(_qn(lambda n: n * n), den=(_ps(1, 1, 2, _N),), start=1),
         reprs=(
             "q*g(q; q^4)",
             "-q^(-1)*m(q, q^12, q^2) - m(q^5, q^12, q^2)",
@@ -203,7 +200,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_3rd",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(-1, 3, 3, _N),)),
         reprs=(
             "(1 + zeta(1,3))*(1 - zeta(1,3)*g(-zeta(1,3); q))",
@@ -213,7 +210,7 @@ _ENTRIES = [
     ),
     _entry(
         "omega_3rd",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)), lambda n: 2 * n * (n + 1),
+        _poch_sum(_qn(lambda n: 2 * n * (n + 1)),
                   den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         reprs=(
             "g(q; q^2)",
@@ -223,8 +220,7 @@ _ENTRIES = [
     ),
     _entry(
         "nu_3rd",
-        _poch_sum(_qn(lambda n: n * (n + 1)), lambda n: n * (n + 1),
-                  den=(_ps(-1, 1, 2, _N1),)),
+        _poch_sum(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 2, _N1),)),
         reprs=(
             "g(zeta(1,4)*q^(1/2); q)",
             "zeta(1,4)*q^(-1/2)*(m(zeta(1,4)*q^(1/2), q^3, -q)"
@@ -235,7 +231,7 @@ _ENTRIES = [
     ),
     _entry(
         "rho_3rd",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)), lambda n: 2 * n * (n + 1),
+        _poch_sum(_qn(lambda n: 2 * n * (n + 1)),
                   num=(_ps(1, 1, 2, _N1),), den=(_ps(1, 3, 6, _N1),)),
         reprs=(
             "g(zeta(1,3)*q; q^2)",
@@ -247,8 +243,7 @@ _ENTRIES = [
     # ---- fifth order -----------------------------------------------------
     _entry(
         "f0_5th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
-                  den=(_ps(-1, 1, 1, _N),)),
+        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[2,5]/Jm[1] - 2*q^2*g(q^2; q^10)",
             "m(q^14, q^30, q^14) + m(q^14, q^30, q^29)"
@@ -259,8 +254,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi0_5th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
-                  num=(_ps(-1, 1, 2, _N),)),
+        _poch_sum(_qn(lambda n: n * n), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q*g(-q; -q^5) + Jm[10]*j(-q^2; -q^5)/J[2,10]",
             "m(-q^7, -q^15, q^9) - q^(-1)*m(q^2, -q^15, q^9)",
@@ -268,9 +262,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi0_5th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2),
-                  lambda n: (n + 1) * (n + 2) // 2,
-                  num=(_ps(-1, 1, 1, _N),)),
+        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^2*g(q^2; q^10) + q*Jm[5]*J[1,10]/J[2,5]",
             "-m(q^14, q^30, q^3) - q^(-2)*m(q^4, q^30, q^3)",
@@ -278,8 +270,7 @@ _ENTRIES = [
     ),
     _entry(
         "F0_5th",
-        _poch_sum(_qn(lambda n: 2 * n * n), lambda n: 2 * n * n,
-                  den=(_ps(1, 1, 2, _N),)),
+        _poch_sum(_qn(lambda n: 2 * n * n), den=(_ps(1, 1, 2, _N),)),
         reprs=(
             "1 + q*g(q; q^5) - q*Jm[10]*JB[5,20]/J[4,10]",
             "-1/2*q^(-1)*m(q^2, q^15, q^2) - 1/2*q^(-1)*m(q^2, q^15, -q^2)"
@@ -290,10 +281,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi0_5th",
-        _poch_sum(_qn(lambda n: n), lambda n: n,
-                  num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
+        _poch_sum(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         alts=(
-            _poch_sum(_qn(lambda n: 2 * n + 1), lambda n: 2 * n + 1,
+            _poch_sum(_qn(lambda n: 2 * n + 1),
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -307,8 +297,7 @@ _ENTRIES = [
     ),
     _entry(
         "f1_5th",
-        _poch_sum(_qn(lambda n: n * (n + 1)), lambda n: n * (n + 1),
-                  den=(_ps(-1, 1, 1, _N),)),
+        _poch_sum(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[1,5]/Jm[1] - 2*q^3*g(q^4; q^10)",
             "q^(-1)*m(q^8, q^30, q^8) + q^(-1)*m(q^8, q^30, q^23)"
@@ -319,8 +308,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi1_5th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2), lambda n: (n + 1) ** 2,
-                  num=(_ps(-1, 1, 2, _N),)),
+        _poch_sum(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q^2*g(q^2; -q^5) + q*Jm[10]*j(q; -q^5)/J[4,10]",
             "q^(-1)*m(-q, -q^15, q^(-3)) - m(q^4, -q^15, q^3)",
@@ -328,8 +316,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi1_5th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2), lambda n: n * (n + 1) // 2,
-                  num=(_ps(-1, 1, 1, _N),)),
+        _poch_sum(_qn(lambda n: n * (n + 1) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^3*g(q^4; q^10) + Jm[5]*J[3,10]/J[1,5]",
             "-q^(-1)*m(q^8, q^30, q^(-9)) - q^(-3)*m(q^2, q^30, q^9)",
@@ -337,8 +324,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_5th",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)), lambda n: 2 * n * (n + 1),
-                  den=(_ps(1, 1, 2, _N1),)),
+        _poch_sum(_qn(lambda n: 2 * n * (n + 1)), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "q*g(q^2; q^5) + Jm[10]*JB[5,20]/J[2,10]",
             "-1/2*q^(-2)*m(q, q^15, q) - 1/2*q^(-2)*m(q, q^15, -q)"
@@ -349,11 +335,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi1_5th",
-        _poch_sum(_qn(lambda n: n), lambda n: n,
-                  num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
+        _poch_sum(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         alts=(
             _poch_sum(lambda n: (qmono(1, 2 * n + 1), qmono(1, 3 * n + 1)),
-                      lambda n: 2 * n + 1,
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -367,7 +351,7 @@ _ENTRIES = [
     ),
     _entry(
         "Phi_5th",
-        _poch_sum(_qn(lambda n: 5 * n * n), lambda n: 5 * n * n,
+        _poch_sum(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 1, 5, _N1), _ps(1, 4, 5, _N)), const=-1),
         reprs=(
             "q*g(q; q^5)",
@@ -376,7 +360,7 @@ _ENTRIES = [
     ),
     _entry(
         "Psi_5th",
-        _poch_sum(_qn(lambda n: 5 * n * n), lambda n: 5 * n * n,
+        _poch_sum(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 2, 5, _N1), _ps(1, 3, 5, _N)), const=-1),
         reprs=(
             "q^2*g(q^2; q^5)",
@@ -386,32 +370,31 @@ _ENTRIES = [
     # ---- sixth order -----------------------------------------------------
     _entry(
         "phi_6th",
-        _poch_sum(_qn(lambda n: n * n, _ALT), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N),)),
         reprs=("2*m(q, q^3, -1)",),
     ),
     _entry(
         "psi_6th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT), lambda n: (n + 1) ** 2,
+        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=("m(1, q^3, -q)",),
     ),
     _entry(
         "rho_6th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2), lambda n: n * (n + 1) // 2,
+        _poch_sum(_qn(lambda n: n * (n + 1) // 2),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-q^(-1)*m(1, q^6, q)",),
     ),
     _entry(
         "sigma_6th",
         _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2),
-                  lambda n: (n + 1) * (n + 2) // 2,
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-m(q^2, q^6, q)",),
     ),
     _entry(
         "lambda_6th",
-        _poch_sum(_qn(lambda n: n, _ALT), lambda n: n,
+        _poch_sum(_qn(lambda n: n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^(-1)*m(1, q^6, -q^2) + q^(-1)*m(1, q^6, -q)",
@@ -425,7 +408,6 @@ _ENTRIES = [
         "mu_6th",
         _poch_sum(
             lambda n: (qmono(rat(_ALT(n), 2), n + 1), qmono(rat(_ALT(n), 2), 2 * n + 1)),
-            lambda n: n + 1,
             num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N1),),
             const=rat(1, 2)),
         reprs=(
@@ -435,7 +417,7 @@ _ENTRIES = [
     ),
     _entry(
         "gamma_6th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 3, 3, _N),)),
         reprs=(
             "(1 - zeta(1,3))*(1 + zeta(1,3)*g(zeta(1,3); q))",
@@ -445,7 +427,7 @@ _ENTRIES = [
     ),
     _entry(
         "phibar_6th",
-        _poch_sum(_qn(lambda n: n), lambda n: n,
+        _poch_sum(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM1),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -455,7 +437,7 @@ _ENTRIES = [
     ),
     _entry(
         "psibar_6th",
-        _poch_sum(_qn(lambda n: n), lambda n: n,
+        _poch_sum(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM2),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -466,7 +448,7 @@ _ENTRIES = [
     # ---- seventh order ----------------------------------------------------
     _entry(
         "F0_7th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         reprs=(
             "2 + 2*q*g(q; q^7) - J[3,7]^2/Jm[1]",
@@ -478,7 +460,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_7th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _NM1),), den=(_ps(1, 1, 1, _2NM1),),
                   start=1),
         reprs=(
@@ -491,7 +473,7 @@ _ENTRIES = [
     ),
     _entry(
         "F2_7th",
-        _poch_sum(_qn(lambda n: n * (n + 1)), lambda n: n * (n + 1),
+        _poch_sum(_qn(lambda n: n * (n + 1)),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         reprs=(
             "2*q^2*g(q^3; q^7) + J[2,7]^2/Jm[1]",
@@ -504,7 +486,7 @@ _ENTRIES = [
     # ---- eighth order ------------------------------------------------------
     _entry(
         "S0_8th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "m(-q^3, q^8, -q^2) + m(-q^3, q^8, -q^6)",
@@ -513,7 +495,7 @@ _ENTRIES = [
     ),
     _entry(
         "S1_8th",
-        _poch_sum(_qn(lambda n: n * (n + 2)), lambda n: n * (n + 2),
+        _poch_sum(_qn(lambda n: n * (n + 2)),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "-q^(-1)*m(-q, q^8, -q^2) - q^(-1)*m(-q, q^8, -q^6)",
@@ -522,35 +504,35 @@ _ENTRIES = [
     ),
     _entry(
         "T0_8th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2)), lambda n: (n + 1) * (n + 2),
+        _poch_sum(_qn(lambda n: (n + 1) * (n + 2)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("-m(-q^3, q^8, q^2)",),
     ),
     _entry(
         "T1_8th",
-        _poch_sum(_qn(lambda n: n * (n + 1)), lambda n: n * (n + 1),
+        _poch_sum(_qn(lambda n: n * (n + 1)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("q^(-1)*m(-q, q^8, q^6)",),
     ),
     _entry(
         "U0_8th",
-        _poch_sum(_qn(lambda n: n * n), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 4, 4, _N),)),
         reprs=("2*m(-q, q^4, -1)",),
     ),
     _entry(
         "U1_8th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2), lambda n: (n + 1) ** 2,
+        _poch_sum(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 4, _N1),)),
         reprs=("-m(-q, q^4, -q^2)",),
     ),
     _entry(
         "V0_8th",
-        _poch_sum(_qn(lambda n: n * n, lambda n: 2), lambda n: n * n,
+        _poch_sum(_qn(lambda n: n * n, lambda n: 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N),),
                   const=-1),
         alts=(
-            _poch_sum(_qn(lambda n: 2 * n * n, lambda n: 2), lambda n: 2 * n * n,
+            _poch_sum(_qn(lambda n: 2 * n * n, lambda n: 2),
                       num=(_ps(-1, 2, 4, _N),), den=(_ps(1, 1, 2, _2N1),),
                       const=-1),
         ),
@@ -561,13 +543,12 @@ _ENTRIES = [
     ),
     _entry(
         "V1_8th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2), lambda n: (n + 1) ** 2,
+        _poch_sum(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
             _poch_sum(_qn(lambda n: 2 * n * n + 2 * n + 1),
-                      lambda n: 2 * n * n + 2 * n + 1,
                       num=(_ps(-1, 4, 4, _N),), den=(_ps(1, 1, 2, _2N2),)),
-            _poch_sum(_qn(lambda n: n + 1), lambda n: n + 1,
+            _poch_sum(_qn(lambda n: n + 1),
                       num=(_ps(-1, 1, 1, _2N),), den=(_ps(-1, 2, 4, _N1),)),
         ),
         reprs=("-m(q^2, q^8, q)",),
@@ -575,8 +556,7 @@ _ENTRIES = [
     # ---- tenth order -------------------------------------------------------
     _entry(
         "phi_10th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2), lambda n: n * (n + 1) // 2,
-                  den=(_ps(1, 1, 2, _N1),)),
+        _poch_sum(_qn(lambda n: n * (n + 1) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q^2; q^5) + Jm[5]*Jm[10]*J[4,10]/(J[2,5]*J[2,10])",
             "-q^(-1)*m(q, q^10, q) - q^(-1)*m(q, q^10, q^2)",
@@ -585,9 +565,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_10th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2),
-                  lambda n: (n + 1) * (n + 2) // 2,
-                  den=(_ps(1, 1, 2, _N1),)),
+        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q; q^5) - q*Jm[5]*Jm[10]*J[2,10]/(J[1,5]*J[4,10])",
             "-m(q^3, q^10, q) - m(q^3, q^10, q^3)",
@@ -596,8 +574,7 @@ _ENTRIES = [
     ),
     _entry(
         "X_10th",
-        _poch_sum(_qn(lambda n: n * n, _ALT), lambda n: n * n,
-                  den=(_ps(-1, 1, 1, _2N),)),
+        _poch_sum(_qn(lambda n: n * n, _ALT), den=(_ps(-1, 1, 1, _2N),)),
         reprs=(
             "2*q*k(q; q^5) - Jm[5]*Jm[10]*J[2,5]/(J[2,10]*J[1,5])",
             "m(-q^2, q^5, q) + m(-q^2, q^5, q^4)",
@@ -606,8 +583,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_10th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT), lambda n: (n + 1) ** 2,
-                  den=(_ps(-1, 1, 1, _2N1),)),
+        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=(
             "2 - 2*q^2*k(q^2; q^5) + q*Jm[5]*Jm[10]*J[1,5]/(J[4,10]*J[2,5])",
             "m(-q, q^5, q^2) + m(-q, q^5, q^3)",

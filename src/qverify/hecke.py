@@ -141,7 +141,7 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
 
     def build(T):
         bigM = base**M
-        jm = jtheta(bigM, bigM**3, T)  # J_M = (base^M; base^M)_inf
+        jm3 = jtheta(bigM, bigM**3, T) ** 3  # (base^M; base^M)_inf^3
         acc = _Acc()
         for rstar in range(p):
             for sstar in range(p):
@@ -151,7 +151,7 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
                 qexp = n * binom2(ri) + (n + p) * ri * si + n * binom2(si)
                 pre = ((-x) ** ri) * ((-y) ** si) * base**qexp
                 num = (
-                    (jm**3)
+                    jm3
                     * jtheta(
                         -(base ** (n * p * (sstar - rstar)) * (x**n) * (y ** (-n))),
                         base ** (n * p * p),

@@ -24,9 +24,13 @@ same loops on their coefficients as they are.
 
 The sparse sums (j(x;q), f_{a,b,c}, Appell-Lerch and Eulerian series) are
 built in place in one accumulator, ``_Acc``, and frozen once into a QSeries.
-Where exponents are quadratic in the summation index, each term is its
-neighbour times a monomial: one walker, ``_walk``, steps such terms on the
-integer grid and stops past the window once the exponents rise.
+The accumulator also multiplies (``times_one_minus``) and divides
+(``over_one_minus``: c[k+d] += m*c[k] in ascending k) itself by a binomial
+(1 - m) in place, so the running Pochhammer product of an Eulerian sum stays
+one dict for the whole sum.  Where exponents are quadratic in the summation
+index, each term is its neighbour times a monomial: one walker, ``_walk``,
+steps such terms on the integer grid and stops past the window once the
+exponents rise.
 """
 
 from __future__ import annotations
@@ -539,7 +543,10 @@ class _Acc:
     """A sum built in place in its own terms dict on the grid (1/scale)*Z,
     refined as the parts need, below a window (scaled units; None while
     every part is exact) that only falls; frozen once into a QSeries.
-    Series added to it are read, never changed."""
+    Series added to it are read, never changed.  It multiplies and divides
+    itself by binomials (1 - m) in place, so it can also hold a running
+    Pochhammer product; add_series reads only scale, order and terms, so
+    one accumulator can be added into another."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -601,6 +608,25 @@ class _Acc:
         """Multiply by (1 - m) in place, for m constant or with positive
         exponent (the window stays): add -m times a copy of the terms."""
         self.add_series(-m, QSeries(self.scale, None, dict(self.terms)))
+
+    def over_one_minus(self, m: QMonomial) -> None:
+        """Divide by (1 - m) in place, for m constant or with exponent d > 0
+        (the window stays, and must be finite for d > 0): on the refined
+        grid, c[k+d] += m*c[k] in ascending k below the window.  A constant
+        m scales every term by 1/(1 - m); m == 1 raises GenericityError."""
+        if m.is_one:
+            raise GenericityError(f"pole: 1/(1 - {m!r})")
+        self.refine(rat_den(m.expo))
+        d, c0, terms = int(m.expo * self.scale), m.coeff, self.terms
+        if d == 0:
+            f = cinv(1 - c0)
+            self.terms = {k: c * f for k, c in terms.items()}
+            return
+        unit, neg = c0 == 1, c0 == -1
+        for k in range(min(terms, default=self.order), self.order - d):
+            c = terms.get(k)
+            if c is not None:
+                _add(terms, k + d, c if unit else -c if neg else c * c0)
 
     def freeze(self) -> QSeries:
         """The sum as a QSeries, truncated below the window; the accumulator

@@ -302,7 +302,6 @@ def test_09_fifth_order_f0_conjecture_order_200():
     inner = eulerian_sum(
         200,
         lambda n: (qmono(1, 10 * n * n),),
-        lambda n: 10 * n * n,
         den=[
             (qmono(1, 2), qmono(1, 10), lambda n: n + 1),
             (qmono(1, 8), qmono(1, 10), lambda n: n),

@@ -271,12 +271,16 @@ G_PARAMS = [
     (qmono(-1, 1), qmono(1, 2)),
     (qmono(W3, 0), Q),
     (qmono(I4, rat(1, 2)), Q),
+    (qmono(-1, rat(1, 3)), qmono(1, rat(1, 2))),
 ]
 
 
 def test_g_matches_alternate_sum_oracle():
+    # at a fractional order the sum must run on that order's grid: a window
+    # rounded up to the next integer would report terms it never summed
     for x, b in G_PARAMS:
-        assert_match(g_eval(x, b, 40), g_alt_oracle(x, b, 40), 40)
+        for T in (40, rat(81, 2)):
+            assert_match(g_eval(x, b, T), g_alt_oracle(x, b, T), T)
 
 
 def test_g_to_m():

@@ -242,6 +242,19 @@ def test_alternate_eulerian_forms_agree():
     assert checked >= 6
 
 
+def test_eulerian_prefix_is_stable():
+    """Each Eulerian sum at T is the longer sum at T + 9 truncated to T, so
+    the stop rule (first n whose least monomial exponent reaches T) never
+    stops early."""
+    for name in catalog_names():
+        entry = catalog_lookup(name)
+        for f in (entry.eulerian,) + entry.eulerian_alts:
+            for T in (5, 17, 30):
+                short, long = f(T), f(T + 9).truncate_q(T)
+                assert (short.scale, short.order, short.terms) == \
+                    (long.scale, long.order, long.terms), f"{name} at {T}"
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_representations_match_eulerian(name):
     T = 35

@@ -28,6 +28,7 @@ from qverify.series import (
     compose_monomial,
     floor_rat,
     geom_inv,
+    one_minus,
     qmono,
     series_equal,
 )
@@ -383,12 +384,14 @@ def _random_mono(rng, coeffs, lo, hi):
 def test_accumulator_matches_series_sums_randomized():
     """_Acc against the sums it replaces: add_mono as ``+ from_monomial``,
     add_series as ``+ mul_monomial``, add_geom as ``+ geom_inv(...)
-    .mul_monomial``, times_one_minus as ``s - s.mul_monomial``.  Grids 1, 2,
-    3 and 6 mix; a part is often added once more with the opposite sign, so
-    coefficients cancel; series windows fall below the accumulator's; w has
-    positive, negative and zero exponent."""
+    .mul_monomial``, times_one_minus as ``s - s.mul_monomial``,
+    over_one_minus as ``s.divide(one_minus(m))``.  Grids 1, 2, 3 and 6 mix;
+    a part is often added once more with the opposite sign, so coefficients
+    cancel; series windows fall below the accumulator's; w has positive,
+    negative and zero exponent; the m divided out is constant (the only
+    choice while the sum is exact) or has positive exponent."""
     rng = random.Random(1208142101)
-    ops = ("mono", "series", "geom", "one_minus")
+    ops = ("mono", "series", "geom", "one_minus", "over_one_minus")
     for i in range(400):
         coeffs = _COEFF_ROWS[i % len(_COEFF_ROWS)]
         scale = rng.choice((1, 2, 3, 6))
@@ -419,16 +422,27 @@ def test_accumulator_matches_series_sums_randomized():
                 if m.expo * want.scale < want.order:
                     width = ceil_rat(rat(want.order, want.scale) - m.expo)
                     want = want + geom_inv(w, 1, width).mul_monomial(m)
-            else:
+            elif op == "one_minus":
                 m = _random_mono(rng, coeffs, 0, 6)
                 acc.times_one_minus(m)
                 want = want - want.mul_monomial(m)
+            else:
+                m = _random_mono(rng, coeffs, 0, 6)
+                if want.order is None or rng.random() < 0.25:
+                    m = qmono(m.coeff)
+                if m.is_one:
+                    continue
+                case += f" / (1 - {m!r})"
+                acc.over_one_minus(m)
+                want = want.divide(one_minus(m))
         _assert_same_series(acc.freeze(), want, case)
         for s, terms in added:
             assert s.terms == terms, case
     acc = _Acc(1, 10)
     with pytest.raises(GenericityError):
         acc.add_geom(MONO_Q, MONO_ONE)
+    with pytest.raises(GenericityError):
+        acc.over_one_minus(MONO_ONE)
 
 
 def test_pow_matches_repeated_mul():
