@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedArgument,
     UnsupportedSubstitution,
 )
-from .series import QMonomial, QSeries, compose_monomial, geom_inv, qmono, series_equal
+from .series import QMonomial, QSeries, compose_monomial, qmono, series_equal
 
 __all__ = [
     "CycRat",
@@ -27,7 +27,6 @@ __all__ = [
     "QMonomial",
     "QSeries",
     "qmono",
-    "geom_inv",
     "compose_monomial",
     "series_equal",
     "QVerifyError",

@@ -128,7 +128,9 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
 
     One call of the Eulerian engine, ``catalog.eulerian_sum``: its stop rule
-    holds because both Pochhammer x's, x and base/x, have exponent >= 0.
+    holds because both Pochhammer x's, x and base/x, have exponent >= 0.  The
+    sum runs to T + expo(x), so that after the shift by x^{-1} it is known
+    below q^T and the first round reaches the window.
     """
     _check_base(base)
     order = rat(order)
@@ -136,7 +138,7 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
         raise GenericityError(f"g(x, base) needs 0 <= expo(x) <= expo(base), got {x!r}")
 
     def build(T):
-        return eulerian_sum(T, lambda n: (base ** (n * n),),
+        return eulerian_sum(T + x.expo, lambda n: (base ** (n * n),),
                             den=((x, base, lambda n: n + 1), (base / x, base, lambda n: n)),
                             const=-1).mul_monomial(x.inverse())
 

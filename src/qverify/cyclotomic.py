@@ -25,7 +25,7 @@ from .errors import DivisionByZero, UnsupportedSubstitution
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is an install dependency
+except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
     Rat = Fraction
 
 _RAT = type(Rat(1))

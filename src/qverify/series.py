@@ -16,21 +16,24 @@ where val is the smallest stored exponent (or the window itself when the
 known part is empty).  An exact monomial divisor gives an exact shift; two
 exact sides need a window hint.
 
-Products and quotients of rational operands run on Python ints: each side is
-cleared to integer numerators over the lcm of its denominators, the product
-or long-division loop works on those, and each result coefficient is built
-once, as a ``Rat``.  Operands with a ``CycRat`` coefficient run through the
-same loops on their coefficients as they are.
+A QSeries has two coefficient kernels, the product convolution (``__mul__``)
+and long division (``divide``).  Products and quotients of rational operands
+run on Python ints: each side is cleared to integer numerators over the lcm
+of its denominators, the kernel works on those, and each result coefficient
+is built once, as a ``Rat``.  Operands with a ``CycRat`` coefficient run
+through the same loops on their coefficients as they are.
 
-The sparse sums (j(x;q), f_{a,b,c}, Appell-Lerch and Eulerian series) are
-built in place in one accumulator, ``_Acc``, and frozen once into a QSeries.
-The accumulator also multiplies (``times_one_minus``) and divides
-(``over_one_minus``: c[k+d] += m*c[k] in ascending k) itself by a binomial
-(1 - m) in place, so the running Pochhammer product of an Eulerian sum stays
-one dict for the whole sum.  Where exponents are quadratic in the summation
-index, each term is its neighbour times a monomial: one walker, ``_walk``,
-steps such terms on the integer grid and stops past the window once the
-exponents rise.
+Every other coefficient operation is one call of the accumulator ``_Acc``:
+sums and differences, negation, products by a scalar or a monomial, and
+division by an exact monomial.  The sparse sums (j(x;q), f_{a,b,c},
+Appell-Lerch and Eulerian series) are built in place in the same
+accumulator and frozen once into a QSeries.  The accumulator also multiplies
+(``times_one_minus``) and divides (``over_one_minus``: c[k+d] += m*c[k] in
+ascending k) itself by a binomial (1 - m) in place, so the running
+Pochhammer product of an Eulerian sum stays one dict for the whole sum.
+Where exponents are quadratic in the summation index, each term is its
+neighbour times a monomial: one walker, ``_walk``, steps such terms on the
+integer grid and stops past the window once the exponents rise.
 """
 
 from __future__ import annotations
@@ -107,23 +110,11 @@ class QMonomial:
         return QMonomial(-self.coeff, self.expo)
 
     def __pow__(self, e):
-        if isinstance(e, int):
-            if e >= 0:
-                acc = as_coeff(1)
-                k = e
-                base = self.coeff
-                while k:
-                    if k & 1:
-                        acc = acc * base
-                    k >>= 1
-                    if k:
-                        base = base * base
-                return QMonomial(acc, self.expo * e)
-            return self.inverse() ** (-e)
-        e = rat(e)
-        num, den = int(e.numerator), int(e.denominator)
-        if den == 1:
-            return self ** num
+        if type(e) is int:
+            num, den = e, 1
+        else:
+            e = rat(e)
+            num, den = int(e.numerator), int(e.denominator)
         return QMonomial(coeff_root(self.coeff, num, den), self.expo * e)
 
     @property
@@ -180,14 +171,6 @@ def _scaled(nums: dict, num: int, den: int) -> dict:
     f = rat(num, den)
     return {k: rat(n * num, den) if type(n) is int else (n if f == 1 else n * f)
             for k, n in nums.items()}
-
-
-def _min_order(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 class QSeries:
@@ -281,48 +264,31 @@ class QSeries:
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.scale, self.order, {k: -c for k, c in self.terms.items()})
+        return self.mul_monomial(QMonomial(-1))
 
     def __add__(self, other):
-        if isinstance(other, QMonomial):
-            other = QSeries.from_monomial(other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        a, b = QSeries.unify(self, other)
-        order = _min_order(a.order, b.order)
-        terms = dict(a.terms)
-        for k, c in b.terms.items():
-            cur = terms.get(k)
-            if cur is None:
-                terms[k] = c
-            else:
-                s = cur + c
-                if not s:
-                    del terms[k]
-                else:
-                    terms[k] = s
-        return QSeries(a.scale, order, terms)
+        return self._plus(MONO_ONE, other)
 
     def __sub__(self, other):
+        return self._plus(QMonomial(-1), other)
+
+    def _plus(self, m: QMonomial, other):
+        """self + m*other, other a series or monomial, in one accumulator
+        seeded with a copy of self's terms."""
         if isinstance(other, QMonomial):
             other = QSeries.from_monomial(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        acc = _Acc(self.scale, self.order, self.terms)
+        acc.add_series(m, other)
+        return acc.freeze()
 
     def mul_monomial(self, m: QMonomial) -> "QSeries":
-        s = lcm(self.scale, common_scale(m.expo))
-        a = self.rescaled(s)
-        shift = int(m.expo * s)
-        c0 = m.coeff
-        order = None if a.order is None else a.order + shift
-        if c0 == 1:
-            terms = {k + shift: c for k, c in a.terms.items()}
-        elif c0 == -1:
-            terms = {k + shift: -c for k, c in a.terms.items()}
-        else:
-            terms = {k + shift: c * c0 for k, c in a.terms.items()}
-        return QSeries(s, order, terms)
+        """m*self: the exponents shift by expo(m) on the grid refined to carry
+        it, and so does the window; one ``_Acc.add_series`` call."""
+        acc = _Acc()
+        acc.add_series(m, self)
+        return acc.freeze()
 
     def __mul__(self, other):
         """Product with a series, monomial or coefficient.  Two series are
@@ -335,8 +301,7 @@ class QSeries:
             c = as_coeff(other)
             if not c:
                 return QSeries.zero(self.scale, None)
-            return QSeries(self.scale, self.order,
-                           {k: v * c for k, v in self.terms.items()})
+            return self.mul_monomial(QMonomial(c))
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = QSeries.unify(self, other)
@@ -407,9 +372,7 @@ class QSeries:
             return QSeries.zero(a.scale, None)
         vb = min(b.terms)
         if b.order is None and len(b.terms) == 1:
-            order = None if a.order is None else a.order - vb
-            b0inv = cinv(b.terms[vb])
-            return QSeries(a.scale, order, {k - vb: c * b0inv for k, c in a.terms.items()})
+            return a.mul_monomial(QMonomial(cinv(b.terms[vb]), rat(-vb, a.scale)))
         va = a.effval()
         if b.order is None:
             if a.order is None:
@@ -486,7 +449,7 @@ class QSeries:
         (exponent as Rat in q-units, coeff of a, coeff of b) at the smallest
         disagreement."""
         a, b = QSeries.unify(a, b)
-        window = _min_order(a.order, b.order)
+        window = min((o for o in (a.order, b.order) if o is not None), default=None)
         keys = set(a.terms) | set(b.terms)
         if window is not None:
             keys = {k for k in keys if k < window}
@@ -543,10 +506,12 @@ class _Acc:
     """A sum built in place in its own terms dict on the grid (1/scale)*Z,
     refined as the parts need, below a window (scaled units; None while
     every part is exact) that only falls; frozen once into a QSeries.
-    Series added to it are read, never changed.  It multiplies and divides
-    itself by binomials (1 - m) in place, so it can also hold a running
-    Pochhammer product; add_series reads only scale, order and terms, so
-    one accumulator can be added into another."""
+    It starts empty or from a copy of given terms, and series added to it
+    are read, never changed, so ``QSeries`` sums and monomial products are
+    each one accumulator.  It multiplies and divides itself by binomials
+    (1 - m) in place, so it can also hold a running Pochhammer product;
+    add_series reads only scale, order and terms, so one accumulator can be
+    added into another."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -571,7 +536,9 @@ class _Acc:
 
     def add_series(self, m: QMonomial, s: QSeries) -> None:
         """Add m*s; the window falls to s's window shifted by m when that is
-        lower (the grid is refined first, so the shift is on the new grid)."""
+        lower (the grid is refined first, so the shift is on the new grid).
+        The add into the dict is written out in the loop: every QSeries sum
+        and monomial product runs it once per term."""
         self.refine(lcm(s.scale, rat_den(m.expo)))
         f = self.scale // s.scale
         shift = int(m.expo * self.scale)
@@ -579,11 +546,19 @@ class _Acc:
             self.order = s.order * f + shift
         window = inf if self.order is None else self.order
         terms, c0 = self.terms, m.coeff
-        unit, neg = c0 == 1, c0 == -1
+        get, unit, neg = terms.get, c0 == 1, c0 == -1
         for k, c in s.terms.items():
             k = k * f + shift
             if k < window:
-                _add(terms, k, c if unit else -c if neg else c * c0)
+                if not unit:
+                    c = -c if neg else c * c0
+                cur = get(k)
+                if cur is not None:
+                    c = cur + c
+                    if not c:
+                        del terms[k]
+                        continue
+                terms[k] = c
 
     def add_geom(self, m: QMonomial, w: QMonomial) -> None:
         """Add m/(1 - w) below the (finite) window: the run m*w^k, k >= 0, or
@@ -638,24 +613,6 @@ class _Acc:
 
 def series_equal(a: QSeries, b: QSeries) -> bool:
     return QSeries.first_difference(a, b) is None
-
-
-def one_minus(m: QMonomial) -> QSeries:
-    """The exact binomial 1 - m, to divide by; m == 1 raises GenericityError
-    (the genuine pole 1/(1 - 1))."""
-    if m.is_one:
-        raise GenericityError(f"pole: 1/(1 - {m!r})")
-    return QSeries.from_coeff(1) - QSeries.from_monomial(m)
-
-
-def geom_inv(m: QMonomial, scale: int, window: int) -> QSeries:
-    """1/(1 - m) as a series on the given grid, known below window (scaled).
-
-    Exact when m is a constant; m == 1 raises GenericityError (a genuine
-    pole).
-    """
-    s = lcm(scale, common_scale(m.expo))
-    return QSeries(s, None, {0: rat(1)}).divide(one_minus(m), window * (s // scale))
 
 
 def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:

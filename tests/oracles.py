@@ -1,16 +1,18 @@
 """Independent evaluations that the tests check the engine against.
 
 Each oracle enumerates its sum in its own way and adds its terms with the
-helpers here (a dict sum, or ``geom_inv`` and ``QSeries.__add__``), never
-with the engine's accumulator or term walker.
+helpers here: a dict sum, the coefficient loops ``add_oracle`` and
+``mul_monomial_oracle``, and ``divide_one_minus``/``geom_inv`` (long division
+by ``one_minus``).  None of them uses the engine's accumulator, its term
+walker, or the ``QSeries`` sums and monomial products built on them.
 """
 
 from math import lcm
 
 from qverify.appell import eval_padded
-from qverify.cyclotomic import rat, rat_den
+from qverify.cyclotomic import cinv, rat, rat_den
 from qverify.errors import GenericityError
-from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, geom_inv, one_minus, qmono
+from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
 
 
@@ -21,6 +23,68 @@ def add_term(terms: dict, k: int, c) -> None:
         terms[k] = s
     else:
         terms.pop(k, None)
+
+
+def add_oracle(a: QSeries, b: QSeries) -> QSeries:
+    """a + b, term by term on the common grid below the lower window."""
+    a, b = QSeries.unify(a, b)
+    order = min((o for o in (a.order, b.order) if o is not None), default=None)
+    terms = dict(a.terms)
+    for k, c in b.terms.items():
+        cur = terms.get(k)
+        if cur is None:
+            terms[k] = c
+        else:
+            s = cur + c
+            if not s:
+                del terms[k]
+            else:
+                terms[k] = s
+    return QSeries(a.scale, order, terms)
+
+
+def mul_monomial_oracle(self: QSeries, m: QMonomial) -> QSeries:
+    """m * self: each exponent and the window shift by expo(m)."""
+    s = lcm(self.scale, common_scale(m.expo))
+    a = self.rescaled(s)
+    shift = int(m.expo * s)
+    c0 = m.coeff
+    order = None if a.order is None else a.order + shift
+    if c0 == 1:
+        terms = {k + shift: c for k, c in a.terms.items()}
+    elif c0 == -1:
+        terms = {k + shift: -c for k, c in a.terms.items()}
+    else:
+        terms = {k + shift: c * c0 for k, c in a.terms.items()}
+    return QSeries(s, order, terms)
+
+
+def one_minus(m: QMonomial) -> QSeries:
+    """The exact binomial 1 - m, to divide by; m == 1 raises GenericityError
+    (the genuine pole 1/(1 - 1))."""
+    if m.is_one:
+        raise GenericityError(f"pole: 1/(1 - {m!r})")
+    return add_oracle(QSeries.from_coeff(1), QSeries.from_monomial(-m))
+
+
+def divide_one_minus(s: QSeries, m: QMonomial, window_hint=None) -> QSeries:
+    """s / (1 - m) by the long division of ``QSeries.divide``; a constant m
+    scales s by 1/(1 - m) in ``mul_monomial_oracle`` (``divide`` takes an
+    exact monomial divisor through the accumulator)."""
+    d = one_minus(m)
+    if m.expo == 0:
+        return mul_monomial_oracle(s, qmono(cinv(d.terms[0])))
+    return s.divide(d, window_hint)
+
+
+def geom_inv(m: QMonomial, scale: int, window: int) -> QSeries:
+    """1/(1 - m) as a series on the given grid, known below window (scaled).
+
+    Exact when m is a constant; m == 1 raises GenericityError (a genuine
+    pole).
+    """
+    s = lcm(scale, common_scale(m.expo))
+    return divide_one_minus(QSeries(s, None, {0: rat(1)}), m, window * (s // scale))
 
 
 def series_from_monomials(monos, window) -> QSeries:
@@ -35,7 +99,7 @@ def series_from_monomials(monos, window) -> QSeries:
 
 def bilateral_sum_oracle(mono_of_r, w_of_r, T) -> QSeries:
     """sum_{r in Z} mono(r) / (1 - w(r)) below q^T: each summand expanded by
-    ``geom_inv`` long division and added with ``QSeries.__add__``; each
+    ``geom_inv`` long division and added with ``add_oracle``; each
     direction of r stops once the (convex) valuations are past T and rising."""
     T = rat(T)
     acc = QSeries.zero(rat_den(T), int(T * rat_den(T)))
@@ -49,7 +113,8 @@ def bilateral_sum_oracle(mono_of_r, w_of_r, T) -> QSeries:
             if w.is_one:
                 raise GenericityError(f"pole: summand 1/(1 - {w!r})")
             if mono.expo < T:
-                acc = acc + geom_inv(w, 1, ceil_rat(T - mono.expo)).mul_monomial(mono)
+                term = mul_monomial_oracle(geom_inv(w, 1, ceil_rat(T - mono.expo)), mono)
+                acc = add_oracle(acc, term)
             prev = v
             r += dr
     return acc
@@ -105,7 +170,7 @@ def m_alt_oracle(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
             lambda r: (base**r) * x * z,
             T,
         )
-        return S.mul_monomial(-z).divide(jtheta(z, base, T))
+        return mul_monomial_oracle(S, -z).divide(jtheta(z, base, T))
 
     return eval_padded(build, order)
 
@@ -121,14 +186,14 @@ def g_alt_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
 
     def build(T):
         W = ceil_rat(T)
-        R = QSeries(1, W, {0: rat(1)}).divide(one_minus(x))
-        R = R.divide(one_minus(base / x))
+        R = divide_one_minus(QSeries(1, W, {0: rat(1)}), x)
+        R = divide_one_minus(R, base / x)
         acc = R
         n = 1
         while n * (n + 1) * E < T:
-            R = R.divide(one_minus(x * base**n))
-            R = R.divide(one_minus((base ** (n + 1)) / x))
-            acc = acc + R.mul_monomial(base ** (n * (n + 1)))
+            R = divide_one_minus(R, x * base**n)
+            R = divide_one_minus(R, (base ** (n + 1)) / x)
+            acc = add_oracle(acc, mul_monomial_oracle(R, base ** (n * (n + 1))))
             n += 1
         return acc
 

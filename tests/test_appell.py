@@ -4,7 +4,8 @@ and the g/h/k Lambert-series bridges."""
 import pytest
 
 import test_series as ts
-from oracles import g_alt_oracle, m_alt_oracle
+from oracles import g_alt_oracle, m_alt_oracle, one_minus
+from qverify import appell
 from qverify.appell import (
     changing_z_delta,
     eval_padded,
@@ -15,7 +16,7 @@ from qverify.appell import (
 )
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
-from qverify.series import QSeries, one_minus, qmono
+from qverify.series import QSeries, qmono
 from qverify.theta import jtheta, poch_inf
 
 Q = qmono(1, 1)
@@ -281,6 +282,24 @@ def test_g_matches_alternate_sum_oracle():
     for x, b in G_PARAMS:
         for T in (40, rat(81, 2)):
             assert_match(g_eval(x, b, T), g_alt_oracle(x, b, T), T)
+
+
+def test_g_sums_once(monkeypatch):
+    # the Eulerian sum runs to order + expo(x), so the shift by x^{-1} leaves
+    # the window at the order and no padding round repeats the sum
+    calls = []
+    real = appell.eulerian_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(appell, "eulerian_sum", counted)
+    for x, b in G_PARAMS:
+        if x.expo > 0:
+            calls.clear()
+            g_eval(x, b, 40)
+            assert len(calls) == 1, (x, b, calls)
 
 
 def test_g_to_m():

@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import add_oracle, divide_one_minus, geom_inv, mul_monomial_oracle
 from qverify.cyclotomic import cinv, rat, zeta
 from qverify.errors import (
     DivisionByZero,
@@ -27,8 +28,6 @@ from qverify.series import (
     common_scale,
     compose_monomial,
     floor_rat,
-    geom_inv,
-    one_minus,
     qmono,
     series_equal,
 )
@@ -382,10 +381,11 @@ def _random_mono(rng, coeffs, lo, hi):
 
 
 def test_accumulator_matches_series_sums_randomized():
-    """_Acc against the sums it replaces: add_mono as ``+ from_monomial``,
-    add_series as ``+ mul_monomial``, add_geom as ``+ geom_inv(...)
-    .mul_monomial``, times_one_minus as ``s - s.mul_monomial``,
-    over_one_minus as ``s.divide(one_minus(m))``.  Grids 1, 2, 3 and 6 mix;
+    """_Acc against the coefficient loops of ``oracles``: add_mono as
+    ``add_oracle`` of ``from_monomial``, add_series as ``add_oracle`` of
+    ``mul_monomial_oracle``, add_geom as that of ``geom_inv``,
+    times_one_minus as ``add_oracle(s, mul_monomial_oracle(s, -m))``,
+    over_one_minus as ``divide_one_minus``.  Grids 1, 2, 3 and 6 mix;
     a part is often added once more with the opposite sign, so coefficients
     cancel; series windows fall below the accumulator's; w has positive,
     negative and zero exponent; the m divided out is constant (the only
@@ -404,7 +404,7 @@ def test_accumulator_matches_series_sums_randomized():
             case += f"; {op} {m!r}"
             if op == "mono":
                 acc.add_mono(m)
-                want = want + QSeries.from_monomial(m)
+                want = add_oracle(want, QSeries.from_monomial(m))
             elif op == "series":
                 s = _random_side(rng, rng.random() < 0.3, coeffs, divisor=False)
                 added.append((s, dict(s.terms)))
@@ -412,7 +412,7 @@ def test_accumulator_matches_series_sums_randomized():
                 for sign in (1, -1) if rng.random() < 0.3 else (1,):
                     sm = qmono(sign * m.coeff, m.expo)
                     acc.add_series(sm, s)
-                    want = want + s.mul_monomial(sm)
+                    want = add_oracle(want, mul_monomial_oracle(s, sm))
             elif op == "geom":
                 w = _random_mono(rng, coeffs, -3, 3)
                 if w.is_one:
@@ -421,11 +421,11 @@ def test_accumulator_matches_series_sums_randomized():
                 acc.add_geom(m, w)
                 if m.expo * want.scale < want.order:
                     width = ceil_rat(rat(want.order, want.scale) - m.expo)
-                    want = want + geom_inv(w, 1, width).mul_monomial(m)
+                    want = add_oracle(want, mul_monomial_oracle(geom_inv(w, 1, width), m))
             elif op == "one_minus":
                 m = _random_mono(rng, coeffs, 0, 6)
                 acc.times_one_minus(m)
-                want = want - want.mul_monomial(m)
+                want = add_oracle(want, mul_monomial_oracle(want, -m))
             else:
                 m = _random_mono(rng, coeffs, 0, 6)
                 if want.order is None or rng.random() < 0.25:
@@ -434,7 +434,7 @@ def test_accumulator_matches_series_sums_randomized():
                     continue
                 case += f" / (1 - {m!r})"
                 acc.over_one_minus(m)
-                want = want.divide(one_minus(m))
+                want = divide_one_minus(want, m)
         _assert_same_series(acc.freeze(), want, case)
         for s, terms in added:
             assert s.terms == terms, case
@@ -443,6 +443,29 @@ def test_accumulator_matches_series_sums_randomized():
         acc.add_geom(MONO_Q, MONO_ONE)
     with pytest.raises(GenericityError):
         acc.over_one_minus(MONO_ONE)
+
+
+def test_sums_and_monomial_products_match_oracle_loops_randomized():
+    """a + b, a - b, -a, c*a, a.mul_monomial(m) and a / m, each one
+    accumulator call, against the coefficient loops of ``oracles`` (a / m
+    against ``divide_oracle``); m is b's leading term, on b's grid as a
+    divisor.  Neither operand changes."""
+    rng = random.Random(14211208)
+    neg = qmono(-1)
+    for i in range(560):
+        a, b = _random_pair(rng, i, divisor=True)
+        vb = min(b.terms)
+        m = QMonomial(b.terms[vb], rat(vb, b.scale))
+        mono = QSeries(b.scale, None, {vb: m.coeff})
+        before = [(s.scale, s.order, dict(s.terms)) for s in (a, b, mono)]
+        case = f"draw {i}: {a!r}, {b!r}"
+        _assert_same_series(a + b, add_oracle(a, b), case)
+        _assert_same_series(a - b, add_oracle(a, mul_monomial_oracle(b, neg)), case)
+        _assert_same_series(-a, mul_monomial_oracle(a, neg), case)
+        _assert_same_series(m.coeff * a, mul_monomial_oracle(a, qmono(m.coeff)), case)
+        _assert_same_series(a.mul_monomial(m), mul_monomial_oracle(a, m), case)
+        _assert_same_series(a.divide(mono), divide_oracle(a, mono), case)
+        assert [(s.scale, s.order, s.terms) for s in (a, b, mono)] == before, case
 
 
 def test_pow_matches_repeated_mul():

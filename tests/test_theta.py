@@ -13,10 +13,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import jtheta_sum_oracle
+from oracles import geom_inv, jtheta_sum_oracle
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import UnsupportedArgument
-from qverify.series import QSeries, geom_inv, qmono
+from qverify.series import QSeries, qmono
 from qverify.theta import (
     J,
     Jbar,
