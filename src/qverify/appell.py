@@ -9,8 +9,12 @@ evaluated as a truncated series in q with exact coefficients.  The bilateral
 sums (``bilateral_sum``) expand each summand mono(r) / (1 - w(r)) as the
 geometric run sum_k mono(r) w(r)^k (in powers of 1/w(r) when its exponent is
 negative), added in place into one accumulator.  Every evaluator
-takes the desired window in plain q-units and re-runs itself with extra
-internal padding until the soundly-tracked result window reaches it.
+takes the desired window in plain q-units.  The theta quotient
+``changing_z_delta`` is one call of ``theta.theta_quotient``, which sets each
+factor's window from its exact valuation and needs no second round.  The
+sums m, g, h and k, whose numerators are not theta products, run through
+``eval_padded``: it re-runs them with extra padding when the soundly-tracked
+window falls short of the requested one.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .catalog import eulerian_sum
 from .cyclotomic import rat, rat_den
 from .errors import GenericityError, QVerifyError
 from .series import QMonomial, QSeries, _Acc, qmono
-from .theta import _check_base, binom2, jtheta, jtheta_val
+from .theta import _check_base, binom2, jtheta, jtheta_val, theta_quotient
 
 
 #: evaluations `eval_padded` makes before it gives up on reaching the order
@@ -98,25 +102,10 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
         z0 J_1^3 j(z1/z0;base) j(x z0 z1;base)
         / (j(z0;base) j(z1;base) j(x z0;base) j(x z1;base)).
     """
-    _check_base(base)
-    order = rat(order)
-    for arg in (z0, z1, x * z0, x * z1):
-        if jtheta_val(arg, base) is None:
-            raise GenericityError(f"theta zero in denominator at {arg!r}")
-
-    def build(T):
-        j1 = jtheta(base, base**3, T)  # J_1 = (base; base)_inf
-        num = (j1**3) * jtheta(z1 / z0, base, T) * jtheta(x * z0 * z1, base, T)
-        num = num.mul_monomial(z0)
-        den = (
-            jtheta(z0, base, T)
-            * jtheta(z1, base, T)
-            * jtheta(x * z0, base, T)
-            * jtheta(x * z1, base, T)
-        )
-        return num.divide(den)
-
-    return eval_padded(build, order)
+    j1 = (base, base**3)  # J_1 = (base; base)_inf = j(base; base^3)
+    num = (j1, j1, j1, (z1 / z0, base), (x * z0 * z1, base))
+    den = tuple((arg, base) for arg in (z0, z1, x * z0, x * z1))
+    return theta_quotient(z0, num, den, order)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from .cyclotomic import rat, zeta as zeta_root
 from .errors import ParseError, UnsupportedArgument, UnsupportedSubstitution
-from .series import QMonomial, QSeries, compose_monomial, qmono, ceil_rat
+from .series import QMonomial, QSeries, compose_monomial, qmono, ceil_rat, operand_orders
 from . import theta as _theta
 from . import appell as _appell
 from . import hecke as _hecke
@@ -655,9 +655,12 @@ def _eval_call(node: Call, order) -> QSeries:
 def eval_expr(node, order) -> QSeries:
     """Evaluate an expression to an exact truncated series.
 
-    ``order`` is the target window in q-units.  The result's sound window
-    may fall short of it when negative valuations are involved; callers who
-    need a specific window pass this through ``appell.eval_padded``.
+    ``order`` is the target window in q-units.  The right operand of ``*``
+    and ``/`` is evaluated higher by the left operand's negative valuation,
+    so a left factor such as q^(-1) does not shorten the window.  The
+    result's sound window may still fall short of ``order`` when other
+    negative valuations are involved; callers who need a specific window
+    pass this through ``appell.eval_padded``.
     """
     if isinstance(node, Num):
         return QSeries.from_coeff(node.value)
@@ -669,7 +672,13 @@ def eval_expr(node, order) -> QSeries:
         return -eval_expr(node.arg, order)
     if isinstance(node, BinOp):
         a = eval_expr(node.left, order)
-        b = eval_expr(node.right, order)
+        if node.op in "*/" and a.terms:
+            # b is evaluated higher by a's negative valuation (b's own is
+            # not known yet: taken as 0), so a*b and a/b reach the window
+            va = min(0, rat(min(a.terms), a.scale))
+            b = eval_expr(node.right, operand_orders(order, va, 0, node.op)[1])
+        else:
+            b = eval_expr(node.right, order)
         if node.op == "+":
             return a + b
         if node.op == "-":

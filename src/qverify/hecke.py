@@ -20,9 +20,8 @@ from math import gcd
 
 from .appell import eval_padded, m_eval
 from .cyclotomic import cpow, rat
-from .errors import GenericityError
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk, common_scale
-from .theta import _check_base, binom2, jtheta, jtheta_val
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk, common_scale, operand_orders
+from .theta import _check_base, binom2, jtheta, jtheta_val, theta_quotient
 
 __all__ = [
     "f_eval",
@@ -79,6 +78,21 @@ def f_eval(a: int, b: int, c: int, x: QMonomial, y: QMonomial, base: QMonomial, 
     return acc.freeze()
 
 
+def _add_jm(acc, pre, jx, jbase, mx, mbase, z, T) -> None:
+    """Add the summand pre * j(jx; jbase) * m(mx, mbase, z) below q^T.  j's
+    and m's orders are the product window's (``series.operand_orders``) for
+    the target T - expo(pre), with j's exact valuation and m's taken as 0,
+    so the window reaches T in one round when m's valuation is >= 0.  m is
+    never evaluated below T: at a low order its divisor j(z; mbase) may have
+    no known term.  A vanishing j makes the summand zero; m is still
+    evaluated, so that a pole of m raises GenericityError."""
+    v = jtheta_val(jx, jbase)
+    tj, tm = operand_orders(T - pre.expo, min(0, v or 0), 0)
+    m = m_eval(mx, mbase, z, max(T, tm))
+    if v is not None:
+        acc.add_series(pre, jtheta(jx, jbase, tj) * m)
+
+
 def g_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
     """The two-sum Appell-Lerch expression g_{a,b,c}(x, y, base, z1, z0)."""
     D = b * b - a * c
@@ -96,8 +110,7 @@ def g_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
                     * ((-y_) ** a_)
                     * ((-x_) ** (-b))
                 )
-                acc.add_series(pre, jtheta(base ** (b * t) * x_, base**a_, T)
-                               * m_eval(mx, base ** (a_ * D), z, T))
+                _add_jm(acc, pre, base ** (b * t) * x_, base**a_, mx, base ** (a_ * D), z, T)
         return acc.freeze()
 
     return eval_padded(build, order)
@@ -115,20 +128,15 @@ def h_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
         acc = _Acc()
         for a_, c_, x_, y_, z in ((a, c, x, y, z1), (c, a, y, x, z0)):
             mx = -(base ** (a_ * binom2(b // a_ + 1) - c_) * (-y_) * ((-x_) ** (-(b // a_))))
-            acc.add_series(MONO_ONE, jtheta(x_, base**a_, T)
-                           * m_eval(mx, base ** (b * b // a_ - c_), z, T))
+            _add_jm(acc, MONO_ONE, x_, base**a_, mx, base ** (b * b // a_ - c_), z, T)
         return acc.freeze()
 
     return eval_padded(build, order)
 
 
-def _require_nonzero(arg, tbase):
-    if jtheta_val(arg, tbase) is None:
-        raise GenericityError(f"theta denominator vanishes: j({arg!r}; {tbase!r})")
-
-
 def theta_np_eval(n, p, x, y, base, order) -> QSeries:
-    """The p x p theta correction paired with g_{n,n+p,n}(..., -1, -1).
+    """The p x p theta correction paired with g_{n,n+p,n}(..., -1, -1): a
+    sum of p^2 theta quotients.
 
     Indices carry the fractional shift {(n-1)/2}, so individual index values
     are half-integers for even n; all assembled exponents are integral in the
@@ -137,52 +145,37 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
     if gcd(n, p) != 1:
         raise ValueError("requires gcd(n, p) = 1")
     half = 1 if n % 2 == 0 else 0  # twice the fractional shift {(n-1)/2}
-    M = p * p * (2 * n + p)
-
-    def build(T):
-        bigM = base**M
-        jm3 = jtheta(bigM, bigM**3, T) ** 3  # (base^M; base^M)_inf^3
-        acc = _Acc()
-        for rstar in range(p):
-            for sstar in range(p):
-                # r - (n-1)/2 and s + (n+1)/2 are integers for either parity.
-                ri = rstar + (half + 1 - n) // 2
-                si = sstar + (half + n + 1) // 2
-                qexp = n * binom2(ri) + (n + p) * ri * si + n * binom2(si)
-                pre = ((-x) ** ri) * ((-y) ** si) * base**qexp
-                num = (
-                    jm3
-                    * jtheta(
-                        -(base ** (n * p * (sstar - rstar)) * (x**n) * (y ** (-n))),
-                        base ** (n * p * p),
-                        T,
-                    )
-                    * jtheta(
-                        base ** (p * (2 * n + p) * (rstar + sstar + half) + p * (n + p))
-                        * (x**p)
-                        * (y**p),
-                        bigM,
-                        T,
-                    )
-                )
-                eshift = rat(p * (n + p), 2)
-                d1 = base ** (p * (2 * n + p) * (rstar + rat(half, 2)) + eshift) * (
-                    (-y) ** (n + p)
-                ) * ((-x) ** (-n))
-                d2 = base ** (p * (2 * n + p) * (sstar + rat(half, 2)) + eshift) * (
-                    (-x) ** (n + p)
-                ) * ((-y) ** (-n))
-                _require_nonzero(d1, bigM)
-                _require_nonzero(d2, bigM)
-                den = jtheta(d1, bigM, T) * jtheta(d2, bigM, T)
-                acc.add_series(pre, num.divide(den))
-        return acc.freeze()
-
-    return eval_padded(build, order)
+    bigM = base ** (p * p * (2 * n + p))
+    jm = (bigM, bigM**3)  # j(base^M; base^3M) = (base^M; base^M)_inf
+    eshift = rat(p * (n + p), 2)
+    acc = _Acc()
+    for rstar in range(p):
+        for sstar in range(p):
+            # r - (n-1)/2 and s + (n+1)/2 are integers for either parity.
+            ri = rstar + (half + 1 - n) // 2
+            si = sstar + (half + n + 1) // 2
+            qexp = n * binom2(ri) + (n + p) * ri * si + n * binom2(si)
+            pre = ((-x) ** ri) * ((-y) ** si) * base**qexp
+            num = (
+                jm, jm, jm,
+                (-(base ** (n * p * (sstar - rstar)) * (x**n) * (y ** (-n))),
+                 base ** (n * p * p)),
+                (base ** (p * (2 * n + p) * (rstar + sstar + half) + p * (n + p))
+                 * (x**p) * (y**p), bigM),
+            )
+            d1 = base ** (p * (2 * n + p) * (rstar + rat(half, 2)) + eshift) * (
+                (-y) ** (n + p)
+            ) * ((-x) ** (-n))
+            d2 = base ** (p * (2 * n + p) * (sstar + rat(half, 2)) + eshift) * (
+                (-x) ** (n + p)
+            ) * ((-y) ** (-n))
+            acc.add_series(MONO_ONE, theta_quotient(pre, num, ((d1, bigM), (d2, bigM)), order))
+    return acc.freeze()
 
 
 def theta_abc_eval(a, b, c, x, y, base, order) -> QSeries:
-    """The triple-sum theta correction paired with h_{a,b,c}(..., -1, -1)."""
+    """The triple-sum theta correction paired with h_{a,b,c}(..., -1, -1): a
+    sum of theta quotients."""
     if b % a or b % c:
         raise ValueError("requires a | b and c | b")
     ba, bc = b // a, b // c
@@ -190,43 +183,26 @@ def theta_abc_eval(a, b, c, x, y, base, order) -> QSeries:
     D2 = b * b // c - a
     big = b * (ba * bc - 1)
     big2 = (b * b // a) * (ba * bc - 1)
-
-    def build(T):
-        bigb = base**big
-        jm3 = jtheta(bigb, bigb**3, T) ** 3  # (bigb; bigb)_inf^3
-        acc = _Acc()
-        for d in range(bc):
-            for e in range(ba):
-                for f in range(ba):
-                    qexp = D1 * binom2(d + 1) + D2 * binom2(e + f + 1) + a * binom2(f)
-                    pre = ((-x) ** f) * base**qexp
-                    j1 = jtheta(
-                        base ** (D1 * (d + 1) + b * f) * y, base ** (b * b // a), T
-                    )
-                    e2 = big * (e + f + 1) - D1 * (d + 1) + rat(b**3 * (b - a), 2 * a * a * c)
-                    j2 = jtheta(
-                        base**e2 * ((-x) ** ba) * (y ** (-1)), base**big2, T
-                    )
-                    e3 = (
-                        D2 * (e + 1)
-                        + D1 * (d + 1)
-                        - c * binom2(bc)
-                        - a * binom2(ba)
-                    )
-                    j3 = jtheta(
-                        base**e3 * ((-x) ** (1 - ba)) * ((-y) ** (1 - bc)),
-                        bigb,
-                        T,
-                    )
-                    d1 = base ** (D2 * (e + 1) - c * binom2(bc)) * (-x) * ((-y) ** (-bc))
-                    d2 = base ** (D1 * (d + 1) - a * binom2(ba)) * ((-x) ** (-ba)) * (-y)
-                    _require_nonzero(d1, bigb)
-                    _require_nonzero(d2, bigb)
-                    den = jtheta(d1, bigb, T) * jtheta(d2, bigb, T)
-                    acc.add_series(pre, (j1 * j2 * jm3 * j3).divide(den))
-        return acc.freeze()
-
-    return eval_padded(build, order)
+    bigb = base**big
+    jm = (bigb, bigb**3)  # j(bigb; bigb^3) = (bigb; bigb)_inf
+    acc = _Acc()
+    for d in range(bc):
+        for e in range(ba):
+            for f in range(ba):
+                qexp = D1 * binom2(d + 1) + D2 * binom2(e + f + 1) + a * binom2(f)
+                pre = ((-x) ** f) * base**qexp
+                e2 = big * (e + f + 1) - D1 * (d + 1) + rat(b**3 * (b - a), 2 * a * a * c)
+                e3 = D2 * (e + 1) + D1 * (d + 1) - c * binom2(bc) - a * binom2(ba)
+                num = (
+                    (base ** (D1 * (d + 1) + b * f) * y, base ** (b * b // a)),
+                    (base**e2 * ((-x) ** ba) * (y ** (-1)), base**big2),
+                    jm, jm, jm,
+                    (base**e3 * ((-x) ** (1 - ba)) * ((-y) ** (1 - bc)), bigb),
+                )
+                d1 = base ** (D2 * (e + 1) - c * binom2(bc)) * (-x) * ((-y) ** (-bc))
+                d2 = base ** (D1 * (d + 1) - a * binom2(ba)) * ((-x) ** (-ba)) * (-y)
+                acc.add_series(MONO_ONE, theta_quotient(pre, num, ((d1, bigb), (d2, bigb)), order))
+    return acc.freeze()
 
 
 def big_theta_eval(n, p, x, y, base, order) -> QSeries:
@@ -248,59 +224,49 @@ def big_theta_eval(n, p, x, y, base, order) -> QSeries:
 def _big_theta_2(n, x, y, base, order) -> QSeries:
     if n % 2 == 0:
         raise ValueError("requires odd n")
-
-    def build(T):
-        def jt(mono, k):
-            return jtheta(mono, base**k, T)
-
-        pre = (
-            y ** ((n + 1) // 2)
-            * base ** (-rat(n * n - 3, 2))
-            * x ** (-((n - 3) // 2))
-        )
-        num = (
-            jt(base ** (2 * n), 4 * n)
-            * jt(base ** (4 * (n + 1)), 8 * (n + 1))
-            * jt(y / x, 4 * (n + 1))
-            * jt(base ** (n + 2) * x * y, 4 * (n + 1))
-            * jt(base ** (2 * n) / (x * x * y * y), 8 * (n + 1))
-        )
-        d1 = y**n / x**n
-        d2 = -(base ** (n + 2) * x * x)
-        d3 = -(base ** (n + 2) * y * y)
-        for mono, k in ((d1, 4 * n * (n + 1)), (d2, 4 * (n + 1)), (d3, 4 * (n + 1))):
-            _require_nonzero(mono, base**k)
-        den = jt(d1, 4 * n * (n + 1)) * jt(d2, 4 * (n + 1)) * jt(d3, 4 * (n + 1))
-        return num.divide(den).mul_monomial(pre)
-
-    return eval_padded(build, order)
+    pre = y ** ((n + 1) // 2) * base ** (-rat(n * n - 3, 2)) * x ** (-((n - 3) // 2))
+    B4, B8 = base ** (4 * (n + 1)), base ** (8 * (n + 1))
+    num = (
+        (base ** (2 * n), base ** (4 * n)),
+        (B4, B8),
+        (y / x, B4),
+        (base ** (n + 2) * x * y, B4),
+        (base ** (2 * n) / (x * x * y * y), B8),
+    )
+    den = (
+        (y**n / x**n, base ** (4 * n * (n + 1))),
+        (-(base ** (n + 2) * x * x), B4),
+        (-(base ** (n + 2) * y * y), B4),
+    )
+    return theta_quotient(pre, num, den, order)
 
 
 def _big_theta_3(n, x, y, base, order) -> QSeries:
     if n % 3 == 0:
         raise ValueError("requires gcd(n, 3) = 1")
     P = 2 * n + 3
+    pre = base ** (n * binom2(n + 1)) * (-x) * ((-y) ** n)
+    B3, B9 = base ** (3 * P), base ** (9 * P)
+    # J_k = (base^k; base^k)_inf enters as J_{k,3k} = j(base^k; base^3k)
+    num = (
+        (base ** (3 * n), base ** (9 * n)),
+        (B3, B9),
+        (y / x, B3),
+        (base ** (n * n + n) * x, base**P),
+        (base ** (n * n + n) * y, base**P),
+    )
+    den = (
+        (base**P, B3),
+        (base**P, B3),
+        (y**n / x**n, base ** (3 * n * P)),
+        (base ** (3 * n * n + 3 * n) * (x**3), B3),
+        (base ** (3 * n * n + 3 * n) * (y**3), B3),
+    )
 
     def build(T):
         def jt(mono, k):
             return jtheta(mono, base**k, T)
 
-        # J_k = (base^k; base^k)_inf enters as J_{k,3k} = jt(base^k, 3k)
-        pre = base ** (n * binom2(n + 1)) * (-x) * ((-y) ** n)
-        num = (
-            jt(base ** (3 * n), 9 * n)
-            * jt(base ** (3 * P), 9 * P)
-            * jt(y / x, 3 * P)
-            * jt(base ** (n * n + n) * x, P)
-            * jt(base ** (n * n + n) * y, P)
-        )
-        d1 = y**n / x**n
-        d2 = base ** (3 * n * n + 3 * n) * (x**3)
-        d3 = base ** (3 * n * n + 3 * n) * (y**3)
-        for mono, k in ((d1, 3 * n * P), (d2, 3 * P), (d3, 3 * P)):
-            _require_nonzero(mono, base**k)
-        den = (jt(base**P, 3 * P) ** 2) * jt(d1, 3 * n * P) * jt(d2, 3 * P) \
-            * jt(d3, 3 * P)
         e1 = 3 * n * n + 5 * n + 3
         e2 = 3 * n * n + 7 * n + 6
         brace = jt(base**e1 * x * x * y, 3 * P) * jt(
@@ -309,7 +275,7 @@ def _big_theta_3(n, x, y, base, order) -> QSeries:
             jt(base**e2 * x * x * y, 3 * P)
             * jt(base**e2 * x * y * y, 3 * P)
         ).mul_monomial(base ** (2 * n * n + 2 * n) * x * y)
-        return (num * brace).divide(den).mul_monomial(pre)
+        return theta_quotient(pre, num, den, T) * brace
 
     return eval_padded(build, order)
 
@@ -318,6 +284,14 @@ def _big_theta_4(n, x, y, base, order) -> QSeries:
     if n % 2 == 0:
         raise ValueError("requires odd n")
     P = 2 * n + 4
+    pre = base ** (-(n * n + n - 3)) * x ** (-((n - 3) // 2)) * y ** ((n + 1) // 2)
+    B4 = base ** (4 * P)
+    num = ((y / x, B4),)
+    den = (
+        (y**n / x**n, base ** (4 * n * P)),
+        (-(base ** (2 * n + 8) * (x**4)), B4),
+        (-(base ** (2 * n + 8) * (y**4)), B4),
+    )
 
     def build(T):
         def jt(mono, k):
@@ -359,19 +333,7 @@ def _big_theta_4(n, x, y, base, order) -> QSeries:
             s2 * jt(base ** (8 * n), 16 * n)
         ).mul_monomial(base)
 
-        pre = (
-            base ** (-(n * n + n - 3))
-            * x ** (-((n - 3) // 2))
-            * y ** ((n + 1) // 2)
-        )
-        d1 = y**n / x**n
-        d2 = -(base ** (2 * n + 8) * (x**4))
-        d3 = -(base ** (2 * n + 8) * (y**4))
-        for mono, k in ((d1, 4 * n * P), (d2, 4 * P), (d3, 4 * P)):
-            _require_nonzero(mono, base**k)
-        den = jt(d1, 4 * n * P) * jt(d2, 4 * P) * jt(d3, 4 * P)
-        num = jt(y / x, 4 * P) * combo
-        return num.divide(den).mul_monomial(pre)
+        return theta_quotient(pre, num, den, T) * combo
 
     return eval_padded(build, order)
 

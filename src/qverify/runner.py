@@ -1,13 +1,15 @@
 """Identity verification runner.
 
-Evaluates each side of an identity as an exact truncated series through
-``appell.eval_padded``, which re-runs it at a padded order until its sound
-window reaches the requested order, and compares the two coefficient by
-coefficient below q^order.  A ``pass`` means every coefficient below q^order
-agrees exactly; a ``fail`` reports the smallest mismatching exponent together
-with the two coefficients; an ``error`` captures any evaluation problem
-(poles, division by zero, bad arguments, a side whose window cannot reach the
-order) as a diagnostic instead of a crash.
+Evaluates each side of an identity as an exact truncated series and compares
+the two coefficient by coefficient below q^order.  The evaluators size their
+windows from exact valuations, so a side normally reaches the order in one
+evaluation; ``appell.eval_padded`` is the fallback that re-runs a side at a
+padded order when its sound window still falls short.  A ``pass`` means
+every coefficient below q^order agrees exactly; a ``fail`` reports the
+smallest mismatching exponent together with the two coefficients; an
+``error`` captures any evaluation problem (poles, division by zero, bad
+arguments, a side whose window cannot reach the order) as a diagnostic
+instead of a crash.
 
 Suites of identities run in input order; with ``jobs > 1`` the evaluations
 are distributed over a process pool but reports keep the input order, so

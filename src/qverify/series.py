@@ -65,9 +65,13 @@ def ceil_rat(x) -> int:
     return -((-num) // den)
 
 
-def floor_rat(x) -> int:
-    num, den = int(x.numerator), int(x.denominator)
-    return num // den
+def operand_orders(order, va, vb, op="*"):
+    """The orders below which A and B must be known for A*B (op "*") or A/B
+    (op "/") to be known below ``order``, given val(A) = va and val(B) = vb:
+    the product and quotient windows above, solved for Ka and Kb."""
+    if op == "*":
+        return order - vb, order - va
+    return order + vb, order + 2 * vb - va
 
 
 def common_scale(*exponents) -> int:

@@ -14,15 +14,24 @@ so the exponents of the sum for j(x'; B) grow monotonically away from n = 0.
 Each direction of n is one run of the series module's term walker, which
 f_{a,b,c} and the Appell-Lerch sums share; the Pochhammer products apply
 each factor (1 - x*base^i) in place to one accumulator.
+
+Theta quotients pre * prod j(x; b) / prod j(y; d), the theta corrections of
+the Hecke-type expansions among them, are evaluated by
+:func:`theta_quotient`.  Every factor's valuation is known exactly before
+anything is evaluated (:func:`jtheta_val`), so it evaluates each factor once,
+at the order the series module's product and quotient windows need for the
+quotient to be known below the requested order, with no second round.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
-from .cyclotomic import cinv, rat
-from .errors import UnsupportedArgument
-from .series import QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale, qmono
+from .cyclotomic import cinv, rat, rat_den
+from .errors import GenericityError, UnsupportedArgument
+from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
+                     operand_orders, qmono)
 
 
 def _check_base(base: QMonomial):
@@ -135,25 +144,46 @@ def Jm(m, order) -> QSeries:
     return jtheta(qmono(1, rat(m)), qmono(1, 3 * rat(m)), order)
 
 
-def jprod(args, base: QMonomial, order) -> QSeries:
-    """j(x1, x2, ..., xk; base) = prod of jtheta(xi; base).
+def _jproduct(pairs, vals, K) -> QSeries:
+    """prod j(x; b) over the (x, b) pairs of valuations vals, known below K:
+    each factor is evaluated below K less the other factors' valuations."""
+    total = sum(vals)
+    factors = [jtheta(x, b, operand_orders(K, v, total - v)[0])
+               for (x, b), v in zip(pairs, vals)]
+    return reduce(mul, factors) if factors else QSeries.from_coeff(1)
 
-    The working order is padded so the product window still reaches `order`
-    even when individual factors have negative valuation.
+
+def theta_quotient(pre: QMonomial, num, den, order) -> QSeries:
+    """pre * prod j(x; b) / prod j(y; d), over the (x, b) pairs of num and
+    the (y, d) pairs of den, known below exactly q^order.  A repeated
+    factor, such as J_M^3 = j(B; B^3)^3, is a repeated entry.
+
+    Each factor's valuation is exact (:func:`jtheta_val`), so each factor is
+    evaluated once, at the order the series module's product and quotient
+    windows need (``series.operand_orders``): with T = order - expo(pre)
+    and V_N, V_D the sums of the numerator and denominator valuations, the
+    numerator is known below T + V_D, the denominator below
+    T + 2*V_D - V_N, and their quotient below T.  A vanishing denominator
+    factor raises GenericityError naming it, even when a numerator factor
+    vanishes too; otherwise a vanishing numerator factor gives the exact
+    zero series.
     """
     order = rat(order)
-    vals = []
-    for x in args:
-        v = jtheta_val(x, base)
+    vd = []
+    for y, d in den:
+        v = jtheta_val(y, d)
         if v is None:
-            return QSeries(1, None, {})
-        vals.append(v)
-    total = sum(vals)
-    out = None
-    for x, v in zip(args, vals):
-        # factor must be known below order - (sum of the other valuations)
-        s = jtheta(x, base, order - (total - v))
-        out = s if out is None else out * s
-    if out is None:
-        out = QSeries(1, None, {0: rat(1)})
-    return out
+            raise GenericityError(f"theta denominator vanishes: j({y!r}; {d!r})")
+        vd.append(v)
+    vn = [jtheta_val(x, b) for x, b in num]
+    if None in vn:
+        return QSeries(1, None, {})
+    s = rat_den(order)
+    acc = _Acc(s, int(order * s))
+    kn, kd = operand_orders(order - pre.expo, sum(vn), sum(vd), "/")
+    if kn > sum(vn):  # else val(quotient) = V_N - V_D >= T: no term below T
+        out = _jproduct(num, vn, kn)
+        if den:
+            out = out.divide(_jproduct(den, vd, kd))
+        acc.add_series(pre, out)
+    return acc.freeze()

@@ -26,14 +26,14 @@ from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
 from qverify.hecke import f_eval, string_function
 from qverify.runner import run_suite
-from qverify.series import QSeries, compose_monomial, qmono
+from qverify.series import MONO_ONE, QSeries, compose_monomial, qmono
 from qverify.theta import (
     J,
     Jm,
     binom2,
-    jprod,
     jtheta,
     poch_inf,
+    theta_quotient,
 )
 
 Q = qmono(1, 1)
@@ -518,15 +518,15 @@ def _check_theta_laws(rng, order):
         for n in (2, 3):
             # base refinement: j(x;q) J_n^n = J_1 j(x, qx, ..., q^{n-1}x; q^n)
             lhs = tp([(x, Q)], order) * (Jm(n, order + 10) ** n)
-            rhs = jprod(tuple(x * Q**k for k in range(n)), qmono(1, n), order + 10) * Jm(
-                1, order + 10
-            )
+            rhs = theta_quotient(
+                MONO_ONE, [(x * Q**k, qmono(1, n)) for k in range(n)], (), order + 10
+            ) * Jm(1, order + 10)
             agree(lhs, rhs, order)
             # argument roots of unity: j(x^n;q^n) J_1^n = J_n j(x, zx, ..., z^{n-1}x; q)
             zn = zeta(1, n)
             lhs = tp([(x**n, qmono(1, n))], order) * (Jm(1, order + 10) ** n)
-            rhs = jprod(
-                tuple(qmono(zn, 0) ** k * x for k in range(n)), Q, order + 10
+            rhs = theta_quotient(
+                MONO_ONE, [(qmono(zn, 0) ** k * x, Q) for k in range(n)], (), order + 10
             ) * Jm(n, order + 10)
             agree(lhs, rhs, order)
         # argument splitting into m residue classes, m = 2, 3, 4

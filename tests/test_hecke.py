@@ -461,6 +461,22 @@ def test_theta_np_genericity_error():
         theta_np_eval(1, 1, qmono(-1, 2), qmono(-1, 2), Q, 10)
 
 
+@pytest.mark.parametrize("a, b, c, x, y, order", [
+    (3, 4, 1, Q, Q, 3),
+    (3, 4, 2, qmono(2, 1), Q**20, 20),
+    (2, 3, 2, Q, Q**7, 6),
+])
+def test_g_abc_prefactor_at_or_past_the_order(a, b, c, x, y, order):
+    # a summand's prefactor (-y)^t base^(c*binom2(t)) reaches the order, so
+    # its j factor has no term below the window; its m is still evaluated
+    # where m's divisor j(z; base) has a term, and the sum agrees with the
+    # same sum taken far past the order
+    g = g_abc_eval(a, b, c, x, y, Q, NEG1, NEG1, order)
+    assert g.window_q() == order
+    ref = g_abc_eval(a, b, c, x, y, Q, NEG1, NEG1, 60)
+    assert QSeries.first_difference(g, ref) is None
+
+
 def test_h_abc_validation():
     with pytest.raises(ValueError):
         h_abc_eval(2, 3, 1, Q, Q**2, Q, NEG1, NEG1, 10)  # a does not divide b

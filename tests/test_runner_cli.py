@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qverify import catalog, hecke, runner
 from qverify.cli import builtin_records, catalog_records, main
 from qverify.dsl import parse_identities
 from qverify.errors import ParseError
@@ -129,6 +130,45 @@ def test_builtin_and_catalog_record_generation():
     assert len(cat) > 100
     check_unique_names(cat)
     assert cat[0].tags == ("catalog",)
+
+
+def test_each_side_is_evaluated_once(monkeypatch):
+    """The evaluators set their factors' windows from exact valuations, so
+    no side of the builtin suite, nor of a catalog representation led by a
+    q^(-k) factor, needs a second padded round; g_abc_eval builds once per
+    call."""
+    sides = []
+    orig_eval = runner.eval_expr
+
+    def eval_expr(node, order):
+        sides.append(order)
+        return orig_eval(node, order)
+
+    calls, builds = [], []
+    orig_padded = hecke.eval_padded
+
+    def eval_padded(build, order):
+        if build.__qualname__.startswith("g_abc_eval."):
+            calls.append(order)
+
+            def counted(T):
+                builds.append(T)
+                return build(T)
+
+            return orig_padded(counted, order)
+        return orig_padded(build, order)
+
+    monkeypatch.setattr(runner, "eval_expr", eval_expr)
+    monkeypatch.setattr(hecke, "eval_padded", eval_padded)
+    shifted = [r for r in catalog_records()
+               if "q^(-" in catalog.CATALOG[r.rhs.name].representations[r.rhs.index]][:4]
+    assert len(shifted) == 4
+    records = builtin_records() + shifted
+    reports = run_suite(records)
+    assert all(rep.status == "pass" for rep in reports), \
+        [rep.name for rep in reports if rep.status != "pass"]
+    assert len(sides) == 2 * len(records)
+    assert calls and builds == calls
 
 
 # ---------------------------------------------------------------------------

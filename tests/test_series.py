@@ -27,7 +27,7 @@ from qverify.series import (
     ceil_rat,
     common_scale,
     compose_monomial,
-    floor_rat,
+    operand_orders,
     qmono,
     series_equal,
 )
@@ -194,9 +194,27 @@ def test_monomial_immutable_and_hashable():
 
 def test_rounding_helpers():
     assert ceil_rat(rat(7, 2)) == 4 and ceil_rat(rat(-7, 2)) == -3
-    assert floor_rat(rat(7, 2)) == 3 and floor_rat(rat(-7, 2)) == -4
-    assert ceil_rat(rat(6)) == 6 and floor_rat(rat(6)) == 6
+    assert ceil_rat(rat(6)) == 6
     assert common_scale(rat(1, 2), rat(1, 3), 5) == 6
+
+
+def test_operand_orders_give_exactly_the_window_randomized():
+    # operands known below the orders operand_orders gives, with the stated
+    # valuations, make a product or quotient known below exactly the order
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        va, vb, order = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-3, 12)
+        op = rng.choice("*/")
+        ka, kb = operand_orders(order, va, vb, op)
+        if ka <= va or kb <= vb:  # a side with no known term has no valuation
+            continue
+        a = QSeries(1, ka, {k: rat(rng.choice((-2, -1, 1, 3))) for k in range(va, ka)})
+        b = QSeries(1, kb, {k: rat(rng.choice((-1, 1, 2))) for k in range(vb, kb)})
+        c = a * b if op == "*" else a.divide(b)
+        assert c.window_q() == order, (op, va, vb, order)
+        checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

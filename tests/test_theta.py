@@ -15,19 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import geom_inv, jtheta_sum_oracle
 from qverify.cyclotomic import rat, zeta
-from qverify.errors import UnsupportedArgument
-from qverify.series import QSeries, qmono
+from qverify.errors import GenericityError, UnsupportedArgument
+from qverify.series import MONO_ONE, QSeries, qmono
 from qverify.theta import (
     J,
     Jbar,
     Jm,
     binom2,
-    jprod,
     jtheta,
     jtheta_shift,
     jtheta_val,
     poch_fin,
     poch_inf,
+    theta_quotient,
 )
 
 Q = qmono(1, 1)
@@ -277,7 +277,9 @@ def test_base_refinement():
     for n in (2, 3):
         for x in (qmono(-1, 1), qmono(W3, rat(1, 2))):
             lhs = theta_product([(x, Q)], o) * (Jm(n, o + 10) ** n)
-            rhs = jprod(tuple(x * Q**k for k in range(n)), qmono(1, n), o + 10) * Jm(1, o + 10)
+            rhs = theta_quotient(
+                MONO_ONE, [(x * Q**k, qmono(1, n)) for k in range(n)], (), o + 10
+            ) * Jm(1, o + 10)
             assert_match(lhs, rhs, o)
 
 
@@ -297,7 +299,9 @@ def test_argument_root_of_unity_factorization():
         zn = zeta(1, n)
         for x in (qmono(-1, 1), qmono(zeta(1, 8), rat(1, 2))):
             lhs = theta_product([(x**n, qmono(1, n))], o) * (Jm(1, o + 10) ** n)
-            rhs = jprod(tuple(qmono(zn, 0) ** k * x for k in range(n)), Q, o + 10) * Jm(n, o + 10)
+            rhs = theta_quotient(
+                MONO_ONE, [(qmono(zn, 0) ** k * x, Q) for k in range(n)], (), o + 10
+            ) * Jm(n, o + 10)
             assert_match(lhs, rhs, o)
 
 
@@ -480,7 +484,66 @@ def test_eta_quotient_table():
     assert_match(Jbar(1, 6, o) * J1 * J4 * J6, J2**2 * J3 * J12, o)
 
 
-def test_jprod_zero_factor_and_padding():
-    assert jprod((Q, qmono(1, 3)), Q, 20).is_zero()  # j(q;q) = 0 kills the product
-    s = jprod((qmono(1, -2), qmono(-1, 3)), qmono(1, 5), 25)
-    assert s.window_q() >= 25
+def test_theta_quotient_zero_factor_and_window():
+    assert theta_quotient(MONO_ONE, [(Q, Q), (qmono(1, 3), Q)], (), 20).is_zero()  # j(q;q) = 0
+    s = theta_quotient(MONO_ONE, [(qmono(1, -2), qmono(1, 5)), (qmono(-1, 3), qmono(1, 5))], (), 25)
+    assert s.window_q() == 25
+
+
+def test_theta_quotient_matches_triple_product_oracle():
+    """theta_quotient against the triple product: each factor is evaluated
+    by jtheta_product_oracle far above the order, then multiplied, divided
+    and shifted.  The terms below the order agree and the window is exactly
+    the order.  The draws mix negative valuations, repeated factors,
+    fractional grids and root-of-unity coefficients; a vanishing numerator
+    factor gives the exact zero, a vanishing denominator factor raises."""
+    rng = random.Random(2024)
+    coeffs = [rat(1), rat(-1), W3, -W3]
+    expos = [rat(-2), rat(-1, 2), rat(1, 3), rat(1), rat(3, 2), rat(4)]
+    bases = [qmono(1, 1), qmono(1, 2), qmono(-1, 1), qmono(1, rat(1, 2)), qmono(1, rat(3, 4))]
+
+    def draw_factors(k):
+        out = []
+        while len(out) < k:
+            f = (qmono(rng.choice(coeffs), rng.choice(expos)), rng.choice(bases))
+            out += [f] * rng.choice((1, 1, 2))  # sometimes a repeated factor
+        return out[:k]
+
+    def vanishing(b):
+        return (b ** rng.randint(-2, 2), b)
+
+    seen = {"zero": 0, "pole": 0, "generic": 0, "negative": 0}
+    for _ in range(30):
+        num, den = draw_factors(rng.randint(1, 3)), draw_factors(rng.randint(0, 2))
+        kind = rng.choice(("generic",) * 6 + ("zero", "pole"))
+        if kind == "zero":
+            num[rng.randrange(len(num))] = vanishing(rng.choice(bases))
+        elif kind == "pole":
+            den.append(vanishing(rng.choice(bases)))
+        pre = qmono(rng.choice(coeffs), rng.choice((rat(-2), rat(-1, 2), rat(0), rat(1))))
+        order = rng.choice((6, 11, 16))
+        vn = [jtheta_val(x, b) for x, b in num]
+        vd = [jtheta_val(y, d) for y, d in den]
+        if None in vd:
+            seen["pole"] += 1
+            with pytest.raises(GenericityError):
+                theta_quotient(pre, num, den, order)
+            continue
+        got = theta_quotient(pre, num, den, order)
+        if None in vn:
+            seen["zero"] += 1
+            assert got.is_zero() and got.window_q() is None
+            continue
+        seen["generic"] += 1
+        seen["negative"] += any(v < 0 for v in vn + vd)
+        pad = order + 3 * sum(abs(v) for v in vn + vd) + abs(pre.expo)
+        ref = QSeries.from_coeff(1)
+        for x, b in num:
+            ref = ref * jtheta_product_oracle(x, b, pad)
+        for y, d in den:
+            ref = ref.divide(jtheta_product_oracle(y, d, pad))
+        ref = ref.mul_monomial(pre)
+        assert ref.window_q() >= order
+        assert got.window_q() == order
+        assert QSeries.first_difference(got, ref.truncate_q(order)) is None
+    assert all(seen.values()), seen
