@@ -9,12 +9,14 @@ evaluated as a truncated series in q with exact coefficients.  The bilateral
 sums (``bilateral_sum``) expand each summand mono(r) / (1 - w(r)) as the
 geometric run sum_k mono(r) w(r)^k (in powers of 1/w(r) when its exponent is
 negative), added in place into one accumulator.  Every evaluator
-takes the desired window in plain q-units.  The theta quotient
-``changing_z_delta`` is one call of ``theta.theta_quotient``, which sets each
-factor's window from its exact valuation and needs no second round.  The
-sums m, g, h and k, whose numerators are not theta products, run through
-``eval_padded``: it re-runs them with extra padding when the soundly-tracked
-window falls short of the requested one.
+takes the desired window in plain q-units and is one call of the theta
+module's quotient evaluator, which sizes each part's window from exact
+valuations and builds it once: m, h and k divide a bilateral sum by one
+theta function, g is an Eulerian sum over no denominator, and the theta
+quotient ``changing_z_delta`` is one call of ``theta.theta_quotient``.
+``eval_padded``, which re-runs a build with extra padding when its sound
+window falls short of the requested one, is left as the runner's guard
+around each side of an identity.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .catalog import eulerian_sum
-from .cyclotomic import rat, rat_den
+from .cyclotomic import rat
 from .errors import GenericityError, QVerifyError
-from .series import QMonomial, QSeries, _Acc, qmono
-from .theta import _check_base, binom2, jtheta, jtheta_val, theta_quotient
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, qmono
+from .theta import _check_base, binom2, quotient, theta_quotient
 
 
 #: evaluations `eval_padded` makes before it gives up on reaching the order
@@ -62,8 +64,7 @@ def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
     valuations stop falling; each summand is added as a geometric run.
     """
     T = rat(T)
-    s = rat_den(T)
-    acc = _Acc(s, int(T * s))
+    acc = _Acc.below(T)
     for r, dr in ((0, 1), (-1, -1)):
         prev = None
         while True:
@@ -81,19 +82,11 @@ def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
 def m_eval(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
     """m(x, base, z), known below q^order."""
     _check_base(base)
-    order = rat(order)
-    if jtheta_val(z, base) is None:
-        raise GenericityError(f"j(z; base) vanishes for z = {z!r}")
-
-    def build(T):
-        S = bilateral_sum(
-            lambda r: (base ** binom2(r)) * (z**r) * qmono(-1 if r % 2 else 1),
-            lambda r: (base ** (r - 1)) * x * z,
-            T,
-        )
-        return S.divide(jtheta(z, base, T))
-
-    return eval_padded(build, order)
+    return quotient(MONO_ONE, lambda K: bilateral_sum(
+        lambda r: (base ** binom2(r)) * (z**r) * qmono(-1 if r % 2 else 1),
+        lambda r: (base ** (r - 1)) * x * z,
+        K,
+    ), ((z, base),), order)
 
 
 def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial, order) -> QSeries:
@@ -116,54 +109,38 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
 
-    One call of the Eulerian engine, ``catalog.eulerian_sum``: its stop rule
-    holds because both Pochhammer x's, x and base/x, have exponent >= 0.  The
-    sum runs to T + expo(x), so that after the shift by x^{-1} it is known
-    below q^T and the first round reaches the window.
+    One call of the Eulerian engine, ``catalog.eulerian_sum``, as the
+    numerator of the quotient evaluator with no denominator and prefactor
+    x^{-1}: the sum runs to order + expo(x).  Its stop rule holds because
+    both Pochhammer x's, x and base/x, have exponent >= 0.
     """
     _check_base(base)
-    order = rat(order)
     if x.expo < 0 or x.expo > base.expo:
         raise GenericityError(f"g(x, base) needs 0 <= expo(x) <= expo(base), got {x!r}")
-
-    def build(T):
-        return eulerian_sum(T + x.expo, lambda n: (base ** (n * n),),
-                            den=((x, base, lambda n: n + 1), (base / x, base, lambda n: n)),
-                            const=-1).mul_monomial(x.inverse())
-
-    return eval_padded(build, order)
+    return quotient(x.inverse(), lambda K: eulerian_sum(
+        K, lambda n: (base ** (n * n),),
+        den=((x, base, lambda n: n + 1), (base / x, base, lambda n: n)),
+        const=-1,
+    ), (), order)
 
 
 @lru_cache(maxsize=None)
 def h_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """h(x, base) = (1/j(base;base^2)) sum_n (-1)^n base^{n(n+1)} / (1 - base^n x)."""
     _check_base(base)
-    order = rat(order)
-
-    def build(T):
-        S = bilateral_sum(
-            lambda r: (base ** (r * (r + 1))) * qmono(-1 if r % 2 else 1),
-            lambda r: (base**r) * x,
-            T,
-        )
-        return S.divide(jtheta(base, base * base, T))
-
-    return eval_padded(build, order)
+    return quotient(MONO_ONE, lambda K: bilateral_sum(
+        lambda r: (base ** (r * (r + 1))) * qmono(-1 if r % 2 else 1),
+        lambda r: (base**r) * x,
+        K,
+    ), ((base, base * base),), order)
 
 
 @lru_cache(maxsize=None)
 def k_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """k(x, base) = (1/(x j(-base;base^4))) sum_n base^{n(2n+1)} / (1 - base^{2n} x^2)."""
     _check_base(base)
-    order = rat(order)
-
-    def build(T):
-        S = bilateral_sum(
-            lambda r: base ** (r * (2 * r + 1)),
-            lambda r: (base ** (2 * r)) * x * x,
-            T,
-        )
-        res = S.divide(jtheta(-base, base**4, T))
-        return res.mul_monomial(x.inverse())
-
-    return eval_padded(build, order)
+    return quotient(x.inverse(), lambda K: bilateral_sum(
+        lambda r: base ** (r * (2 * r + 1)),
+        lambda r: (base ** (2 * r)) * x * x,
+        K,
+    ), ((-base, base**4),), order)

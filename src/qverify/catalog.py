@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .cyclotomic import rat, rat_den
+from .cyclotomic import rat
 from .series import QMonomial, _Acc, qmono
 from .errors import UnknownCatalogName
 
@@ -55,9 +55,8 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     have exponent >= 0.
     """
     order = rat(order)
-    s = rat_den(order)
-    prod = _Acc(s, int(order * s), {0: rat(1)})
-    total = _Acc(s, prod.order)
+    prod = _Acc.below(order, {0: rat(1)})
+    total = _Acc.below(order)
     num_counts, den_counts = [0] * len(num), [0] * len(den)
     for n in count(start):
         monos = monos_fn(n)

@@ -18,10 +18,10 @@ module as verification targets.
 
 from math import gcd
 
-from .appell import eval_padded, m_eval
+from .appell import m_eval
 from .cyclotomic import cpow, rat
 from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk, common_scale, operand_orders
-from .theta import _check_base, binom2, jtheta, jtheta_val, theta_quotient
+from .theta import _check_base, binom2, jtheta, jtheta_val, quotient, theta_quotient
 
 __all__ = [
     "f_eval",
@@ -78,18 +78,19 @@ def f_eval(a: int, b: int, c: int, x: QMonomial, y: QMonomial, base: QMonomial, 
     return acc.freeze()
 
 
-def _add_jm(acc, pre, jx, jbase, mx, mbase, z, T) -> None:
-    """Add the summand pre * j(jx; jbase) * m(mx, mbase, z) below q^T.  j's
-    and m's orders are the product window's (``series.operand_orders``) for
-    the target T - expo(pre), with j's exact valuation and m's taken as 0,
-    so the window reaches T in one round when m's valuation is >= 0.  m is
-    never evaluated below T: at a low order its divisor j(z; mbase) may have
-    no known term.  A vanishing j makes the summand zero; m is still
-    evaluated, so that a pole of m raises GenericityError."""
+def _add_jm(acc, pre, jx, jbase, mx, mbase, z, order) -> None:
+    """Add the summand pre * j(jx; jbase) * m(mx, mbase, z) below q^order.
+    The product window (``series.operand_orders``) is solved in order for
+    the target T = order - expo(pre): m is built first, below T - v with v
+    j's exact valuation, and then j below T - val(m), with val(m) read from
+    m's terms.  An m with no term below its window leaves nothing to add
+    below T.  A vanishing j makes the summand zero; m is still evaluated,
+    so that a pole of m raises GenericityError."""
     v = jtheta_val(jx, jbase)
-    tj, tm = operand_orders(T - pre.expo, min(0, v or 0), 0)
-    m = m_eval(mx, mbase, z, max(T, tm))
-    if v is not None:
+    T = order - pre.expo
+    m = m_eval(mx, mbase, z, T - (v or 0))
+    if v is not None and m.terms:
+        tj = operand_orders(T, v, rat(min(m.terms), m.scale))[0]
         acc.add_series(pre, jtheta(jx, jbase, tj) * m)
 
 
@@ -98,22 +99,18 @@ def g_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
     D = b * b - a * c
     if D <= 0:
         raise ValueError("requires b^2 > ac")
-
-    def build(T):
-        acc = _Acc()
-        # the two sums are mirror images under (a, x, z0) <-> (c, y, z1)
-        for a_, c_, x_, y_, z in ((a, c, x, y, z0), (c, a, y, x, z1)):
-            for t in range(a_):
-                pre = ((-y_) ** t) * base ** (c_ * binom2(t))
-                mx = -(
-                    base ** (a_ * binom2(b + 1) - c_ * binom2(a_ + 1) - t * D)
-                    * ((-y_) ** a_)
-                    * ((-x_) ** (-b))
-                )
-                _add_jm(acc, pre, base ** (b * t) * x_, base**a_, mx, base ** (a_ * D), z, T)
-        return acc.freeze()
-
-    return eval_padded(build, order)
+    acc = _Acc.below(order)
+    # the two sums are mirror images under (a, x, z0) <-> (c, y, z1)
+    for a_, c_, x_, y_, z in ((a, c, x, y, z0), (c, a, y, x, z1)):
+        for t in range(a_):
+            pre = ((-y_) ** t) * base ** (c_ * binom2(t))
+            mx = -(
+                base ** (a_ * binom2(b + 1) - c_ * binom2(a_ + 1) - t * D)
+                * ((-y_) ** a_)
+                * ((-x_) ** (-b))
+            )
+            _add_jm(acc, pre, base ** (b * t) * x_, base**a_, mx, base ** (a_ * D), z, order)
+    return acc.freeze()
 
 
 def h_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
@@ -123,15 +120,11 @@ def h_abc_eval(a, b, c, x, y, base, z1, z0, order) -> QSeries:
         raise ValueError("requires a | b and c | b")
     if a * c >= b * b:
         raise ValueError("requires ac < b^2")
-
-    def build(T):
-        acc = _Acc()
-        for a_, c_, x_, y_, z in ((a, c, x, y, z1), (c, a, y, x, z0)):
-            mx = -(base ** (a_ * binom2(b // a_ + 1) - c_) * (-y_) * ((-x_) ** (-(b // a_))))
-            _add_jm(acc, MONO_ONE, x_, base**a_, mx, base ** (b * b // a_ - c_), z, T)
-        return acc.freeze()
-
-    return eval_padded(build, order)
+    acc = _Acc.below(order)
+    for a_, c_, x_, y_, z in ((a, c, x, y, z1), (c, a, y, x, z0)):
+        mx = -(base ** (a_ * binom2(b // a_ + 1) - c_) * (-y_) * ((-x_) ** (-(b // a_))))
+        _add_jm(acc, MONO_ONE, x_, base**a_, mx, base ** (b * b // a_ - c_), z, order)
+    return acc.freeze()
 
 
 def theta_np_eval(n, p, x, y, base, order) -> QSeries:
@@ -262,22 +255,16 @@ def _big_theta_3(n, x, y, base, order) -> QSeries:
         (base ** (3 * n * n + 3 * n) * (x**3), B3),
         (base ** (3 * n * n + 3 * n) * (y**3), B3),
     )
-
-    def build(T):
-        def jt(mono, k):
-            return jtheta(mono, base**k, T)
-
-        e1 = 3 * n * n + 5 * n + 3
-        e2 = 3 * n * n + 7 * n + 6
-        brace = jt(base**e1 * x * x * y, 3 * P) * jt(
-            base**e1 * x * y * y, 3 * P
-        ) - (
-            jt(base**e2 * x * x * y, 3 * P)
-            * jt(base**e2 * x * y * y, 3 * P)
-        ).mul_monomial(base ** (2 * n * n + 2 * n) * x * y)
-        return theta_quotient(pre, num, den, T) * brace
-
-    return eval_padded(build, order)
+    # the brace j(base^e1 x^2 y; B) j(base^e1 x y^2; B)
+    #   - base^(2n^2+2n) x y j(base^e2 x^2 y; B) j(base^e2 x y^2; B)
+    # puts two more factors on the numerator of each of two quotients
+    B = base ** (3 * P)
+    acc = _Acc()
+    for c, e in ((MONO_ONE, 3 * n * n + 5 * n + 3),
+                 (-(base ** (2 * n * n + 2 * n) * x * y), 3 * n * n + 7 * n + 6)):
+        brace = ((base**e * x * x * y, B), (base**e * x * y * y, B))
+        acc.add_series(MONO_ONE, theta_quotient(pre * c, num + brace, den, order))
+    return acc.freeze()
 
 
 def _big_theta_4(n, x, y, base, order) -> QSeries:
@@ -292,50 +279,36 @@ def _big_theta_4(n, x, y, base, order) -> QSeries:
         (-(base ** (2 * n + 8) * (x**4)), B4),
         (-(base ** (2 * n + 8) * (y**4)), B4),
     )
-
-    def build(T):
-        def jt(mono, k):
-            return jtheta(mono, base**k, T)
-
-        # J_k = (base^k; base^k)_inf enters as J_{k,3k} = jt(base^k, 3k)
-        x2, y2 = x * x, y * y
-        xy = x * y
-        s1 = (
-            jt(base ** (6 * n + 16) * x2 * y2, 4 * P)
-            * jt(-(base ** (2 * P) * y / x), 4 * P)
-            * jt(base ** (n + 4) * xy, 2 * P)
-        ).divide(jt(base ** (2 * P), 6 * P) ** 3 * jt(base ** (8 * P), 24 * P))
-        s1_brace = jt(-(base ** (2 * n + 8) * x2 * y2), 4 * P) * jt(
-            base ** (2 * P) * y2 / x2, 4 * P
-        ) * (jt(base ** (4 * P), 12 * P) ** 2) + (
-            jt(-(base ** (6 * n + 16) * x2 * y2), 4 * P)
-            * (jt(base ** (2 * P) * y / x, 4 * P) ** 2)
-            * (jt(-(y / x), 4 * P) ** 2)
-        ).divide(jt(base ** (4 * P), 12 * P)).mul_monomial(base ** (n + 4) * x2)
-        s1 = s1 * s1_brace
-
-        s2 = (
-            jt(base ** (2 * n + 8) * x2 * y2, 4 * P)
-            * jt(-(y / x), 4 * P)
-            * jt(base ** (3 * n + 8) * xy, 2 * P)
-        ).divide(jt(base ** (2 * P), 6 * P) ** 2)
-        s2_brace = (
-            jt(-(base ** (2 * n + 8) * x2 * y2), 4 * P)
-            * jt(base ** (2 * P) * y2 / x2, 4 * P)
-            * jt(base ** (8 * P), 24 * P)
-        ).divide(jt(base ** (4 * P), 12 * P)).mul_monomial(base ** (n + 1) / y) + (
-            jt(-(base ** (6 * n + 16) * x2 * y2), 4 * P)
-            * (jt(base ** (4 * P) * y2 / x2, 8 * P) ** 2)
-        ).divide(jt(base ** (8 * P), 24 * P)).mul_monomial(base * x)
-        s2 = s2 * s2_brace
-
-        combo = (s1 * jt(base ** (4 * n), 16 * n)) - (
-            s2 * jt(base ** (8 * n), 16 * n)
-        ).mul_monomial(base)
-
-        return theta_quotient(pre, num, den, T) * combo
-
-    return eval_padded(build, order)
+    # combo = s1 * j(base^4n; base^16n) - base * s2 * j(base^8n; base^16n),
+    # each s_i a theta quotient times a brace of two theta quotients: four
+    # theta quotients in all.  J_k = (base^k; base^k)_inf enters as
+    # J_{k,3k} = j(base^k; base^3k).
+    x2y2, y2x2 = x * x * y * y, y * y / (x * x)
+    B2, B8 = base ** (2 * P), base ** (8 * P)
+    J2, J4, J8 = (B2, B2**3), (B4, B4**3), (B8, B8**3)
+    s1 = (((base ** (6 * n + 16) * x2y2, B4), (-(B2 * y / x), B4),
+           (base ** (n + 4) * x * y, B2), (base ** (4 * n), base ** (16 * n))),
+          (J2, J2, J2, J8))
+    s1_brace = (
+        (MONO_ONE, ((-(base ** (2 * n + 8) * x2y2), B4), (B2 * y2x2, B4), J4, J4), ()),
+        (base ** (n + 4) * x * x,
+         ((-(base ** (6 * n + 16) * x2y2), B4), (B2 * y / x, B4), (B2 * y / x, B4),
+          (-(y / x), B4), (-(y / x), B4)), (J4,)),
+    )
+    s2 = (((base ** (2 * n + 8) * x2y2, B4), (-(y / x), B4),
+           (base ** (3 * n + 8) * x * y, B2), (base ** (8 * n), base ** (16 * n))),
+          (J2, J2))
+    s2_brace = (
+        (base ** (n + 1) / y, ((-(base ** (2 * n + 8) * x2y2), B4), (B2 * y2x2, B4), J8), (J4,)),
+        (base * x, ((-(base ** (6 * n + 16) * x2y2), B4), (B4 * y2x2, B8), (B4 * y2x2, B8)),
+         (J8,)),
+    )
+    acc = _Acc()
+    for c, (sn, sd), brace in ((MONO_ONE, s1, s1_brace), (-base, s2, s2_brace)):
+        for cb, bn, bd in brace:
+            acc.add_series(MONO_ONE, theta_quotient(pre * c * cb, num + sn + bn,
+                                                    den + sd + bd, order))
+    return acc.freeze()
 
 
 def string_function(N, m, l, base, order) -> QSeries:
@@ -347,9 +320,6 @@ def string_function(N, m, l, base, order) -> QSeries:
         raise ValueError("m and l must have equal parity")
     x = base ** ((2 + m + l) // 2)
     y = base ** ((2 - m + l) // 2)
-
-    def build(T):
-        f = f_eval(1, 1 + N, 1, x, y, base, T)
-        return f.divide(jtheta(base, base**3, T) ** 3)
-
-    return eval_padded(build, order)
+    J1 = (base, base**3)  # J_1 = (base; base)_inf = j(base; base^3)
+    return quotient(MONO_ONE, lambda K: f_eval(1, 1 + N, 1, x, y, base, K),
+                    (J1, J1, J1), order)

@@ -1,15 +1,17 @@
 """Identity verification runner.
 
 Evaluates each side of an identity as an exact truncated series and compares
-the two coefficient by coefficient below q^order.  The evaluators size their
-windows from exact valuations, so a side normally reaches the order in one
-evaluation; ``appell.eval_padded`` is the fallback that re-runs a side at a
-padded order when its sound window still falls short.  A ``pass`` means
-every coefficient below q^order agrees exactly; a ``fail`` reports the
-smallest mismatching exponent together with the two coefficients; an
-``error`` captures any evaluation problem (poles, division by zero, bad
-arguments, a side whose window cannot reach the order) as a diagnostic
-instead of a crash.
+the two coefficient by coefficient below q^order.  Every evaluator head
+sizes its windows from exact valuations and builds once, so a side normally
+reaches the order in one evaluation.  The runner wraps each side in
+``appell.eval_padded``, the one place a padding round is left: it re-runs
+the side at a padded order when the expression around the heads (a quotient
+by a series of negative valuation, say) leaves its sound window short.  A
+``pass`` means every coefficient below q^order agrees exactly; a ``fail``
+reports the smallest mismatching exponent together with the two
+coefficients; an ``error`` captures any evaluation problem (poles, division
+by zero, bad arguments, a side whose window cannot reach the order) as a
+diagnostic instead of a crash.
 
 Suites of identities run in input order; with ``jobs > 1`` the evaluations
 are distributed over a process pool but reports keep the input order, so
@@ -85,7 +87,7 @@ def verify_identity(record: IdentityRecord, default_order=DEFAULT_ORDER,
         return VerificationReport(name=record.name, order=order, ms=ms, **kw)
 
     try:
-        # each side is padded on its own; both come back truncated to order
+        # each side is guarded on its own; both come back truncated to order
         lhs = eval_padded(lambda T: eval_expr(record.lhs, T), order)
         rhs = eval_padded(lambda T: eval_expr(record.rhs, T), order)
         diff = QSeries.first_difference(lhs, rhs)

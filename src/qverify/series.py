@@ -524,6 +524,12 @@ class _Acc:
         self.order = order
         self.terms = dict(terms)
 
+    @classmethod
+    def below(cls, order, terms=()) -> "_Acc":
+        """An accumulator windowed at ``order`` (plain q-units), on its grid."""
+        s = rat_den(order)
+        return cls(s, int(order * s), terms)
+
     def refine(self, scale: int) -> None:
         """Refine the grid so that it also carries (1/scale)*Z."""
         s = lcm(self.scale, scale)

@@ -15,12 +15,16 @@ Each direction of n is one run of the series module's term walker, which
 f_{a,b,c} and the Appell-Lerch sums share; the Pochhammer products apply
 each factor (1 - x*base^i) in place to one accumulator.
 
-Theta quotients pre * prod j(x; b) / prod j(y; d), the theta corrections of
-the Hecke-type expansions among them, are evaluated by
-:func:`theta_quotient`.  Every factor's valuation is known exactly before
-anything is evaluated (:func:`jtheta_val`), so it evaluates each factor once,
-at the order the series module's product and quotient windows need for the
-quotient to be known below the requested order, with no second round.
+Every series over a theta product, pre * A / prod j(y; d), is evaluated by
+one quotient evaluator, :func:`quotient`: the Appell-Lerch sums m, h, k and
+g (A a bilateral or Eulerian sum), the string functions (A a double sum
+f_{a,b,c}) and the theta quotients of :func:`theta_quotient` (A a theta
+product), the theta corrections of the Hecke-type expansions among them.
+Every denominator factor's valuation is known exactly before anything is
+evaluated (:func:`jtheta_val`), and A's is read from its terms once it is
+built, so A and each factor are evaluated once, at the orders the series
+module's product and quotient windows need for the quotient to be known
+below the requested order, with no second round.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import mul
 
-from .cyclotomic import cinv, rat, rat_den
+from .cyclotomic import cinv, rat
 from .errors import GenericityError, UnsupportedArgument
 from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
                      operand_orders, qmono)
@@ -146,27 +150,35 @@ def Jm(m, order) -> QSeries:
 
 def _jproduct(pairs, vals, K) -> QSeries:
     """prod j(x; b) over the (x, b) pairs of valuations vals, known below K:
-    each factor is evaluated below K less the other factors' valuations."""
+    each factor is evaluated below K less the other factors' valuations, and
+    the factors are multiplied sparsest first, so that the running product
+    stays short as long as it can.  A vanishing factor (valuation None)
+    makes the product the exact zero."""
+    if None in vals:
+        return QSeries(1, None, {})
     total = sum(vals)
-    factors = [jtheta(x, b, operand_orders(K, v, total - v)[0])
-               for (x, b), v in zip(pairs, vals)]
+    factors = sorted((jtheta(x, b, operand_orders(K, v, total - v)[0])
+                      for (x, b), v in zip(pairs, vals)), key=lambda f: len(f.terms))
     return reduce(mul, factors) if factors else QSeries.from_coeff(1)
 
 
-def theta_quotient(pre: QMonomial, num, den, order) -> QSeries:
-    """pre * prod j(x; b) / prod j(y; d), over the (x, b) pairs of num and
-    the (y, d) pairs of den, known below exactly q^order.  A repeated
-    factor, such as J_M^3 = j(B; B^3)^3, is a repeated entry.
+def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
+    """pre * A / prod j(y; d) over the (y, d) pairs of den, known below
+    exactly q^order, where ``num_at(K)`` returns the numerator A known below
+    q^K.  A repeated factor, such as J_1^3 = j(q; q^3)^3, is a repeated
+    entry.
 
-    Each factor's valuation is exact (:func:`jtheta_val`), so each factor is
-    evaluated once, at the order the series module's product and quotient
-    windows need (``series.operand_orders``): with T = order - expo(pre)
-    and V_N, V_D the sums of the numerator and denominator valuations, the
-    numerator is known below T + V_D, the denominator below
-    T + 2*V_D - V_N, and their quotient below T.  A vanishing denominator
-    factor raises GenericityError naming it, even when a numerator factor
-    vanishes too; otherwise a vanishing numerator factor gives the exact
-    zero series.
+    The windows are the series module's quotient windows solved for the
+    operands' orders (``series.operand_orders``).  With T = order - expo(pre)
+    and V_D the sum of the denominator's exact valuations (:func:`jtheta_val`),
+    A is built once, below T + V_D, whatever its valuation.  val(A) is then
+    read from A's terms, and the denominator factors are divided out one at
+    a time, each built once below T + 2*V_D - val(A) (the order their
+    product needs) less the other factors' valuations; dividing by the
+    sparse factors in turn avoids forming their dense product.  An A with no
+    term below its window gives the zero series known below the order (the
+    exact zero when A is exact), with no division.  A vanishing denominator
+    factor raises GenericityError naming it, before A is built.
     """
     order = rat(order)
     vd = []
@@ -175,15 +187,26 @@ def theta_quotient(pre: QMonomial, num, den, order) -> QSeries:
         if v is None:
             raise GenericityError(f"theta denominator vanishes: j({y!r}; {d!r})")
         vd.append(v)
-    vn = [jtheta_val(x, b) for x, b in num]
-    if None in vn:
-        return QSeries(1, None, {})
-    s = rat_den(order)
-    acc = _Acc(s, int(order * s))
-    kn, kd = operand_orders(order - pre.expo, sum(vn), sum(vd), "/")
-    if kn > sum(vn):  # else val(quotient) = V_N - V_D >= T: no term below T
-        out = _jproduct(num, vn, kn)
-        if den:
-            out = out.divide(_jproduct(den, vd, kd))
-        acc.add_series(pre, out)
+    V, T = sum(vd), order - pre.expo
+    A = num_at(T + V)
+    acc = _Acc.below(order)
+    if not A.terms:  # no term below T + V_D, so none below T in the quotient
+        return A if A.order is None else acc.freeze()
+    kd = operand_orders(T, rat(min(A.terms), A.scale), V, "/")[1]
+    for (y, d), v in zip(den, vd):
+        A = A.divide(jtheta(y, d, operand_orders(kd, v, V - v)[0]))
+    acc.add_series(pre, A)
     return acc.freeze()
+
+
+def theta_quotient(pre: QMonomial, num, den, order) -> QSeries:
+    """pre * prod j(x; b) / prod j(y; d), over the (x, b) pairs of num and
+    the (y, d) pairs of den, known below exactly q^order: :func:`quotient`
+    with the numerator product as A.  Each numerator factor's valuation is
+    exact too, so A is built once, each factor below T + V_D less the other
+    numerator factors' valuations.  A vanishing denominator factor raises
+    GenericityError naming it, even when a numerator factor vanishes too;
+    otherwise a vanishing numerator factor gives the exact zero series.
+    """
+    vn = [jtheta_val(x, b) for x, b in num]
+    return quotient(pre, lambda K: _jproduct(num, vn, K), den, order)

@@ -137,6 +137,19 @@ def test_changing_z():
         assert_match(lhs, rhs, 40)
 
 
+@pytest.mark.parametrize("x, b, z, order", [
+    (Q, qmono(1, 2), NEG1, 0),  # m = 1/2; j(-1; q^2) starts at q^0
+    (Q, Q, qmono(-1, -3), -6),  # the sum and j(-q^(-3); q) both start at q^(-6)
+])
+def test_m_at_an_order_at_or_below_its_valuation(x, b, z, order):
+    # the numerator sum has no term below its window, so m is the zero
+    # series known below exactly the order, with no division by a theta
+    # function that has no term below the order either
+    s = m_eval(x, b, z, order)
+    assert s.is_zero() and s.window_q() == order
+    assert m_eval(x, b, z, 20).items_q()[0][0] >= order
+
+
 def test_m_genericity_errors():
     with pytest.raises(GenericityError):
         m_eval(Q, qmono(1, 2), qmono(1, 2), 10)  # j(z;base) = 0

@@ -1,17 +1,19 @@
 """Runner and CLI tests: statuses, ordering, JSON, exit codes."""
 
 import json
+import sys
 
 import pytest
 
-from qverify import catalog, hecke, runner
+from qverify import appell, catalog, hecke, runner, theta
+from qverify.cyclotomic import rat, zeta
 from qverify.cli import builtin_records, catalog_records, main
 from qverify.dsl import parse_identities
 from qverify.errors import ParseError
 from qverify.runner import (VerificationReport, check_unique_names,
                             effective_order, reports_to_json, run_suite,
                             suite_exit_code, verify_identity)
-from qverify.series import QSeries
+from qverify.series import QSeries, qmono
 
 GOOD = 'identity good { lhs = 2*m(q, q^2, -1); rhs = 1; }'
 BAD = ('identity bad { lhs = 2*m(q^2, q^6, -1) + 2*catalog("sigma_6th"); '
@@ -133,10 +135,9 @@ def test_builtin_and_catalog_record_generation():
 
 
 def test_each_side_is_evaluated_once(monkeypatch):
-    """The evaluators set their factors' windows from exact valuations, so
-    no side of the builtin suite, nor of a catalog representation led by a
-    q^(-k) factor, needs a second padded round; g_abc_eval builds once per
-    call."""
+    """The evaluators set their windows from exact valuations, so no side of
+    the builtin suite, nor of a catalog representation led by a q^(-k)
+    factor, needs a second padded round."""
     sides = []
     orig_eval = runner.eval_expr
 
@@ -144,22 +145,7 @@ def test_each_side_is_evaluated_once(monkeypatch):
         sides.append(order)
         return orig_eval(node, order)
 
-    calls, builds = [], []
-    orig_padded = hecke.eval_padded
-
-    def eval_padded(build, order):
-        if build.__qualname__.startswith("g_abc_eval."):
-            calls.append(order)
-
-            def counted(T):
-                builds.append(T)
-                return build(T)
-
-            return orig_padded(counted, order)
-        return orig_padded(build, order)
-
     monkeypatch.setattr(runner, "eval_expr", eval_expr)
-    monkeypatch.setattr(hecke, "eval_padded", eval_padded)
     shifted = [r for r in catalog_records()
                if "q^(-" in catalog.CATALOG[r.rhs.name].representations[r.rhs.index]][:4]
     assert len(shifted) == 4
@@ -168,7 +154,73 @@ def test_each_side_is_evaluated_once(monkeypatch):
     assert all(rep.status == "pass" for rep in reports), \
         [rep.name for rep in reports if rep.status != "pass"]
     assert len(sides) == 2 * len(records)
-    assert calls and builds == calls
+
+
+Q = qmono(1, 1)
+NEG1 = qmono(-1, 0)
+W3 = zeta(1, 3)
+#: (name, evaluator of the order, orders): every evaluator head at sample
+#: arguments, among them ones where a prefactor or a negative valuation
+#: moves the window the parts must be built to
+HEAD_CASES = [
+    ("j", lambda o: theta.jtheta(qmono(W3, rat(-3, 2)), qmono(1, 2), o), (30,)),
+    ("poch", lambda o: theta.poch_inf(qmono(-1, rat(1, 2)), Q, o), (30,)),
+    ("m", lambda o: appell.m_eval(Q, qmono(1, 3), qmono(-1, 2), o), (30,)),
+    ("m, expo(z) < 0", lambda o: appell.m_eval(qmono(W3, rat(1, 2)), Q,
+                                               qmono(-1, -3), o), (30,)),
+    ("changing_z", lambda o: appell.changing_z_delta(Q, qmono(1, 3), qmono(-1, 2),
+                                                     qmono(W3, -1), o), (30,)),
+    ("g", lambda o: appell.g_eval(qmono(-1, rat(1, 3)), qmono(1, rat(1, 2)), o), (30,)),
+    ("h", lambda o: appell.h_eval(qmono(W3, rat(1, 2)), Q, o), (30,)),
+    ("k, expo(x) > 0", lambda o: appell.k_eval(Q, qmono(1, 5), o), (30, 60)),
+    ("f", lambda o: hecke.f_eval(2, 3, 2, qmono(W3, rat(1, 2)), qmono(-1, -1), Q, o), (30,)),
+    ("gabc", lambda o: hecke.g_abc_eval(1, 3, 1, qmono(-1, 2), qmono(1, rat(1, 2)), Q,
+                                        qmono(-1, -2), qmono(1, 1), o), (20,)),
+    ("habc", lambda o: hecke.h_abc_eval(1, 2, 1, qmono(W3, 1), qmono(-1, rat(3, 2)), Q,
+                                        NEG1, NEG1, o), (20,)),
+    ("thetanp", lambda o: hecke.theta_np_eval(1, 2, qmono(1, 1), qmono(-1, rat(1, 2)),
+                                              Q, o), (20,)),
+    ("thetaabc", lambda o: hecke.theta_abc_eval(1, 2, 1, qmono(W3, 1), qmono(-1, rat(3, 2)),
+                                                Q, o), (20,)),
+    ("bigtheta[1,2]", lambda o: hecke.big_theta_eval(1, 2, qmono(1, rat(1, 2)),
+                                                     qmono(-1, 1), Q, o), (20,)),
+    ("bigtheta[1,3]", lambda o: hecke.big_theta_eval(1, 3, qmono(W3, rat(1, 3)),
+                                                     qmono(1, rat(1, 2)), Q, o), (20,)),
+    ("bigtheta[2,3]", lambda o: hecke.big_theta_eval(2, 3, qmono(1, rat(1, 2)),
+                                                     qmono(-1, 1), Q, o), (20,)),
+    # theta34_radial_collapse's arguments
+    ("bigtheta[3,4]", lambda o: hecke.big_theta_eval(3, 4, qmono(1, rat(5, 8)),
+                                                     qmono(-1, rat(5, 8)),
+                                                     qmono(-1, rat(1, 4)), o), (100, 200)),
+    ("strfn", lambda o: hecke.string_function(2, 2, 0, Q, o), (30,)),
+    ("catalog", lambda o: catalog.catalog_lookup("f0_5th").eulerian(o), (30,)),
+    # the prefactor of a g_abc summand reaches the order
+    ("gabc, prefactor past the order",
+     lambda o: hecke.g_abc_eval(3, 4, 1, Q, Q, Q, NEG1, NEG1, o), (3,)),
+    ("gabc, prefactor past the order",
+     lambda o: hecke.g_abc_eval(3, 4, 2, qmono(2, 1), Q**20, Q, NEG1, NEG1, o), (20,)),
+    ("gabc, prefactor past the order",
+     lambda o: hecke.g_abc_eval(2, 3, 2, Q, Q**7, Q, NEG1, NEG1, o), (6,)),
+]
+
+
+def test_every_head_reaches_the_order_in_one_build(monkeypatch):
+    """Every evaluator head sizes its windows from exact valuations: with
+    ``appell.eval_padded`` made to raise wherever it is bound, each head
+    returns a series known below exactly q^order.  The Appell-Lerch caches
+    are cleared first, so every head really builds."""
+    def refuse(build, order):
+        raise AssertionError(f"padded build of {build.__qualname__} at {order}")
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qverify") and \
+                getattr(mod, "eval_padded", None) is appell.eval_padded:
+            monkeypatch.setattr(mod, "eval_padded", refuse)
+    for fn in (appell.m_eval, appell.h_eval, appell.k_eval):
+        fn.cache_clear()
+    for name, head, orders in HEAD_CASES:
+        for order in orders:
+            assert head(order).window_q() == order, (name, order)
 
 
 # ---------------------------------------------------------------------------

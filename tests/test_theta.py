@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import geom_inv, jtheta_sum_oracle
-from qverify.cyclotomic import rat, zeta
+from qverify.appell import bilateral_sum
+from qverify.cyclotomic import CycRat, rat, zeta
 from qverify.errors import GenericityError, UnsupportedArgument
+from qverify.hecke import f_eval
 from qverify.series import MONO_ONE, QSeries, qmono
 from qverify.theta import (
     J,
@@ -27,6 +29,7 @@ from qverify.theta import (
     jtheta_val,
     poch_fin,
     poch_inf,
+    quotient,
     theta_quotient,
 )
 
@@ -546,4 +549,69 @@ def test_theta_quotient_matches_triple_product_oracle():
         assert ref.window_q() >= order
         assert got.window_q() == order
         assert QSeries.first_difference(got, ref.truncate_q(order)) is None
+    assert all(seen.values()), seen
+
+
+def test_quotient_matches_padded_division_randomized():
+    """quotient(pre, num_at, den, order) against the numerator and each
+    denominator factor built far past the order, divided, shifted and
+    truncated: the terms below the order agree and the window is exactly
+    the order.  The numerators are bilateral sums (m's) and double sums
+    f_{a,b,c}; the draws mix root-of-unity coefficients, denominators of
+    negative valuation, repeated factors, and prefactors that leave the
+    numerator no term below its window (the zero series is returned)."""
+    rng = random.Random(2025)
+    coeffs = [rat(1), rat(-1), W3, -W3]
+    expos = [rat(-2), rat(-1, 2), rat(1, 3), rat(1), rat(3, 2)]
+    bases = [qmono(1, 1), qmono(1, 2), qmono(-1, 1), qmono(1, rat(1, 2))]
+
+    def draw():
+        return qmono(rng.choice(coeffs), rng.choice(expos))
+
+    def draw_numerator():
+        b = rng.choice(bases)
+        if rng.random() < 0.5:
+            x, z = draw(), draw()
+            return lambda K: bilateral_sum(
+                lambda r: (b ** binom2(r)) * (z**r) * qmono(-1 if r % 2 else 1),
+                lambda r: (b ** (r - 1)) * x * z, K)
+        a, c = rng.randint(1, 2), rng.randint(1, 2)
+        x, y = (qmono(rng.choice(coeffs), rat(rng.randint(1, 4), 2)) for _ in "xy")
+        return lambda K: f_eval(a, a + c, c, x, y, b, K)
+
+    seen = {"zeta": 0, "negative": 0, "repeated": 0, "empty": 0}
+    done = 0
+    while done < 24:
+        num_at = draw_numerator()
+        den = []
+        while len(den) < rng.randint(0, 3):
+            den += [(draw(), rng.choice(bases))] * rng.choice((1, 1, 2))
+        vd = [jtheta_val(y, d) for y, d in den]
+        if None in vd:
+            continue
+        order = rng.choice((8, 13, rat(21, 2)))
+        pad = 2 * order + 3 * sum(abs(v) for v in vd) + 20
+        try:
+            A = num_at(pad)
+        except GenericityError:  # a pole of the bilateral sum
+            continue
+        if not A.terms:
+            continue
+        pre = qmono(rng.choice(coeffs), rng.choice((rat(-2), rat(0), rat(1, 2))))
+        if rng.random() < 0.25:  # no numerator term below T + V_D
+            va = rat(min(A.terms), A.scale)
+            pre = qmono(pre.coeff, order + sum(vd) - va + rng.choice((0, rat(1, 2), 3)))
+        ref = A
+        for y, d in den:
+            ref = ref.divide(jtheta(y, d, pad))
+        ref = ref.mul_monomial(pre)
+        assert ref.window_q() >= order
+        got = quotient(pre, num_at, den, order)
+        assert got.window_q() == order
+        assert QSeries.first_difference(got, ref.truncate_q(order)) is None
+        done += 1
+        seen["zeta"] += any(isinstance(c, CycRat) for c in A.terms.values())
+        seen["negative"] += any(v < 0 for v in vd)
+        seen["repeated"] += len(set(den)) < len(den)
+        seen["empty"] += got.is_zero()
     assert all(seen.values()), seen
