@@ -106,6 +106,7 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
 

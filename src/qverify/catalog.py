@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from math import lcm
 
-from .cyclotomic import rat
-from .series import QMonomial, _Acc, qmono
+from .cyclotomic import Rat, rat, rat_den
+from .series import QMonomial, _Acc, ceil_rat, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "eulerian_sum"]
@@ -40,6 +41,18 @@ __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "euleri
 # exponent reaches the window.  That is sound when the least exponent does
 # not decrease in n and every Pochhammer x has exponent >= 0: the product
 # then has valuation >= 0, so no term from n on reaches below the window.
+#
+# The running product starts from the int 1.  The accumulator adds, negates
+# and shifts without multiplying when a coefficient is +-1, so while every
+# Pochhammer and monomial coefficient is +-1 (the whole catalog but for a
+# few monomials) each coefficient stays a Python int; any other coefficient
+# (a rational such as 1/2, or a CycRat) turns the terms it touches into
+# Rat | CycRat by the usual arithmetic.  The ints left at the end become
+# Rats once, so no int coefficient leaves the engine.
+#
+# Each catalog definition is an ``_Eulerian``: it keeps the highest-order
+# series it has summed, one per definition, and serves every request at or
+# below that order as a truncation of it.
 # --------------------------------------------------------------------------
 
 
@@ -52,10 +65,11 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
     into / divided out of the term; ``const`` is added once.  The least
     exponent of ``monos_fn(n)`` must not decrease in n, and every x must
-    have exponent >= 0.
+    have exponent >= 0.  The sum runs on int numerators while the
+    coefficients it meets are +-1, and returns Rat | CycRat coefficients.
     """
     order = rat(order)
-    prod = _Acc.below(order, {0: rat(1)})
+    prod = _Acc.below(order, {0: 1})
     total = _Acc.below(order)
     num_counts, den_counts = [0] * len(num), [0] * len(den)
     for n in count(start):
@@ -70,6 +84,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
             total.add_series(mono, prod)
     if const is not None:
         total.add_mono(QMonomial(const))
+    total.terms = {k: Rat(c) if type(c) is int else c for k, c in total.terms.items()}
     return total.freeze()
 
 
@@ -80,11 +95,34 @@ def _advance(specs, counts, n):
         counts[i] = max(counts[i], cf(n))
 
 
-def _poch_sum(monos_fn, num=(), den=(), const=None, start=0):
-    def build(order):
-        return eulerian_sum(order, monos_fn, num, den, const, start)
+class _Eulerian:
+    """One Eulerian definition as a callable order -> series (order in
+    q-units), ``eulerian_sum`` over its spec with a one-slot memo.
 
-    return build
+    The memo keeps the highest-order series summed so far.  A request at or
+    below that order is its truncation, a fresh copy on the grid of the
+    requested order, so no caller shares the kept dict; a higher request
+    sums afresh at the ceiling of the order, which keeps the kept series on
+    the definition's own grid.  The result has the terms and window of
+    ``eulerian_sum`` at the requested order.  ``cache_clear`` drops the
+    kept series.
+    """
+
+    __slots__ = ("spec", "best")
+
+    def __init__(self, monos_fn, num=(), den=(), const=None, start=0):
+        self.spec = (monos_fn, num, den, const, start)
+        self.best = None
+
+    def __call__(self, order):
+        order = rat(order)
+        best = self.best
+        if best is None or best.window_q() < order:
+            best = self.best = eulerian_sum(ceil_rat(order), *self.spec)
+        return best.rescaled(lcm(best.scale, rat_den(order))).truncate_q(order)
+
+    def cache_clear(self):
+        self.best = None
 
 
 def _ps(cx, ex, eb, count_fn):
@@ -122,8 +160,11 @@ class CatalogEntry:
     """A named q-series with its defining sum and closed-form equivalents.
 
     ``eulerian`` (and each member of ``eulerian_alts``) maps an order in
-    q-units to the exact truncated expansion; ``representations`` holds
-    identity-DSL expression sources, each equal to the Eulerian series.
+    q-units, integral or not, to the exact truncated expansion, with Rat |
+    CycRat coefficients; it is an ``_Eulerian``, which sums once per
+    definition up to the highest order requested so far and truncates for
+    lower ones.  ``representations`` holds identity-DSL expression sources,
+    each equal to the Eulerian series.
     """
 
     name: str
@@ -140,26 +181,26 @@ _ENTRIES = [
     # ---- second order ----------------------------------------------------
     _entry(
         "A_2nd",
-        _poch_sum(_qn(lambda n: n + 1),
+        _Eulerian(_qn(lambda n: n + 1),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _poch_sum(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),),
+            _Eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-m(q, q^4, q^2)",),
     ),
     _entry(
         "B_2nd",
-        _poch_sum(_qn(lambda n: n), num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
+        _Eulerian(_qn(lambda n: n), num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _poch_sum(_qn(lambda n: n * n + n), num=(_ps(-1, 2, 2, _N),),
+            _Eulerian(_qn(lambda n: n * n + n), num=(_ps(-1, 2, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-q^(-1)*m(1, q^4, q^3)",),
     ),
     _entry(
         "mu_2nd",
-        _poch_sum(_qn(lambda n: n * n, _ALT), num=(_ps(1, 1, 2, _N),),
+        _Eulerian(_qn(lambda n: n * n, _ALT), num=(_ps(1, 1, 2, _N),),
                   den=(_ps(-1, 2, 2, _N), _ps(-1, 2, 2, _N))),
         reprs=(
             "2*m(-q, q^4, -1) + 2*m(-q, q^4, q)",
@@ -169,7 +210,7 @@ _ENTRIES = [
     # ---- third order -----------------------------------------------------
     _entry(
         "f_3rd",
-        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
+        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
         reprs=(
             "2 - 2*g(-1; q)",
             "2*m(-q, q^3, q) + 2*m(-q, q^3, q^2)",
@@ -178,7 +219,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi_3rd",
-        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 2, 2, _N),)),
+        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "(1 - zeta(1,4))*(1 + zeta(1,4)*g(zeta(1,4); q))",
             "(1 + zeta(1,4))*m(zeta(1,4)*q, q^3, -1)"
@@ -190,7 +231,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_3rd",
-        _poch_sum(_qn(lambda n: n * n), den=(_ps(1, 1, 2, _N),), start=1),
+        _Eulerian(_qn(lambda n: n * n), den=(_ps(1, 1, 2, _N),), start=1),
         reprs=(
             "q*g(q; q^4)",
             "-q^(-1)*m(q, q^12, q^2) - m(q^5, q^12, q^2)",
@@ -199,7 +240,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_3rd",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(-1, 3, 3, _N),)),
         reprs=(
             "(1 + zeta(1,3))*(1 - zeta(1,3)*g(-zeta(1,3); q))",
@@ -209,7 +250,7 @@ _ENTRIES = [
     ),
     _entry(
         "omega_3rd",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)),
+        _Eulerian(_qn(lambda n: 2 * n * (n + 1)),
                   den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         reprs=(
             "g(q; q^2)",
@@ -219,7 +260,7 @@ _ENTRIES = [
     ),
     _entry(
         "nu_3rd",
-        _poch_sum(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 2, _N1),)),
+        _Eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 2, _N1),)),
         reprs=(
             "g(zeta(1,4)*q^(1/2); q)",
             "zeta(1,4)*q^(-1/2)*(m(zeta(1,4)*q^(1/2), q^3, -q)"
@@ -230,7 +271,7 @@ _ENTRIES = [
     ),
     _entry(
         "rho_3rd",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)),
+        _Eulerian(_qn(lambda n: 2 * n * (n + 1)),
                   num=(_ps(1, 1, 2, _N1),), den=(_ps(1, 3, 6, _N1),)),
         reprs=(
             "g(zeta(1,3)*q; q^2)",
@@ -242,7 +283,7 @@ _ENTRIES = [
     # ---- fifth order -----------------------------------------------------
     _entry(
         "f0_5th",
-        _poch_sum(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N),)),
+        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[2,5]/Jm[1] - 2*q^2*g(q^2; q^10)",
             "m(q^14, q^30, q^14) + m(q^14, q^30, q^29)"
@@ -253,7 +294,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi0_5th",
-        _poch_sum(_qn(lambda n: n * n), num=(_ps(-1, 1, 2, _N),)),
+        _Eulerian(_qn(lambda n: n * n), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q*g(-q; -q^5) + Jm[10]*j(-q^2; -q^5)/J[2,10]",
             "m(-q^7, -q^15, q^9) - q^(-1)*m(q^2, -q^15, q^9)",
@@ -261,7 +302,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi0_5th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2), num=(_ps(-1, 1, 1, _N),)),
+        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^2*g(q^2; q^10) + q*Jm[5]*J[1,10]/J[2,5]",
             "-m(q^14, q^30, q^3) - q^(-2)*m(q^4, q^30, q^3)",
@@ -269,7 +310,7 @@ _ENTRIES = [
     ),
     _entry(
         "F0_5th",
-        _poch_sum(_qn(lambda n: 2 * n * n), den=(_ps(1, 1, 2, _N),)),
+        _Eulerian(_qn(lambda n: 2 * n * n), den=(_ps(1, 1, 2, _N),)),
         reprs=(
             "1 + q*g(q; q^5) - q*Jm[10]*JB[5,20]/J[4,10]",
             "-1/2*q^(-1)*m(q^2, q^15, q^2) - 1/2*q^(-1)*m(q^2, q^15, -q^2)"
@@ -280,9 +321,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi0_5th",
-        _poch_sum(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
+        _Eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         alts=(
-            _poch_sum(_qn(lambda n: 2 * n + 1),
+            _Eulerian(_qn(lambda n: 2 * n + 1),
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -296,7 +337,7 @@ _ENTRIES = [
     ),
     _entry(
         "f1_5th",
-        _poch_sum(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 1, _N),)),
+        _Eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[1,5]/Jm[1] - 2*q^3*g(q^4; q^10)",
             "q^(-1)*m(q^8, q^30, q^8) + q^(-1)*m(q^8, q^30, q^23)"
@@ -307,7 +348,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi1_5th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),)),
+        _Eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q^2*g(q^2; -q^5) + q*Jm[10]*j(q; -q^5)/J[4,10]",
             "q^(-1)*m(-q, -q^15, q^(-3)) - m(q^4, -q^15, q^3)",
@@ -315,7 +356,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi1_5th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2), num=(_ps(-1, 1, 1, _N),)),
+        _Eulerian(_qn(lambda n: n * (n + 1) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^3*g(q^4; q^10) + Jm[5]*J[3,10]/J[1,5]",
             "-q^(-1)*m(q^8, q^30, q^(-9)) - q^(-3)*m(q^2, q^30, q^9)",
@@ -323,7 +364,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_5th",
-        _poch_sum(_qn(lambda n: 2 * n * (n + 1)), den=(_ps(1, 1, 2, _N1),)),
+        _Eulerian(_qn(lambda n: 2 * n * (n + 1)), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "q*g(q^2; q^5) + Jm[10]*JB[5,20]/J[2,10]",
             "-1/2*q^(-2)*m(q, q^15, q) - 1/2*q^(-2)*m(q, q^15, -q)"
@@ -334,9 +375,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi1_5th",
-        _poch_sum(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
+        _Eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         alts=(
-            _poch_sum(lambda n: (qmono(1, 2 * n + 1), qmono(1, 3 * n + 1)),
+            _Eulerian(lambda n: (qmono(1, 2 * n + 1), qmono(1, 3 * n + 1)),
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -350,7 +391,7 @@ _ENTRIES = [
     ),
     _entry(
         "Phi_5th",
-        _poch_sum(_qn(lambda n: 5 * n * n),
+        _Eulerian(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 1, 5, _N1), _ps(1, 4, 5, _N)), const=-1),
         reprs=(
             "q*g(q; q^5)",
@@ -359,7 +400,7 @@ _ENTRIES = [
     ),
     _entry(
         "Psi_5th",
-        _poch_sum(_qn(lambda n: 5 * n * n),
+        _Eulerian(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 2, 5, _N1), _ps(1, 3, 5, _N)), const=-1),
         reprs=(
             "q^2*g(q^2; q^5)",
@@ -369,31 +410,31 @@ _ENTRIES = [
     # ---- sixth order -----------------------------------------------------
     _entry(
         "phi_6th",
-        _poch_sum(_qn(lambda n: n * n, _ALT),
+        _Eulerian(_qn(lambda n: n * n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N),)),
         reprs=("2*m(q, q^3, -1)",),
     ),
     _entry(
         "psi_6th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT),
+        _Eulerian(_qn(lambda n: (n + 1) ** 2, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=("m(1, q^3, -q)",),
     ),
     _entry(
         "rho_6th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2),
+        _Eulerian(_qn(lambda n: n * (n + 1) // 2),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-q^(-1)*m(1, q^6, q)",),
     ),
     _entry(
         "sigma_6th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2),
+        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-m(q^2, q^6, q)",),
     ),
     _entry(
         "lambda_6th",
-        _poch_sum(_qn(lambda n: n, _ALT),
+        _Eulerian(_qn(lambda n: n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^(-1)*m(1, q^6, -q^2) + q^(-1)*m(1, q^6, -q)",
@@ -405,7 +446,7 @@ _ENTRIES = [
         # is adopted through its equivalent closed Eulerian form
         # 1/2 + 1/2 * sum (-1)^n q^(n+1) (1+q^n) (q;q^2)_n / (-q;q)_(n+1).
         "mu_6th",
-        _poch_sum(
+        _Eulerian(
             lambda n: (qmono(rat(_ALT(n), 2), n + 1), qmono(rat(_ALT(n), 2), 2 * n + 1)),
             num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N1),),
             const=rat(1, 2)),
@@ -416,7 +457,7 @@ _ENTRIES = [
     ),
     _entry(
         "gamma_6th",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 3, 3, _N),)),
         reprs=(
             "(1 - zeta(1,3))*(1 + zeta(1,3)*g(zeta(1,3); q))",
@@ -426,7 +467,7 @@ _ENTRIES = [
     ),
     _entry(
         "phibar_6th",
-        _poch_sum(_qn(lambda n: n),
+        _Eulerian(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM1),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -436,7 +477,7 @@ _ENTRIES = [
     ),
     _entry(
         "psibar_6th",
-        _poch_sum(_qn(lambda n: n),
+        _Eulerian(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM2),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -447,7 +488,7 @@ _ENTRIES = [
     # ---- seventh order ----------------------------------------------------
     _entry(
         "F0_7th",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         reprs=(
             "2 + 2*q*g(q; q^7) - J[3,7]^2/Jm[1]",
@@ -459,7 +500,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_7th",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _NM1),), den=(_ps(1, 1, 1, _2NM1),),
                   start=1),
         reprs=(
@@ -472,7 +513,7 @@ _ENTRIES = [
     ),
     _entry(
         "F2_7th",
-        _poch_sum(_qn(lambda n: n * (n + 1)),
+        _Eulerian(_qn(lambda n: n * (n + 1)),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         reprs=(
             "2*q^2*g(q^3; q^7) + J[2,7]^2/Jm[1]",
@@ -485,7 +526,7 @@ _ENTRIES = [
     # ---- eighth order ------------------------------------------------------
     _entry(
         "S0_8th",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "m(-q^3, q^8, -q^2) + m(-q^3, q^8, -q^6)",
@@ -494,7 +535,7 @@ _ENTRIES = [
     ),
     _entry(
         "S1_8th",
-        _poch_sum(_qn(lambda n: n * (n + 2)),
+        _Eulerian(_qn(lambda n: n * (n + 2)),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "-q^(-1)*m(-q, q^8, -q^2) - q^(-1)*m(-q, q^8, -q^6)",
@@ -503,35 +544,35 @@ _ENTRIES = [
     ),
     _entry(
         "T0_8th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2)),
+        _Eulerian(_qn(lambda n: (n + 1) * (n + 2)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("-m(-q^3, q^8, q^2)",),
     ),
     _entry(
         "T1_8th",
-        _poch_sum(_qn(lambda n: n * (n + 1)),
+        _Eulerian(_qn(lambda n: n * (n + 1)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("q^(-1)*m(-q, q^8, q^6)",),
     ),
     _entry(
         "U0_8th",
-        _poch_sum(_qn(lambda n: n * n),
+        _Eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 4, 4, _N),)),
         reprs=("2*m(-q, q^4, -1)",),
     ),
     _entry(
         "U1_8th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2),
+        _Eulerian(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 4, _N1),)),
         reprs=("-m(-q, q^4, -q^2)",),
     ),
     _entry(
         "V0_8th",
-        _poch_sum(_qn(lambda n: n * n, lambda n: 2),
+        _Eulerian(_qn(lambda n: n * n, lambda n: 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N),),
                   const=-1),
         alts=(
-            _poch_sum(_qn(lambda n: 2 * n * n, lambda n: 2),
+            _Eulerian(_qn(lambda n: 2 * n * n, lambda n: 2),
                       num=(_ps(-1, 2, 4, _N),), den=(_ps(1, 1, 2, _2N1),),
                       const=-1),
         ),
@@ -542,12 +583,12 @@ _ENTRIES = [
     ),
     _entry(
         "V1_8th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2),
+        _Eulerian(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _poch_sum(_qn(lambda n: 2 * n * n + 2 * n + 1),
+            _Eulerian(_qn(lambda n: 2 * n * n + 2 * n + 1),
                       num=(_ps(-1, 4, 4, _N),), den=(_ps(1, 1, 2, _2N2),)),
-            _poch_sum(_qn(lambda n: n + 1),
+            _Eulerian(_qn(lambda n: n + 1),
                       num=(_ps(-1, 1, 1, _2N),), den=(_ps(-1, 2, 4, _N1),)),
         ),
         reprs=("-m(q^2, q^8, q)",),
@@ -555,7 +596,7 @@ _ENTRIES = [
     # ---- tenth order -------------------------------------------------------
     _entry(
         "phi_10th",
-        _poch_sum(_qn(lambda n: n * (n + 1) // 2), den=(_ps(1, 1, 2, _N1),)),
+        _Eulerian(_qn(lambda n: n * (n + 1) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q^2; q^5) + Jm[5]*Jm[10]*J[4,10]/(J[2,5]*J[2,10])",
             "-q^(-1)*m(q, q^10, q) - q^(-1)*m(q, q^10, q^2)",
@@ -564,7 +605,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_10th",
-        _poch_sum(_qn(lambda n: (n + 1) * (n + 2) // 2), den=(_ps(1, 1, 2, _N1),)),
+        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q; q^5) - q*Jm[5]*Jm[10]*J[2,10]/(J[1,5]*J[4,10])",
             "-m(q^3, q^10, q) - m(q^3, q^10, q^3)",
@@ -573,7 +614,7 @@ _ENTRIES = [
     ),
     _entry(
         "X_10th",
-        _poch_sum(_qn(lambda n: n * n, _ALT), den=(_ps(-1, 1, 1, _2N),)),
+        _Eulerian(_qn(lambda n: n * n, _ALT), den=(_ps(-1, 1, 1, _2N),)),
         reprs=(
             "2*q*k(q; q^5) - Jm[5]*Jm[10]*J[2,5]/(J[2,10]*J[1,5])",
             "m(-q^2, q^5, q) + m(-q^2, q^5, q^4)",
@@ -582,7 +623,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_10th",
-        _poch_sum(_qn(lambda n: (n + 1) ** 2, _ALT), den=(_ps(-1, 1, 1, _2N1),)),
+        _Eulerian(_qn(lambda n: (n + 1) ** 2, _ALT), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=(
             "2 - 2*q^2*k(q^2; q^5) + q*Jm[5]*Jm[10]*J[1,5]/(J[4,10]*J[2,5])",
             "m(-q, q^5, q^2) + m(-q, q^5, q^3)",

@@ -701,7 +701,7 @@ def eval_expr(node, order) -> QSeries:
             # the Eulerian window E becomes E * expo(m) after q -> m
             return compose_monomial(entry.eulerian(ceil_rat(rat(order) / m.expo)), m)
         if node.index is None:
-            return entry.eulerian(int(order))
+            return entry.eulerian(order)
         return eval_expr(_catalog_repr_ast(node.name, node.index), order)
     if isinstance(node, Call):
         try:

@@ -183,9 +183,11 @@ class QSeries:
     __slots__ = ("scale", "order", "terms")
 
     def __init__(self, scale: int, order, terms: dict):
+        """Keys at or past a finite order are dropped; the dict is copied
+        only when it holds such a key, and otherwise kept as given."""
         self.scale = scale
         self.order = order
-        if order is not None:
+        if order is not None and terms and max(terms) >= order:
             terms = {k: c for k, c in terms.items() if k < order}
         self.terms = terms
 
@@ -515,7 +517,8 @@ class _Acc:
     each one accumulator.  It multiplies and divides itself by binomials
     (1 - m) in place, so it can also hold a running Pochhammer product;
     add_series reads only scale, order and terms, so one accumulator can be
-    added into another."""
+    added into another.  A multiplier of +-1 only adds or negates, so int
+    coefficients stay ints under it (the Eulerian engine sums on them)."""
 
     __slots__ = ("scale", "order", "terms")
 

@@ -177,8 +177,10 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
     product needs) less the other factors' valuations; dividing by the
     sparse factors in turn avoids forming their dense product.  An A with no
     term below its window gives the zero series known below the order (the
-    exact zero when A is exact), with no division.  A vanishing denominator
-    factor raises GenericityError naming it, before A is built.
+    exact zero when A is exact), with no division.  With pre one and the
+    quotient known below exactly the order, it is returned as it is.  A
+    vanishing denominator factor raises GenericityError naming it, before A
+    is built.
     """
     order = rat(order)
     vd = []
@@ -195,6 +197,8 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
     kd = operand_orders(T, rat(min(A.terms), A.scale), V, "/")[1]
     for (y, d), v in zip(den, vd):
         A = A.divide(jtheta(y, d, operand_orders(kd, v, V - v)[0]))
+    if pre.is_one and A.window_q() == order:  # already on the order's grid
+        return A
     acc.add_series(pre, A)
     return acc.freeze()
 

@@ -308,6 +308,7 @@ def test_g_sums_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(appell, "eulerian_sum", counted)
+    g_eval.cache_clear()
     for x, b in G_PARAMS:
         if x.expo > 0:
             calls.clear()

@@ -9,13 +9,16 @@ The registry's Eulerian q-hypergeometric sums are checked three ways:
 2. every alternate Eulerian form against the primary one;
 3. every closed-form representation (Appell-Lerch / theta-quotient)
    against the Eulerian form, through the expression evaluator.
+
+Each definition keeps its highest-order sum; the memo's truncations are
+checked against fresh engine sums, and its results against shared state.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from qverify.catalog import CATALOG, catalog_lookup, catalog_names
+from qverify.catalog import CATALOG, catalog_lookup, catalog_names, eulerian_sum
 from qverify.cyclotomic import rat
 from qverify.dsl import eval_expr, parse_expression
 from qverify.errors import UnknownCatalogName
@@ -264,3 +267,44 @@ def test_representations_match_eulerian(name):
         rep = eval_expr(parse_expression(src), T)
         diff = QSeries.first_difference(rep.truncate_q(T), base)
         assert diff is None, f"{name}.repr[{i}]: first difference {diff}"
+
+
+def _definitions():
+    for name in catalog_names():
+        entry = catalog_lookup(name)
+        for f in (entry.eulerian,) + entry.eulerian_alts:
+            yield name, f
+
+
+def test_memo_truncation_matches_fresh_sum():
+    """A request below the kept order is served by truncating the longer
+    sum; it has the terms, grid and window of a fresh engine sum at that
+    order, fractional orders included.  The fresh sum stops on its own, so
+    this also checks that the stop rule never stops early."""
+    for name, f in _definitions():
+        f.cache_clear()
+        f(60)
+        for T in (5, 17, rat(39, 2), 30, rat(181, 3), 60):
+            got, want = f(T), eulerian_sum(T, *f.spec)
+            assert (got.scale, got.order, got.terms) == \
+                (want.scale, want.order, want.terms), f"{name} at {T}"
+
+
+def test_memo_results_are_fresh_copies():
+    f = catalog_lookup("chi0_5th").eulerian
+    f.cache_clear()
+    first = f(40)
+    kept = dict(first.terms)
+    first.terms[0] = rat(99)
+    for T in (40, 25):
+        assert f(T).terms == {k: c for k, c in kept.items() if k < T}
+
+
+def test_eulerian_results_hold_no_int_coefficient():
+    """The engine sums on int numerators but hands out Rat | CycRat
+    coefficients only, also where a constant or a +-1/2 or 2 monomial mixes
+    Rats into the int terms."""
+    for name, f in _definitions():
+        for T in (rat(45, 2), 45):
+            s = f(T)
+            assert s.terms and not any(type(c) is int for c in s.terms.values()), name

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from qverify import catalog
 from qverify.appell import m_eval
 from qverify.catalog import CATALOG
 from qverify.cyclotomic import rat, zeta
@@ -215,6 +216,24 @@ def test_catalog_substitution_parses_and_evaluates():
         eval_expr(parse_expression('catalog("f_3rd", q^(-1))'), 10)
     with pytest.raises(ParseError):
         parse_expression('catalog("f_3rd", q).repr[0]')
+
+
+def test_catalog_side_at_fractional_order_sums_once(monkeypatch):
+    """q^(-1/2)*catalog(...) evaluates the catalog factor at the rational
+    order 41/2, so the side reaches order 20 from one Eulerian build."""
+    calls = []
+    real = catalog.eulerian_sum
+
+    def counted(order, *args):
+        calls.append(order)
+        return real(order, *args)
+
+    monkeypatch.setattr(catalog, "eulerian_sum", counted)
+    CATALOG["f0_5th"].eulerian.cache_clear()
+    s = eval_expr(parse_expression('q^(-1/2)*catalog("f0_5th")'), 20)
+    assert s.window_q() == 20 and len(calls) == 1, calls
+    f0 = real(21, *CATALOG["f0_5th"].eulerian.spec)
+    assert s.items_q() == f0.mul_monomial(qmono(1, rat(-1, 2))).truncate_q(20).items_q()
 
 
 def test_eval_error_context():
