@@ -1,7 +1,7 @@
 """Registry of classical mock theta functions.
 
 Each entry pairs the defining Eulerian q-series (the ground-truth side,
-computed by direct summation with exact arithmetic) with closed-form
+summed exactly by the series module's Eulerian engine) with closed-form
 representations in terms of Appell-Lerch sums ``m(x,q,z)``, the universal
 functions ``g``/``h``/``k``, and theta quotients.  Representations are stored
 as identity-DSL source strings so that the same data drives the test suite
@@ -16,83 +16,13 @@ function written with an underbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import lcm
 
-from .cyclotomic import Rat, rat, rat_den
-from .series import QMonomial, _Acc, ceil_rat, qmono
+from .cyclotomic import rat, rat_den
+from .series import ceil_rat, eulerian_sum, qmono
 from .errors import UnknownCatalogName
 
-__all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG", "eulerian_sum"]
-
-
-# --------------------------------------------------------------------------
-# Eulerian summation engine
-#
-# Every series below is a sum of terms
-#     term(n) = (one or two monomials in q) * prod_i (x_i; b_i)_{c_i(n)}
-#             / prod_j (y_j; d_j)_{e_j(n)}
-# with nondecreasing counts c_i, e_j.  The running product over all
-# Pochhammer factors is one accumulator for the whole sum: advancing a count
-# by one multiplies it by a single binomial (1 - mono) in place
-# (``times_one_minus``) or divides it by one in place (``over_one_minus``),
-# both O(window), and each term adds the product times its monomials into a
-# second accumulator.  Summation stops at the first n whose least monomial
-# exponent reaches the window.  That is sound when the least exponent does
-# not decrease in n and every Pochhammer x has exponent >= 0: the product
-# then has valuation >= 0, so no term from n on reaches below the window.
-#
-# The running product starts from the int 1.  The accumulator adds, negates
-# and shifts without multiplying when a coefficient is +-1, so while every
-# Pochhammer and monomial coefficient is +-1 (the whole catalog but for a
-# few monomials) each coefficient stays a Python int; any other coefficient
-# (a rational such as 1/2, or a CycRat) turns the terms it touches into
-# Rat | CycRat by the usual arithmetic.  The ints left at the end become
-# Rats once, so no int coefficient leaves the engine.
-#
-# Each catalog definition is an ``_Eulerian``: it keeps the highest-order
-# series it has summed, one per definition, and serves every request at or
-# below that order as a truncation of it.
-# --------------------------------------------------------------------------
-
-
-def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
-    """Sum ``term(n)`` for ``n >= start`` below q^order (order in q-units,
-    on the grid of its denominator), stopping at the first n whose least
-    exponent of ``monos_fn(n)`` reaches the order.
-
-    ``monos_fn(n)`` returns the monomial part(s) of the n-th term, and
-    ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
-    into / divided out of the term; ``const`` is added once.  The least
-    exponent of ``monos_fn(n)`` must not decrease in n, and every x must
-    have exponent >= 0.  The sum runs on int numerators while the
-    coefficients it meets are +-1, and returns Rat | CycRat coefficients.
-    """
-    order = rat(order)
-    prod = _Acc.below(order, {0: 1})
-    total = _Acc.below(order)
-    num_counts, den_counts = [0] * len(num), [0] * len(den)
-    for n in count(start):
-        monos = monos_fn(n)
-        if min(m.expo for m in monos) >= order:
-            break
-        for m in _advance(num, num_counts, n):
-            prod.times_one_minus(m)
-        for m in _advance(den, den_counts, n):
-            prod.over_one_minus(m)
-        for mono in monos:
-            total.add_series(mono, prod)
-    if const is not None:
-        total.add_mono(QMonomial(const))
-    total.terms = {k: Rat(c) if type(c) is int else c for k, c in total.terms.items()}
-    return total.freeze()
-
-
-def _advance(specs, counts, n):
-    """Yield the binomials x*b^k that bring each spec's count up to count_fn(n)."""
-    for i, (x, b, cf) in enumerate(specs):
-        yield from (x * b**k for k in range(counts[i], cf(n)))
-        counts[i] = max(counts[i], cf(n))
+__all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG"]
 
 
 class _Eulerian:

@@ -12,8 +12,9 @@ General x is first normalized with the index shift
     j(B^n * x'; B) = (-1)^n B^(-binom(n,2)) x'^(-n) j(x'; B),  0 < expo(x') <= expo(B),
 so the exponents of the sum for j(x'; B) grow monotonically away from n = 0.
 Each direction of n is one run of the series module's term walker, which
-f_{a,b,c} and the Appell-Lerch sums share; the Pochhammer products apply
-each factor (1 - x*base^i) in place to one accumulator.
+f_{a,b,c} and the Appell-Lerch sums share.  (x; base)_inf is Euler's sum,
+one call of the series module's Eulerian engine with O(sqrt(window)) terms
+(the product is its test oracle); (x; base)_n is built factor by factor.
 
 Every series over a theta product, pre * A / prod j(y; d), is evaluated by
 one quotient evaluator, :func:`quotient`: the Appell-Lerch sums m, h, k and
@@ -35,7 +36,7 @@ from operator import mul
 from .cyclotomic import cinv, rat
 from .errors import GenericityError, UnsupportedArgument
 from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
-                     operand_orders, qmono)
+                     eulerian_sum, operand_orders, qmono)
 
 
 def _check_base(base: QMonomial):
@@ -50,23 +51,21 @@ def binom2(n) -> int:
 
 @lru_cache(maxsize=None)
 def poch_inf(x: QMonomial, base: QMonomial, order) -> QSeries:
-    """(x; base)_inf = prod_{i>=0} (1 - x*base^i), known below q^order.
-
-    x must have nonnegative exponent; (1; base)_inf is the exact zero series.
+    """(x; base)_inf = prod_{i>=0} (1 - x*base^i), known below q^order, as
+    Euler's sum over n of (-1)^n base^binom(n,2) x^n / (base; base)_n: one
+    ``eulerian_sum`` on the grid of x and base, below ceil(order*scale).
+    x must have nonnegative exponent (the engine's stop rule then holds);
+    (1; base)_inf is the exact zero series.
     """
     _check_base(base)
-    order = rat(order)
-    e = x.expo
-    if e < 0:
+    if x.expo < 0:
         raise UnsupportedArgument(f"(x; base)_inf needs expo(x) >= 0, got {x!r}")
-    if e == 0 and x.coeff == 1:
+    if x.is_one:
         return QSeries(1, None, {})
-    scale = common_scale(e, base.expo)
-    acc = _Acc(scale, ceil_rat(order * scale), {0: rat(1)})
-    while x.expo < order:
-        acc.times_one_minus(x)
-        x = x * base
-    return acc.freeze()
+    scale = common_scale(x.expo, base.expo)
+    return eulerian_sum(rat(ceil_rat(order * scale), scale),
+                        lambda n: ((-x) ** n * base ** binom2(n),),
+                        den=((base, base, lambda n: n),)).rescaled(scale)
 
 
 def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:

@@ -11,7 +11,7 @@ from math import lcm
 
 from qverify.appell import eval_padded
 from qverify.cyclotomic import cinv, rat, rat_den
-from qverify.errors import GenericityError
+from qverify.errors import GenericityError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
 
@@ -154,6 +154,25 @@ def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
             break
         n -= 1
     return QSeries(scale, W, terms)
+
+
+def poch_inf_product_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
+    """(x; base)_inf as the product of its binomials (1 - x*base^i) with
+    exponent below the order, each multiplied in as s + (-x*base^i)*s, on
+    the grid of x and base below ceil(order*scale) there; (1; base)_inf is
+    the exact zero series."""
+    _check_base(base)
+    order = rat(order)
+    if x.expo < 0:
+        raise UnsupportedArgument(f"(x; base)_inf needs expo(x) >= 0, got {x!r}")
+    if x.is_one:
+        return QSeries(1, None, {})
+    scale = common_scale(x.expo, base.expo)
+    s = QSeries(scale, ceil_rat(order * scale), {0: rat(1)})
+    while x.expo < order:
+        s = add_oracle(s, mul_monomial_oracle(s, -x))
+        x = x * base
+    return s
 
 
 def m_alt_oracle(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:

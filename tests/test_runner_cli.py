@@ -207,8 +207,8 @@ HEAD_CASES = [
 def test_every_head_reaches_the_order_in_one_build(monkeypatch):
     """Every evaluator head sizes its windows from exact valuations: with
     ``appell.eval_padded`` made to raise wherever it is bound, each head
-    returns a series known below exactly q^order.  The Appell-Lerch caches
-    are cleared first, so every head really builds."""
+    returns a series known below exactly q^order.  The theta, Appell-Lerch
+    and Eulerian caches are cleared first, so every head really builds."""
     def refuse(build, order):
         raise AssertionError(f"padded build of {build.__qualname__} at {order}")
 
@@ -216,7 +216,8 @@ def test_every_head_reaches_the_order_in_one_build(monkeypatch):
         if getattr(mod, "__name__", "").startswith("qverify") and \
                 getattr(mod, "eval_padded", None) is appell.eval_padded:
             monkeypatch.setattr(mod, "eval_padded", refuse)
-    for fn in (appell.m_eval, appell.h_eval, appell.k_eval):
+    for fn in (theta.jtheta, theta.poch_inf, appell.m_eval, appell.g_eval,
+               appell.h_eval, appell.k_eval, catalog.catalog_lookup("f0_5th").eulerian):
         fn.cache_clear()
     for name, head, orders in HEAD_CASES:
         for order in orders:

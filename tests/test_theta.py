@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import geom_inv, jtheta_sum_oracle
+from oracles import geom_inv, jtheta_sum_oracle, poch_inf_product_oracle
 from qverify.appell import bilateral_sum
 from qverify.cyclotomic import CycRat, rat, zeta
 from qverify.errors import GenericityError, UnsupportedArgument
@@ -148,6 +148,23 @@ def test_poch_inf_edge_cases():
     a = poch_inf(qmono(-1, 0), Q, 30)
     b = poch_inf(qmono(-1, 1), Q, 30) * 2
     assert_match(a, b, 30)
+
+
+def test_poch_inf_matches_product_oracle_randomized():
+    """Euler's sum for (x; base)_inf has the product's grid, window and
+    terms, and no int coefficient, for rational and root-of-unity
+    coefficients, fractional grids and orders, and constant x."""
+    rng = random.Random(20261019)
+    coeffs = [rat(1), rat(-1), rat(2), rat(1, 2), rat(-1, 2), W3, W3 * W3]
+    base_coeffs = [rat(1), rat(1), rat(-1), rat(2), I4]
+    for _ in range(80):
+        x = qmono(rng.choice(coeffs), rat(rng.randint(0, 6), rng.choice([1, 1, 2, 3])))
+        base = qmono(rng.choice(base_coeffs), rat(rng.randint(1, 4), rng.choice([1, 1, 2, 3])))
+        order = rat(rng.randint(0, 60), rng.choice([1, 1, 1, 2, 3]))
+        got, want = poch_inf(x, base, order), poch_inf_product_oracle(x, base, order)
+        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), \
+            (x, base, order)
+        assert not any(type(c) is int for c in got.terms.values())
 
 
 def test_poch_fin_small_products():
