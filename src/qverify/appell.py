@@ -21,11 +21,9 @@ around each side of an identity.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cyclotomic import rat
 from .errors import GenericityError, QVerifyError
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, eulerian_sum, qmono
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, eulerian_sum, memo, qmono
 from .theta import _check_base, binom2, quotient, theta_quotient
 
 
@@ -77,7 +75,7 @@ def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
     return acc.freeze()
 
 
-@lru_cache(maxsize=None)
+@memo
 def m_eval(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
     """m(x, base, z), known below q^order."""
     _check_base(base)
@@ -105,7 +103,7 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@memo
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
 
@@ -124,7 +122,7 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     ), (), order)
 
 
-@lru_cache(maxsize=None)
+@memo
 def h_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """h(x, base) = (1/j(base;base^2)) sum_n (-1)^n base^{n(n+1)} / (1 - base^n x)."""
     _check_base(base)
@@ -135,7 +133,7 @@ def h_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     ), ((base, base * base),), order)
 
 
-@lru_cache(maxsize=None)
+@memo
 def k_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """k(x, base) = (1/(x j(-base;base^4))) sum_n base^{n(2n+1)} / (1 - base^{2n} x^2)."""
     _check_base(base)

@@ -1,7 +1,8 @@
 """Registry of classical mock theta functions.
 
 Each entry pairs the defining Eulerian q-series (the ground-truth side,
-summed exactly by the series module's Eulerian engine) with closed-form
+summed exactly by the series module's Eulerian engine, memoized per order
+for one run by ``series.memo``) with closed-form
 representations in terms of Appell-Lerch sums ``m(x,q,z)``, the universal
 functions ``g``/``h``/``k``, and theta quotients.  Representations are stored
 as identity-DSL source strings so that the same data drives the test suite
@@ -16,43 +17,25 @@ function written with an underbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .cyclotomic import rat, rat_den
-from .series import ceil_rat, eulerian_sum, qmono
+from .cyclotomic import rat
+from .series import eulerian_sum, memo, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG"]
 
 
-class _Eulerian:
+def _eulerian(monos_fn, num=(), den=(), const=None, start=0):
     """One Eulerian definition as a callable order -> series (order in
-    q-units), ``eulerian_sum`` over its spec with a one-slot memo.
+    q-units): ``eulerian_sum`` over its ``spec``, memoized per order."""
+    spec = (monos_fn, num, den, const, start)
 
-    The memo keeps the highest-order series summed so far.  A request at or
-    below that order is its truncation, a fresh copy on the grid of the
-    requested order, so no caller shares the kept dict; a higher request
-    sums afresh at the ceiling of the order, which keeps the kept series on
-    the definition's own grid.  The result has the terms and window of
-    ``eulerian_sum`` at the requested order.  ``cache_clear`` drops the
-    kept series.
-    """
+    @memo
+    def definition(order):
+        return eulerian_sum(order, *spec)
 
-    __slots__ = ("spec", "best")
-
-    def __init__(self, monos_fn, num=(), den=(), const=None, start=0):
-        self.spec = (monos_fn, num, den, const, start)
-        self.best = None
-
-    def __call__(self, order):
-        order = rat(order)
-        best = self.best
-        if best is None or best.window_q() < order:
-            best = self.best = eulerian_sum(ceil_rat(order), *self.spec)
-        return best.rescaled(lcm(best.scale, rat_den(order))).truncate_q(order)
-
-    def cache_clear(self):
-        self.best = None
+    definition.spec = spec
+    return definition
 
 
 def _ps(cx, ex, eb, count_fn):
@@ -91,10 +74,10 @@ class CatalogEntry:
 
     ``eulerian`` (and each member of ``eulerian_alts``) maps an order in
     q-units, integral or not, to the exact truncated expansion, with Rat |
-    CycRat coefficients; it is an ``_Eulerian``, which sums once per
-    definition up to the highest order requested so far and truncates for
-    lower ones.  ``representations`` holds identity-DSL expression sources,
-    each equal to the Eulerian series.
+    CycRat coefficients; it is one ``eulerian_sum`` over its ``spec``,
+    memoized by ``series.memo``, so each order is summed once per run and
+    every call gets its own copy.  ``representations`` holds identity-DSL
+    expression sources, each equal to the Eulerian series.
     """
 
     name: str
@@ -111,26 +94,26 @@ _ENTRIES = [
     # ---- second order ----------------------------------------------------
     _entry(
         "A_2nd",
-        _Eulerian(_qn(lambda n: n + 1),
+        _eulerian(_qn(lambda n: n + 1),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _Eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),),
+            _eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-m(q, q^4, q^2)",),
     ),
     _entry(
         "B_2nd",
-        _Eulerian(_qn(lambda n: n), num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
+        _eulerian(_qn(lambda n: n), num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _Eulerian(_qn(lambda n: n * n + n), num=(_ps(-1, 2, 2, _N),),
+            _eulerian(_qn(lambda n: n * n + n), num=(_ps(-1, 2, 2, _N),),
                       den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         ),
         reprs=("-q^(-1)*m(1, q^4, q^3)",),
     ),
     _entry(
         "mu_2nd",
-        _Eulerian(_qn(lambda n: n * n, _ALT), num=(_ps(1, 1, 2, _N),),
+        _eulerian(_qn(lambda n: n * n, _ALT), num=(_ps(1, 1, 2, _N),),
                   den=(_ps(-1, 2, 2, _N), _ps(-1, 2, 2, _N))),
         reprs=(
             "2*m(-q, q^4, -1) + 2*m(-q, q^4, q)",
@@ -140,7 +123,7 @@ _ENTRIES = [
     # ---- third order -----------------------------------------------------
     _entry(
         "f_3rd",
-        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
+        _eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N), _ps(-1, 1, 1, _N))),
         reprs=(
             "2 - 2*g(-1; q)",
             "2*m(-q, q^3, q) + 2*m(-q, q^3, q^2)",
@@ -149,7 +132,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi_3rd",
-        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 2, 2, _N),)),
+        _eulerian(_qn(lambda n: n * n), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "(1 - zeta(1,4))*(1 + zeta(1,4)*g(zeta(1,4); q))",
             "(1 + zeta(1,4))*m(zeta(1,4)*q, q^3, -1)"
@@ -161,7 +144,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_3rd",
-        _Eulerian(_qn(lambda n: n * n), den=(_ps(1, 1, 2, _N),), start=1),
+        _eulerian(_qn(lambda n: n * n), den=(_ps(1, 1, 2, _N),), start=1),
         reprs=(
             "q*g(q; q^4)",
             "-q^(-1)*m(q, q^12, q^2) - m(q^5, q^12, q^2)",
@@ -170,7 +153,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_3rd",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(-1, 3, 3, _N),)),
         reprs=(
             "(1 + zeta(1,3))*(1 - zeta(1,3)*g(-zeta(1,3); q))",
@@ -180,7 +163,7 @@ _ENTRIES = [
     ),
     _entry(
         "omega_3rd",
-        _Eulerian(_qn(lambda n: 2 * n * (n + 1)),
+        _eulerian(_qn(lambda n: 2 * n * (n + 1)),
                   den=(_ps(1, 1, 2, _N1), _ps(1, 1, 2, _N1))),
         reprs=(
             "g(q; q^2)",
@@ -190,7 +173,7 @@ _ENTRIES = [
     ),
     _entry(
         "nu_3rd",
-        _Eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 2, _N1),)),
+        _eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 2, _N1),)),
         reprs=(
             "g(zeta(1,4)*q^(1/2); q)",
             "zeta(1,4)*q^(-1/2)*(m(zeta(1,4)*q^(1/2), q^3, -q)"
@@ -201,7 +184,7 @@ _ENTRIES = [
     ),
     _entry(
         "rho_3rd",
-        _Eulerian(_qn(lambda n: 2 * n * (n + 1)),
+        _eulerian(_qn(lambda n: 2 * n * (n + 1)),
                   num=(_ps(1, 1, 2, _N1),), den=(_ps(1, 3, 6, _N1),)),
         reprs=(
             "g(zeta(1,3)*q; q^2)",
@@ -213,7 +196,7 @@ _ENTRIES = [
     # ---- fifth order -----------------------------------------------------
     _entry(
         "f0_5th",
-        _Eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N),)),
+        _eulerian(_qn(lambda n: n * n), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[2,5]/Jm[1] - 2*q^2*g(q^2; q^10)",
             "m(q^14, q^30, q^14) + m(q^14, q^30, q^29)"
@@ -224,7 +207,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi0_5th",
-        _Eulerian(_qn(lambda n: n * n), num=(_ps(-1, 1, 2, _N),)),
+        _eulerian(_qn(lambda n: n * n), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q*g(-q; -q^5) + Jm[10]*j(-q^2; -q^5)/J[2,10]",
             "m(-q^7, -q^15, q^9) - q^(-1)*m(q^2, -q^15, q^9)",
@@ -232,7 +215,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi0_5th",
-        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), num=(_ps(-1, 1, 1, _N),)),
+        _eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^2*g(q^2; q^10) + q*Jm[5]*J[1,10]/J[2,5]",
             "-m(q^14, q^30, q^3) - q^(-2)*m(q^4, q^30, q^3)",
@@ -240,7 +223,7 @@ _ENTRIES = [
     ),
     _entry(
         "F0_5th",
-        _Eulerian(_qn(lambda n: 2 * n * n), den=(_ps(1, 1, 2, _N),)),
+        _eulerian(_qn(lambda n: 2 * n * n), den=(_ps(1, 1, 2, _N),)),
         reprs=(
             "1 + q*g(q; q^5) - q*Jm[10]*JB[5,20]/J[4,10]",
             "-1/2*q^(-1)*m(q^2, q^15, q^2) - 1/2*q^(-1)*m(q^2, q^15, -q^2)"
@@ -251,9 +234,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi0_5th",
-        _Eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
+        _eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         alts=(
-            _Eulerian(_qn(lambda n: 2 * n + 1),
+            _eulerian(_qn(lambda n: 2 * n + 1),
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -267,7 +250,7 @@ _ENTRIES = [
     ),
     _entry(
         "f1_5th",
-        _Eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 1, _N),)),
+        _eulerian(_qn(lambda n: n * (n + 1)), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "J[5,10]*J[1,5]/Jm[1] - 2*q^3*g(q^4; q^10)",
             "q^(-1)*m(q^8, q^30, q^8) + q^(-1)*m(q^8, q^30, q^23)"
@@ -278,7 +261,7 @@ _ENTRIES = [
     ),
     _entry(
         "phi1_5th",
-        _Eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),)),
+        _eulerian(_qn(lambda n: (n + 1) ** 2), num=(_ps(-1, 1, 2, _N),)),
         reprs=(
             "q^2*g(q^2; -q^5) + q*Jm[10]*j(q; -q^5)/J[4,10]",
             "q^(-1)*m(-q, -q^15, q^(-3)) - m(q^4, -q^15, q^3)",
@@ -286,7 +269,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi1_5th",
-        _Eulerian(_qn(lambda n: n * (n + 1) // 2), num=(_ps(-1, 1, 1, _N),)),
+        _eulerian(_qn(lambda n: n * (n + 1) // 2), num=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^3*g(q^4; q^10) + Jm[5]*J[3,10]/J[1,5]",
             "-q^(-1)*m(q^8, q^30, q^(-9)) - q^(-3)*m(q^2, q^30, q^9)",
@@ -294,7 +277,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_5th",
-        _Eulerian(_qn(lambda n: 2 * n * (n + 1)), den=(_ps(1, 1, 2, _N1),)),
+        _eulerian(_qn(lambda n: 2 * n * (n + 1)), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "q*g(q^2; q^5) + Jm[10]*JB[5,20]/J[2,10]",
             "-1/2*q^(-2)*m(q, q^15, q) - 1/2*q^(-2)*m(q, q^15, -q)"
@@ -305,9 +288,9 @@ _ENTRIES = [
     ),
     _entry(
         "chi1_5th",
-        _Eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
+        _eulerian(_qn(lambda n: n), num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         alts=(
-            _Eulerian(lambda n: (qmono(1, 2 * n + 1), qmono(1, 3 * n + 1)),
+            _eulerian(lambda n: (qmono(1, 2 * n + 1), qmono(1, 3 * n + 1)),
                       num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),),
                       const=1),
         ),
@@ -321,7 +304,7 @@ _ENTRIES = [
     ),
     _entry(
         "Phi_5th",
-        _Eulerian(_qn(lambda n: 5 * n * n),
+        _eulerian(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 1, 5, _N1), _ps(1, 4, 5, _N)), const=-1),
         reprs=(
             "q*g(q; q^5)",
@@ -330,7 +313,7 @@ _ENTRIES = [
     ),
     _entry(
         "Psi_5th",
-        _Eulerian(_qn(lambda n: 5 * n * n),
+        _eulerian(_qn(lambda n: 5 * n * n),
                   den=(_ps(1, 2, 5, _N1), _ps(1, 3, 5, _N)), const=-1),
         reprs=(
             "q^2*g(q^2; q^5)",
@@ -340,31 +323,31 @@ _ENTRIES = [
     # ---- sixth order -----------------------------------------------------
     _entry(
         "phi_6th",
-        _Eulerian(_qn(lambda n: n * n, _ALT),
+        _eulerian(_qn(lambda n: n * n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N),)),
         reprs=("2*m(q, q^3, -1)",),
     ),
     _entry(
         "psi_6th",
-        _Eulerian(_qn(lambda n: (n + 1) ** 2, _ALT),
+        _eulerian(_qn(lambda n: (n + 1) ** 2, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=("m(1, q^3, -q)",),
     ),
     _entry(
         "rho_6th",
-        _Eulerian(_qn(lambda n: n * (n + 1) // 2),
+        _eulerian(_qn(lambda n: n * (n + 1) // 2),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-q^(-1)*m(1, q^6, q)",),
     ),
     _entry(
         "sigma_6th",
-        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2),
+        _eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2),
                   num=(_ps(-1, 1, 1, _N),), den=(_ps(1, 1, 2, _N1),)),
         reprs=("-m(q^2, q^6, q)",),
     ),
     _entry(
         "lambda_6th",
-        _Eulerian(_qn(lambda n: n, _ALT),
+        _eulerian(_qn(lambda n: n, _ALT),
                   num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N),)),
         reprs=(
             "q^(-1)*m(1, q^6, -q^2) + q^(-1)*m(1, q^6, -q)",
@@ -376,7 +359,7 @@ _ENTRIES = [
         # is adopted through its equivalent closed Eulerian form
         # 1/2 + 1/2 * sum (-1)^n q^(n+1) (1+q^n) (q;q^2)_n / (-q;q)_(n+1).
         "mu_6th",
-        _Eulerian(
+        _eulerian(
             lambda n: (qmono(rat(_ALT(n), 2), n + 1), qmono(rat(_ALT(n), 2), 2 * n + 1)),
             num=(_ps(1, 1, 2, _N),), den=(_ps(-1, 1, 1, _N1),),
             const=rat(1, 2)),
@@ -387,7 +370,7 @@ _ENTRIES = [
     ),
     _entry(
         "gamma_6th",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 3, 3, _N),)),
         reprs=(
             "(1 - zeta(1,3))*(1 + zeta(1,3)*g(zeta(1,3); q))",
@@ -397,7 +380,7 @@ _ENTRIES = [
     ),
     _entry(
         "phibar_6th",
-        _Eulerian(_qn(lambda n: n),
+        _eulerian(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM1),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -407,7 +390,7 @@ _ENTRIES = [
     ),
     _entry(
         "psibar_6th",
-        _Eulerian(_qn(lambda n: n),
+        _eulerian(_qn(lambda n: n),
                   num=(_ps(-1, 1, 1, _2NM2),), den=(_ps(1, 1, 2, _N),),
                   start=1),
         reprs=(
@@ -418,7 +401,7 @@ _ENTRIES = [
     # ---- seventh order ----------------------------------------------------
     _entry(
         "F0_7th",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N),)),
         reprs=(
             "2 + 2*q*g(q; q^7) - J[3,7]^2/Jm[1]",
@@ -430,7 +413,7 @@ _ENTRIES = [
     ),
     _entry(
         "F1_7th",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(1, 1, 1, _NM1),), den=(_ps(1, 1, 1, _2NM1),),
                   start=1),
         reprs=(
@@ -443,7 +426,7 @@ _ENTRIES = [
     ),
     _entry(
         "F2_7th",
-        _Eulerian(_qn(lambda n: n * (n + 1)),
+        _eulerian(_qn(lambda n: n * (n + 1)),
                   num=(_ps(1, 1, 1, _N),), den=(_ps(1, 1, 1, _2N1),)),
         reprs=(
             "2*q^2*g(q^3; q^7) + J[2,7]^2/Jm[1]",
@@ -456,7 +439,7 @@ _ENTRIES = [
     # ---- eighth order ------------------------------------------------------
     _entry(
         "S0_8th",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "m(-q^3, q^8, -q^2) + m(-q^3, q^8, -q^6)",
@@ -465,7 +448,7 @@ _ENTRIES = [
     ),
     _entry(
         "S1_8th",
-        _Eulerian(_qn(lambda n: n * (n + 2)),
+        _eulerian(_qn(lambda n: n * (n + 2)),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 2, _N),)),
         reprs=(
             "-q^(-1)*m(-q, q^8, -q^2) - q^(-1)*m(-q, q^8, -q^6)",
@@ -474,35 +457,35 @@ _ENTRIES = [
     ),
     _entry(
         "T0_8th",
-        _Eulerian(_qn(lambda n: (n + 1) * (n + 2)),
+        _eulerian(_qn(lambda n: (n + 1) * (n + 2)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("-m(-q^3, q^8, q^2)",),
     ),
     _entry(
         "T1_8th",
-        _Eulerian(_qn(lambda n: n * (n + 1)),
+        _eulerian(_qn(lambda n: n * (n + 1)),
                   num=(_ps(-1, 2, 2, _N),), den=(_ps(-1, 1, 2, _N1),)),
         reprs=("q^(-1)*m(-q, q^8, q^6)",),
     ),
     _entry(
         "U0_8th",
-        _Eulerian(_qn(lambda n: n * n),
+        _eulerian(_qn(lambda n: n * n),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 4, 4, _N),)),
         reprs=("2*m(-q, q^4, -1)",),
     ),
     _entry(
         "U1_8th",
-        _Eulerian(_qn(lambda n: (n + 1) ** 2),
+        _eulerian(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(-1, 2, 4, _N1),)),
         reprs=("-m(-q, q^4, -q^2)",),
     ),
     _entry(
         "V0_8th",
-        _Eulerian(_qn(lambda n: n * n, lambda n: 2),
+        _eulerian(_qn(lambda n: n * n, lambda n: 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N),),
                   const=-1),
         alts=(
-            _Eulerian(_qn(lambda n: 2 * n * n, lambda n: 2),
+            _eulerian(_qn(lambda n: 2 * n * n, lambda n: 2),
                       num=(_ps(-1, 2, 4, _N),), den=(_ps(1, 1, 2, _2N1),),
                       const=-1),
         ),
@@ -513,12 +496,12 @@ _ENTRIES = [
     ),
     _entry(
         "V1_8th",
-        _Eulerian(_qn(lambda n: (n + 1) ** 2),
+        _eulerian(_qn(lambda n: (n + 1) ** 2),
                   num=(_ps(-1, 1, 2, _N),), den=(_ps(1, 1, 2, _N1),)),
         alts=(
-            _Eulerian(_qn(lambda n: 2 * n * n + 2 * n + 1),
+            _eulerian(_qn(lambda n: 2 * n * n + 2 * n + 1),
                       num=(_ps(-1, 4, 4, _N),), den=(_ps(1, 1, 2, _2N2),)),
-            _Eulerian(_qn(lambda n: n + 1),
+            _eulerian(_qn(lambda n: n + 1),
                       num=(_ps(-1, 1, 1, _2N),), den=(_ps(-1, 2, 4, _N1),)),
         ),
         reprs=("-m(q^2, q^8, q)",),
@@ -526,7 +509,7 @@ _ENTRIES = [
     # ---- tenth order -------------------------------------------------------
     _entry(
         "phi_10th",
-        _Eulerian(_qn(lambda n: n * (n + 1) // 2), den=(_ps(1, 1, 2, _N1),)),
+        _eulerian(_qn(lambda n: n * (n + 1) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q^2; q^5) + Jm[5]*Jm[10]*J[4,10]/(J[2,5]*J[2,10])",
             "-q^(-1)*m(q, q^10, q) - q^(-1)*m(q, q^10, q^2)",
@@ -535,7 +518,7 @@ _ENTRIES = [
     ),
     _entry(
         "psi_10th",
-        _Eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), den=(_ps(1, 1, 2, _N1),)),
+        _eulerian(_qn(lambda n: (n + 1) * (n + 2) // 2), den=(_ps(1, 1, 2, _N1),)),
         reprs=(
             "2*q*h(q; q^5) - q*Jm[5]*Jm[10]*J[2,10]/(J[1,5]*J[4,10])",
             "-m(q^3, q^10, q) - m(q^3, q^10, q^3)",
@@ -544,7 +527,7 @@ _ENTRIES = [
     ),
     _entry(
         "X_10th",
-        _Eulerian(_qn(lambda n: n * n, _ALT), den=(_ps(-1, 1, 1, _2N),)),
+        _eulerian(_qn(lambda n: n * n, _ALT), den=(_ps(-1, 1, 1, _2N),)),
         reprs=(
             "2*q*k(q; q^5) - Jm[5]*Jm[10]*J[2,5]/(J[2,10]*J[1,5])",
             "m(-q^2, q^5, q) + m(-q^2, q^5, q^4)",
@@ -553,7 +536,7 @@ _ENTRIES = [
     ),
     _entry(
         "chi_10th",
-        _Eulerian(_qn(lambda n: (n + 1) ** 2, _ALT), den=(_ps(-1, 1, 1, _2N1),)),
+        _eulerian(_qn(lambda n: (n + 1) ** 2, _ALT), den=(_ps(-1, 1, 1, _2N1),)),
         reprs=(
             "2 - 2*q^2*k(q^2; q^5) + q*Jm[5]*Jm[10]*J[1,5]/(J[4,10]*J[2,5])",
             "m(-q, q^5, q^2) + m(-q, q^5, q^3)",

@@ -26,13 +26,25 @@ from .runner import (DEFAULT_ORDER, run_suite, reports_to_json,
 __all__ = ["main", "build_parser", "catalog_records", "builtin_records"]
 
 
+def _positive_int(text) -> int:
+    """argparse type of ``--order``: a comparison order must be positive,
+    as an ``order`` clause in a ``.qid`` file must."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"order must be positive, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qverify",
         description="Verify q-series identities by exact coefficient "
                     "comparison of truncated series.",
     )
-    p.add_argument("--order", type=int, default=None, metavar="N",
+    p.add_argument("--order", type=_positive_int, default=None, metavar="N",
                    help="comparison order in powers of q; overrides any "
                         f"per-identity order (default {DEFAULT_ORDER})")
     p.add_argument("--file", action="append", default=[], metavar="PATH",

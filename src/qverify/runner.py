@@ -16,6 +16,9 @@ diagnostic instead of a crash.
 Suites of identities run in input order; with ``jobs > 1`` the evaluations
 are distributed over a process pool but reports keep the input order, so
 two runs with the same inputs produce identical output apart from timing.
+An identity the pool cannot deliver (its worker died, say) is an ``error``
+naming the exception.  Each run starts with every series memo empty
+(``series.clear_memos``), so one run's cached series never reach the next.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from .appell import eval_padded
 from .cyclotomic import coeff_str
 from .errors import ParseError
-from .series import QSeries
+from .series import QSeries, clear_memos
 from .dsl import IdentityRecord, eval_expr
 
 __all__ = ["VerificationReport", "verify_identity", "run_suite",
@@ -92,15 +95,19 @@ def verify_identity(record: IdentityRecord, default_order=DEFAULT_ORDER,
         rhs = eval_padded(lambda T: eval_expr(record.rhs, T), order)
         diff = QSeries.first_difference(lhs, rhs)
     except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        context = getattr(exc, "qverify_context", None)
-        if context:
-            message += f" [{context}]"
-        return done(status="error", message=message)
+        return done(status="error", message=_error_message(exc))
     if diff is None:
         return done(status="pass")
     e, ca, cb = diff
     return done(status="fail", first_mismatch=e, lhs_coeff=ca, rhs_coeff=cb)
+
+
+def _error_message(exc) -> str:
+    message = f"{type(exc).__name__}: {exc}"
+    context = getattr(exc, "qverify_context", None)
+    if context:
+        message += f" [{context}]"
+    return message
 
 
 def _verify_star(args) -> VerificationReport:
@@ -117,14 +124,24 @@ def check_unique_names(records) -> None:
 
 def run_suite(records, default_order=DEFAULT_ORDER, force_order=None,
               jobs=1, progress=None):
-    """Verify records in order; returns the list of reports (input order)."""
+    """Verify records in order; returns the list of reports (input order).
+    The run starts with every series memo empty."""
     records = list(records)
     check_unique_names(records)
+    clear_memos()
     reports = []
     if jobs and jobs > 1 and len(records) > 1:
-        work = [(r, default_order, force_order) for r in records]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep in pool.map(_verify_star, work):
+            futures = [pool.submit(_verify_star, (r, default_order, force_order))
+                       for r in records]
+            for r, fut in zip(records, futures):
+                try:
+                    rep = fut.result()
+                except Exception as exc:
+                    rep = VerificationReport(
+                        name=r.name, status="error",
+                        order=effective_order(r, default_order, force_order),
+                        message=_error_message(exc))
                 reports.append(rep)
                 if progress:
                     progress(rep)

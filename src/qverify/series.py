@@ -37,10 +37,17 @@ series of Pochhammer quotients: the catalog definitions, g(x, q), and
 Where exponents are quadratic in the summation index, each term is its
 neighbour times a monomial: one walker, ``_walk``, steps such terms on the
 integer grid and stops past the window once the exponents rise.
+
+Every cached series evaluator (``theta.jtheta``, ``theta.poch_inf``, the
+Appell-Lerch heads and each catalog definition) is decorated with
+:func:`memo`, one cache per evaluator keyed on all its arguments, the order
+included; each call gets its own copy of the kept series, and
+:func:`clear_memos` empties every such cache at the start of a run.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
 from itertools import count
 from math import gcd, inf, lcm
 
@@ -478,6 +485,33 @@ class QSeries:
             shown += ", ..."
         w = "exact" if self.order is None else f"O(q^({self.window_q()}))"
         return f"QSeries[{shown} | {w}]"
+
+
+#: the caches of every :func:`memo` evaluator, emptied by :func:`clear_memos`
+_MEMOS = []
+
+
+def memo(fn):
+    """Cache the series-valued ``fn`` on all its arguments, the order
+    included, and hand every call its own QSeries over a copy of the kept
+    terms, so that no caller can change what a later call returns.  The
+    wrapper keeps ``cache_info``; :func:`clear_memos` empties the cache."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+
+    @wraps(fn)
+    def call(*args):
+        s = cached(*args)
+        return QSeries(s.scale, s.order, dict(s.terms))
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+def clear_memos() -> None:
+    """Empty the cache of every :func:`memo` evaluator."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 def _add(terms: dict, k: int, c) -> None:

@@ -30,13 +30,13 @@ below the requested order, with no second round.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import mul
 
 from .cyclotomic import cinv, rat
 from .errors import GenericityError, UnsupportedArgument
 from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
-                     eulerian_sum, operand_orders, qmono)
+                     eulerian_sum, memo, operand_orders, qmono)
 
 
 def _check_base(base: QMonomial):
@@ -49,7 +49,7 @@ def binom2(n) -> int:
     return (n * (n - 1)) // 2
 
 
-@lru_cache(maxsize=None)
+@memo
 def poch_inf(x: QMonomial, base: QMonomial, order) -> QSeries:
     """(x; base)_inf = prod_{i>=0} (1 - x*base^i), known below q^order, as
     Euler's sum over n of (-1)^n base^binom(n,2) x^n / (base; base)_n: one
@@ -100,7 +100,7 @@ def jtheta_val(x: QMonomial, base: QMonomial):
     return pref.expo
 
 
-@lru_cache(maxsize=None)
+@memo
 def jtheta(x: QMonomial, base: QMonomial, order) -> QSeries:
     """j(x; base) = sum_n (-1)^n base^binom(n,2) x^n, known below q^order.
 

@@ -16,7 +16,7 @@ from qverify.appell import (
 )
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
-from qverify.series import QSeries, qmono
+from qverify.series import QSeries, clear_memos, qmono
 from qverify.theta import jtheta, poch_inf
 
 Q = qmono(1, 1)
@@ -308,7 +308,7 @@ def test_g_sums_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(appell, "eulerian_sum", counted)
-    g_eval.cache_clear()
+    clear_memos()
     for x, b in G_PARAMS:
         if x.expo > 0:
             calls.clear()

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 import pytest
 
-from qverify.catalog import CATALOG, catalog_lookup, catalog_names, eulerian_sum
+from qverify.catalog import CATALOG, catalog_lookup, catalog_names
 from qverify.cyclotomic import rat
 from qverify.dsl import eval_expr, parse_expression
 from qverify.errors import UnknownCatalogName
-from qverify.series import QSeries
+from qverify.series import QSeries, clear_memos
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +248,11 @@ def test_alternate_eulerian_forms_agree():
 def test_eulerian_prefix_is_stable():
     """Each Eulerian sum at T is the longer sum at T + 9 truncated to T, so
     the stop rule (first n whose least monomial exponent reaches T) never
-    stops early."""
+    stops early, at fractional orders too."""
     for name in catalog_names():
         entry = catalog_lookup(name)
         for f in (entry.eulerian,) + entry.eulerian_alts:
-            for T in (5, 17, 30):
+            for T in (5, 17, rat(39, 2), 30, rat(181, 3)):
                 short, long = f(T), f(T + 9).truncate_q(T)
                 assert (short.scale, short.order, short.terms) == \
                     (long.scale, long.order, long.terms), f"{name} at {T}"
@@ -276,23 +276,9 @@ def _definitions():
             yield name, f
 
 
-def test_memo_truncation_matches_fresh_sum():
-    """A request below the kept order is served by truncating the longer
-    sum; it has the terms, grid and window of a fresh engine sum at that
-    order, fractional orders included.  The fresh sum stops on its own, so
-    this also checks that the stop rule never stops early."""
-    for name, f in _definitions():
-        f.cache_clear()
-        f(60)
-        for T in (5, 17, rat(39, 2), 30, rat(181, 3), 60):
-            got, want = f(T), eulerian_sum(T, *f.spec)
-            assert (got.scale, got.order, got.terms) == \
-                (want.scale, want.order, want.terms), f"{name} at {T}"
-
-
 def test_memo_results_are_fresh_copies():
     f = catalog_lookup("chi0_5th").eulerian
-    f.cache_clear()
+    clear_memos()
     first = f(40)
     kept = dict(first.terms)
     first.terms[0] = rat(99)

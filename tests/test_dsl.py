@@ -13,7 +13,7 @@ from qverify.dsl import (BinOp, Call, CatalogRef, IdentityRecord, Neg, Num,
                          parse_identities, pretty, pretty_identity, tokenize)
 from qverify.errors import (GenericityError, ParseError, UnknownCatalogName,
                             UnsupportedArgument, UnsupportedSubstitution)
-from qverify.series import QSeries, qmono, series_equal
+from qverify.series import QSeries, clear_memos, qmono, series_equal
 from qverify.theta import Jm, jtheta
 
 BUILTIN = pathlib.Path(__file__).resolve().parents[1] / (
@@ -229,7 +229,7 @@ def test_catalog_side_at_fractional_order_sums_once(monkeypatch):
         return real(order, *args)
 
     monkeypatch.setattr(catalog, "eulerian_sum", counted)
-    CATALOG["f0_5th"].eulerian.cache_clear()
+    clear_memos()
     s = eval_expr(parse_expression('q^(-1/2)*catalog("f0_5th")'), 20)
     assert s.window_q() == 20 and len(calls) == 1, calls
     f0 = real(21, *CATALOG["f0_5th"].eulerian.spec)

@@ -1,6 +1,8 @@
 """Runner and CLI tests: statuses, ordering, JSON, exit codes."""
 
 import json
+import multiprocessing
+import os
 import sys
 
 import pytest
@@ -13,7 +15,7 @@ from qverify.errors import ParseError
 from qverify.runner import (VerificationReport, check_unique_names,
                             effective_order, reports_to_json, run_suite,
                             suite_exit_code, verify_identity)
-from qverify.series import QSeries, qmono
+from qverify.series import QSeries, clear_memos, qmono
 
 GOOD = 'identity good { lhs = 2*m(q, q^2, -1); rhs = 1; }'
 BAD = ('identity bad { lhs = 2*m(q^2, q^6, -1) + 2*catalog("sigma_6th"); '
@@ -100,6 +102,30 @@ def test_run_suite_preserves_order_and_parallel_matches_serial():
     assert suite_exit_code(serial) == 2
     assert suite_exit_code(serial[:2]) == 1
     assert suite_exit_code(serial[:1]) == 0
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched verify_identity reaches only forked workers")
+def test_dead_worker_gives_error_reports(monkeypatch):
+    """A worker that dies takes the pool down with it; every identity the
+    pool cannot deliver is an error naming the exception, in input order,
+    and progress sees each report."""
+    real = runner.verify_identity
+
+    def dying(record, *args):
+        if record.name == "b":
+            os._exit(1)
+        return real(record, *args)
+
+    monkeypatch.setattr(runner, "verify_identity", dying)
+    records = [_rec(f"identity {n} {{ lhs = 1; rhs = 1; }}") for n in "abc"]
+    seen = []
+    reports = run_suite(records, force_order=5, jobs=2, progress=seen.append)
+    assert [r.name for r in reports] == ["a", "b", "c"] and seen == reports
+    assert reports[1].status == "error" and "BrokenProcessPool" in reports[1].message
+    for r in reports:
+        assert r.order == 5
+        assert r.status == "pass" or "BrokenProcessPool" in r.message
 
 
 def test_duplicate_names_rejected():
@@ -208,7 +234,7 @@ def test_every_head_reaches_the_order_in_one_build(monkeypatch):
     """Every evaluator head sizes its windows from exact valuations: with
     ``appell.eval_padded`` made to raise wherever it is bound, each head
     returns a series known below exactly q^order.  The theta, Appell-Lerch
-    and Eulerian caches are cleared first, so every head really builds."""
+    and Eulerian memos are emptied first, so every head really builds."""
     def refuse(build, order):
         raise AssertionError(f"padded build of {build.__qualname__} at {order}")
 
@@ -216,12 +242,54 @@ def test_every_head_reaches_the_order_in_one_build(monkeypatch):
         if getattr(mod, "__name__", "").startswith("qverify") and \
                 getattr(mod, "eval_padded", None) is appell.eval_padded:
             monkeypatch.setattr(mod, "eval_padded", refuse)
-    for fn in (theta.jtheta, theta.poch_inf, appell.m_eval, appell.g_eval,
-               appell.h_eval, appell.k_eval, catalog.catalog_lookup("f0_5th").eulerian):
-        fn.cache_clear()
+    clear_memos()
     for name, head, orders in HEAD_CASES:
         for order in orders:
             assert head(order).window_q() == order, (name, order)
+
+
+MEMO_CASES = [
+    lambda: theta.jtheta(Q, qmono(1, 3), 10),
+    lambda: theta.poch_inf(Q, Q, 10),
+    lambda: appell.m_eval(Q, qmono(1, 3), qmono(-1, 2), 20),
+    lambda: appell.g_eval(qmono(-1, rat(1, 3)), qmono(1, rat(1, 2)), 20),
+    lambda: appell.h_eval(qmono(W3, rat(1, 2)), Q, 20),
+    lambda: appell.k_eval(Q, qmono(1, 5), 20),
+    lambda: catalog.catalog_lookup("f0_5th").eulerian(20),
+]
+
+
+def test_memo_results_are_not_shared():
+    """Each call of a memoized evaluator gets its own series: changing the
+    terms of one leaves the next call with the same arguments unchanged."""
+    for case in MEMO_CASES:
+        first = case()
+        kept = dict(first.terms)
+        first.terms[0] = rat(99)
+        assert case().terms == kept
+
+
+def test_run_suite_is_not_fooled_by_a_changed_result():
+    theta.jtheta(Q, qmono(1, 3), 10).terms[0] = rat(7)
+    rec = _rec("identity a order 10 { lhs = Jm[1]; rhs = poch(q; q; inf); }")
+    assert run_suite([rec])[0].status == "pass"
+
+
+def test_each_run_starts_with_empty_memos(monkeypatch):
+    """Within a run both sides share one Eulerian sum; the next run sums
+    the definition afresh."""
+    calls = []
+    real = catalog.eulerian_sum
+
+    def counted(order, *args):
+        calls.append(order)
+        return real(order, *args)
+
+    monkeypatch.setattr(catalog, "eulerian_sum", counted)
+    rec = _rec('identity a order 20 { lhs = catalog("f0_5th"); rhs = catalog("f0_5th"); }')
+    for _ in range(2):
+        assert run_suite([rec])[0].status == "pass"
+    assert calls == [20, 20]
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +352,11 @@ def test_cli_parallel_builtin_subset(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "3 identities: 3 pass" in out
+
+
+@pytest.mark.parametrize("order", ["0", "-5"])
+def test_cli_rejects_nonpositive_order(order, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--name", "kp522", "--order", order])
+    assert exc.value.code == 2
+    assert "order must be positive" in capsys.readouterr().err
