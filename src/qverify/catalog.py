@@ -73,10 +73,11 @@ class CatalogEntry:
     """A named q-series with its defining sum and closed-form equivalents.
 
     ``eulerian`` (and each member of ``eulerian_alts``) maps an order in
-    q-units, integral or not, to the exact truncated expansion, with Rat |
-    CycRat coefficients; it is one ``eulerian_sum`` over its ``spec``,
-    memoized by ``series.memo``, so each order is summed once per run and
-    every call gets its own copy.  ``representations`` holds identity-DSL
+    q-units, integral or not, to the exact truncated expansion, with int
+    coefficients where they are integral and Rat | CycRat ones otherwise;
+    it is one ``eulerian_sum`` over its ``spec``, memoized by
+    ``series.memo``, so each order is summed once per run and every call
+    gets its own copy.  ``representations`` holds identity-DSL
     expression sources, each equal to the Eulerian series.
     """
 

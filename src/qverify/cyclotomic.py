@@ -4,7 +4,8 @@ Coefficients throughout the engine are elements of some Q(zeta_N).  They are
 represented as a tagged union:
 
 * plain rationals stay native ``Rat`` objects (gmpy2.mpq when available,
-  fractions.Fraction otherwise) -- the fast path;
+  fractions.Fraction otherwise); inside a series an integral one is kept as
+  a Python ``int`` (see the series module);
 * genuinely irrational elements are ``CycRat`` instances holding the
   coefficient vector over the power basis 1, z, ..., z^(phi(N)-1) of
   Q(zeta_N), z = exp(2*pi*i/N), reduced mod the N-th cyclotomic polynomial.

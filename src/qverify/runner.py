@@ -46,8 +46,8 @@ class VerificationReport:
     status: str  # "pass" | "fail" | "error"
     order: int  # requested comparison order (q-units)
     first_mismatch: object = None  # Rat or None
-    lhs_coeff: object = None  # Rat | CycRat or None
-    rhs_coeff: object = None  # Rat | CycRat or None
+    lhs_coeff: object = None  # int | Rat | CycRat or None
+    rhs_coeff: object = None  # int | Rat | CycRat or None
     ms: int = 0
     message: object = None  # str or None (errors only)
 

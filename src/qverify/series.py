@@ -16,12 +16,20 @@ where val is the smallest stored exponent (or the window itself when the
 known part is empty).  An exact monomial divisor gives an exact shift; two
 exact sides need a window hint.
 
+A coefficient inside a series is an ``int`` when it is integral and a
+``Rat`` or ``CycRat`` otherwise (a ``QMonomial`` coefficient is always a
+``Rat`` or ``CycRat``).  The one helper :func:`_int` decides this where a
+coefficient enters a series: ``from_coeff``, ``from_monomial``, each
+accumulator operation, the walker's step factors, the inverse leading
+coefficient of a division and the coefficient of a substituted monomial.  Sums and products of ints stay ints, so
+integral series (theta functions, Eulerian and Hecke sums with +-1
+coefficients) are summed and convolved on Python ints; any other
+coefficient turns the terms it touches into ``Rat | CycRat`` by the usual
+arithmetic.  No coefficient in a series meets ``/`` or a negative ``**``
+(an int would become a float): inverses go through ``cinv``.
+
 A QSeries has two coefficient kernels, the product convolution (``__mul__``)
-and long division (``divide``).  Products and quotients of rational operands
-run on Python ints: each side is cleared to integer numerators over the lcm
-of its denominators, the kernel works on those, and each result coefficient
-is built once, as a ``Rat``.  Operands with a ``CycRat`` coefficient run
-through the same loops on their coefficients as they are.
+and long division (``divide``); both loop over the terms as stored.
 
 Every other coefficient operation is one call of the accumulator ``_Acc``:
 sums and differences, negation, products by a scalar or a monomial, and
@@ -52,10 +60,9 @@ from itertools import count
 from math import gcd, inf, lcm
 
 from .cyclotomic import (
-    ONE,
     CycRat,
-    Rat,
     RAT_TYPES,
+    _RAT,
     as_coeff,
     cinv,
     coeff_root,
@@ -167,26 +174,12 @@ def qmono(coeff=1, expo=0) -> QMonomial:
     return QMonomial(coeff, expo)
 
 
-def _cleared(terms: dict):
-    """(nums, D) with terms[k] == nums[k] / D: integer numerators over the
-    lcm D of the denominators when every coefficient is rational, else (a
-    CycRat among them) the terms themselves over D = 1."""
-    den = 1
-    for c in terms.values():
-        if type(c) is CycRat:
-            return terms, 1
-        d = c.denominator
-        if d != 1:
-            den = lcm(den, int(d))
-    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in terms.items()}, den
-
-
-def _scaled(nums: dict, num: int, den: int) -> dict:
-    """The coefficients nums[k] * num / den as Rat | CycRat; an int numerator
-    becomes one Rat, rat(n * num, den)."""
-    f = rat(num, den)
-    return {k: rat(n * num, den) if type(n) is int else (n if f == 1 else n * f)
-            for k, n in nums.items()}
+def _int(c):
+    """A series coefficient from c: an integral Rat becomes an int; an int,
+    another Rat or a CycRat is returned as it is."""
+    if type(c) is _RAT and c.denominator == 1:
+        return int(c.numerator)
+    return c
 
 
 class QSeries:
@@ -212,11 +205,11 @@ class QSeries:
     @classmethod
     def from_monomial(cls, m: QMonomial, scale=None) -> "QSeries":
         s = common_scale(m.expo) if scale is None else lcm(scale, common_scale(m.expo))
-        return cls(s, None, {int(m.expo * s): m.coeff})
+        return cls(s, None, {int(m.expo * s): _int(m.coeff)})
 
     @classmethod
     def from_coeff(cls, c) -> "QSeries":
-        c = as_coeff(c)
+        c = _int(as_coeff(c))
         return cls(1, None, {0: c} if c else {})
 
     # -- scale handling ----------------------------------------------------
@@ -231,14 +224,16 @@ class QSeries:
         return QSeries(new_scale, order, {k * f: c for k, c in self.terms.items()})
 
     def minimize_scale(self) -> "QSeries":
-        g = self.scale
+        """The same series on the coarsest grid that carries its terms and,
+        when finite, its window."""
+        g = self.scale if self.order is None else gcd(self.scale, self.order)
         for k in self.terms:
             g = gcd(g, k)
             if g == 1:
                 return self
         if g == 1:
             return self
-        order = None if self.order is None else -((-self.order) // g)
+        order = None if self.order is None else self.order // g
         return QSeries(self.scale // g, order, {k // g: c for k, c in self.terms.items()})
 
     @staticmethod
@@ -310,9 +305,8 @@ class QSeries:
 
     def __mul__(self, other):
         """Product with a series, monomial or coefficient.  Two series are
-        convolved below the module's product window; rational operands are
-        convolved as integer numerators and each result coefficient is
-        built once, over the product of the two denominators."""
+        convolved below the module's product window, on their coefficients
+        as stored (ints times ints stay ints)."""
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
@@ -338,11 +332,9 @@ class QSeries:
             va = a.effval()
             vb = b.effval()
             window = min(a.order + vb, b.order + va)
-        na, da = _cleared(a.terms)
-        nb, db = _cleared(b.terms)
         out: dict = {}
-        bitems = sorted(nb.items())
-        for ka, ca in sorted(na.items()):
+        bitems = sorted(b.terms.items())
+        for ka, ca in sorted(a.terms.items()):
             for kb, cb in bitems:
                 k = ka + kb
                 if window is not None and k >= window:
@@ -357,7 +349,7 @@ class QSeries:
                         del out[k]
                     else:
                         out[k] = s
-        return QSeries(a.scale, window, _scaled(out, 1, da * db))
+        return QSeries(a.scale, window, out)
 
     __rmul__ = __mul__
 
@@ -370,13 +362,13 @@ class QSeries:
     def divide(self, other: "QSeries", window_hint=None) -> "QSeries":
         """self / other by long division against other's leading term b_0:
         q_n = (a_{n+v_b} - sum_{k>0} b_k q_{n-k}) / b_0, in
-        O(window * nnz(other)) with no second product.  Rational operands
-        are divided as integer numerators na / nb over their denominators
-        da, db and the quotient is scaled by db / da once.  The content of
-        nb (the gcd of its numerators, signed like its leading one) is
-        folded into da, so a leading numerator of -1, or of +-content, takes
-        the unit path; only another leading numerator costs a multiply per
-        quotient term.
+        O(window * nnz(other)) with no second product.  When every
+        coefficient of other is an int, other is divided by its content
+        (the gcd of its coefficients, signed like b_0) and the quotient is
+        scaled back once at the end, so a leading coefficient of -1, or of
+        +-content, takes the unit path and keeps int coefficients ints;
+        only another leading coefficient costs a multiply per quotient
+        term.
 
         The window is the module's quotient window; an exact divisor with
         one term gives an exact shift.  window_hint (scaled units, on the
@@ -403,22 +395,20 @@ class QSeries:
             window = b.order - 2 * vb + va
         else:
             window = min(a.order - vb, b.order - 2 * vb + va)
-        # a / b = (na / nb) * db / da.  rem is the remainder, indexed by
+        # a / b = (a / (b / g)) / g.  rem is the remainder, indexed by
         # quotient exponent; each quotient term c subtracts c * b_k from the
         # entry k above it.  A unit b_0 (the common case) skips a multiply
-        # per term and keeps integer numerators integral.
-        na, da = _cleared(a.terms)
-        nb, db = _cleared(b.terms)
-        if type(nb[vb]) is int:
-            g = gcd(*nb.values())
-            g = g if nb[vb] > 0 else -g
+        # per term.
+        bt, g = b.terms, 1
+        if all(type(c) is int for c in bt.values()):
+            g = gcd(*bt.values())
+            g = g if bt[vb] > 0 else -g
             if g != 1:
-                nb = {k: c // g for k, c in nb.items()}
-                da *= g
-        b0inv = cinv(nb[vb])
+                bt = {k: c // g for k, c in bt.items()}
+        b0inv = _int(cinv(bt[vb]))
         unit = b0inv == 1
-        step = sorted((k - vb, -c) for k, c in nb.items() if k != vb)
-        rem = {k - vb: c for k, c in na.items() if k - vb < window}
+        step = sorted((k - vb, -c) for k, c in bt.items() if k != vb)
+        rem = {k - vb: c for k, c in a.terms.items() if k - vb < window}
         out: dict = {}
         for n in range(va - vb, window):
             c = rem.pop(n, None)
@@ -434,14 +424,17 @@ class QSeries:
                 p = f * c
                 cur = rem.get(m)
                 rem[m] = p if cur is None else cur + p
-        return QSeries(a.scale, window, _scaled(out, db, da))
+        if g != 1:
+            f = _int(cinv(g))
+            out = {n: _int(c * f) for n, c in out.items()}
+        return QSeries(a.scale, window, out)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = QSeries(self.scale, None, {0: rat(1)})
+        result = QSeries(self.scale, None, {0: 1})
         base = self
         while k:
             if k & 1:
@@ -531,11 +524,12 @@ def _walk(acc: "_Acc", expo: int, step: int, step2: int, coeff, cstep, cratio) -
     """Add the terms coeff*q^expo of a sequence into acc, on acc's grid.
 
     Term to term, expo grows by step and step by step2 >= 0; coeff is
-    multiplied by cstep and cstep by cratio.  The exponents are convex, so
+    multiplied by cstep and cstep by cratio (each taken through ``_int``).  The exponents are convex, so
     the walk stops at the first one at or past acc's (finite) window once
     step >= 0 (step2 > 0 is needed when step starts negative).
     """
     terms, window = acc.terms, acc.order
+    coeff, cstep, cratio = _int(coeff), _int(cstep), _int(cratio)
     grow = cratio != 1
     while expo < window or step < 0:
         if expo < window:
@@ -556,8 +550,8 @@ class _Acc:
     each one accumulator.  It multiplies and divides itself by binomials
     (1 - m) in place, so it can also hold a running Pochhammer product;
     add_series reads only scale, order and terms, so one accumulator can be
-    added into another.  A multiplier of +-1 only adds or negates, so int
-    coefficients stay ints under it (the Eulerian engine sums on them)."""
+    added into another.  Every coefficient it adds or multiplies by goes
+    through ``_int``, and a multiplier of +-1 only adds or negates."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -584,7 +578,7 @@ class _Acc:
 
     def add_mono(self, m: QMonomial) -> None:
         self.refine(rat_den(m.expo))
-        _add(self.terms, int(m.expo * self.scale), m.coeff)
+        _add(self.terms, int(m.expo * self.scale), _int(m.coeff))
 
     def add_series(self, m: QMonomial, s: QSeries) -> None:
         """Add m*s; the window falls to s's window shifted by m when that is
@@ -597,7 +591,7 @@ class _Acc:
         if s.order is not None and (self.order is None or s.order * f + shift < self.order):
             self.order = s.order * f + shift
         window = inf if self.order is None else self.order
-        terms, c0 = self.terms, m.coeff
+        terms, c0 = self.terms, _int(m.coeff)
         get, unit, neg = terms.get, c0 == 1, c0 == -1
         for k, c in s.terms.items():
             k = k * f + shift
@@ -624,12 +618,12 @@ class _Acc:
         self.refine(lcm(rat_den(m.expo), rat_den(w.expo)))
         k, d = int(m.expo * self.scale), int(w.expo * self.scale)
         if d == 0:
-            _add(self.terms, k, m.coeff * cinv(1 - w.coeff))
+            _add(self.terms, k, _int(m.coeff * cinv(1 - w.coeff)))
         elif d > 0:
-            _walk(self, k, d, 0, m.coeff, w.coeff, ONE)
+            _walk(self, k, d, 0, m.coeff, w.coeff, 1)
         else:
             winv = cinv(w.coeff)
-            _walk(self, k - d, -d, 0, -m.coeff * winv, winv, ONE)
+            _walk(self, k - d, -d, 0, -m.coeff * winv, winv, 1)
 
     def times_one_minus(self, m: QMonomial) -> None:
         """Multiply by (1 - m) in place, for m constant or with positive
@@ -644,9 +638,9 @@ class _Acc:
         if m.is_one:
             raise GenericityError(f"pole: 1/(1 - {m!r})")
         self.refine(rat_den(m.expo))
-        d, c0, terms = int(m.expo * self.scale), m.coeff, self.terms
+        d, c0, terms = int(m.expo * self.scale), _int(m.coeff), self.terms
         if d == 0:
-            f = cinv(1 - c0)
+            f = _int(cinv(1 - c0))
             self.terms = {k: c * f for k, c in terms.items()}
             return
         unit, neg = c0 == 1, c0 == -1
@@ -678,14 +672,6 @@ class _Acc:
 # exponent reaches the window.  That is sound when the least exponent does
 # not decrease in n and every Pochhammer x has exponent >= 0: the product
 # then has valuation >= 0, so no term from n on reaches below the window.
-#
-# The running product starts from the int 1.  The accumulator adds, negates
-# and shifts without multiplying when a coefficient is +-1, so while every
-# Pochhammer and monomial coefficient is +-1 (the whole catalog but for a
-# few monomials) each coefficient stays a Python int; any other coefficient
-# (a rational such as 1/2, or a CycRat) turns the terms it touches into
-# Rat | CycRat by the usual arithmetic.  The ints left at the end become
-# Rats once, so no int coefficient leaves the engine.
 # --------------------------------------------------------------------------
 
 
@@ -698,8 +684,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
     into / divided out of the term; ``const`` is added once.  The least
     exponent of ``monos_fn(n)`` must not decrease in n, and every x must
-    have exponent >= 0.  The sum runs on int numerators while the
-    coefficients it meets are +-1, and returns Rat | CycRat coefficients.
+    have exponent >= 0.  Integral coefficients are ints, as in any series.
     """
     order = rat(order)
     prod = _Acc.below(order, {0: 1})
@@ -717,7 +702,6 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
             total.add_series(mono, prod)
     if const is not None:
         total.add_mono(QMonomial(const))
-    total.terms = {k: Rat(c) if type(c) is int else c for k, c in total.terms.items()}
     return total.freeze()
 
 
@@ -741,7 +725,7 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
     for k, c in s.terms.items():
         # q^(k/scale) -> m^(k/scale)
         mk = m ** rat(k, s.scale)
-        new_expos[k] = (mk.expo, c * mk.coeff)
+        new_expos[k] = (mk.expo, c * _int(mk.coeff))
     new_scale = common_scale(*(e for e, _ in new_expos.values())) if new_expos else rat_den(m.expo)
     terms: dict = {}
     for e, c in new_expos.values():

@@ -73,7 +73,7 @@ def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:
     _check_base(base)
     if n < 0:
         raise UnsupportedArgument("finite Pochhammer needs n >= 0")
-    acc = _Acc(common_scale(x.expo, base.expo), None, {0: rat(1)})
+    acc = _Acc(common_scale(x.expo, base.expo), None, {0: 1})
     for _ in range(n):
         acc.times_one_minus(x)
         x = x * base

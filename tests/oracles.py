@@ -5,15 +5,25 @@ helpers here: a dict sum, the coefficient loops ``add_oracle`` and
 ``mul_monomial_oracle``, and ``divide_one_minus``/``geom_inv`` (long division
 by ``one_minus``).  None of them uses the engine's accumulator, its term
 walker, or the ``QSeries`` sums and monomial products built on them.
+``has_coeff_types`` checks the coefficient layout of a series.
 """
 
 from math import lcm
 
 from qverify.appell import eval_padded
-from qverify.cyclotomic import cinv, rat, rat_den
+from qverify.cyclotomic import CycRat, cinv, rat, rat_den
 from qverify.errors import GenericityError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
+
+
+#: the types a series coefficient may have (an int when it is integral)
+COEFF_TYPES = (int, type(rat(1)), CycRat)
+
+
+def has_coeff_types(s: QSeries) -> bool:
+    """Every coefficient of s is an int, a Rat or a CycRat, never a float."""
+    return all(type(c) in COEFF_TYPES for c in s.terms.values())
 
 
 def add_term(terms: dict, k: int, c) -> None:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import has_coeff_types
 from qverify.catalog import CATALOG, catalog_lookup, catalog_names
 from qverify.cyclotomic import rat
 from qverify.dsl import eval_expr, parse_expression
@@ -286,11 +287,14 @@ def test_memo_results_are_fresh_copies():
         assert f(T).terms == {k: c for k, c in kept.items() if k < T}
 
 
-def test_eulerian_results_hold_no_int_coefficient():
-    """The engine sums on int numerators but hands out Rat | CycRat
-    coefficients only, also where a constant or a +-1/2 or 2 monomial mixes
-    Rats into the int terms."""
-    for name, f in _definitions():
-        for T in (rat(45, 2), 45):
+def test_eulerian_results_keep_integral_coefficients_as_ints():
+    """Every definition hands out int, Rat or CycRat coefficients, also
+    where a constant or a +-1/2 or 2 monomial mixes Rats into the int
+    terms; f_3rd, whose Pochhammer and monomial coefficients are all +-1,
+    hands out ints only."""
+    f3 = catalog_lookup("f_3rd").eulerian
+    for T in (rat(45, 2), 45):
+        for name, f in _definitions():
             s = f(T)
-            assert s.terms and not any(type(c) is int for c in s.terms.values()), name
+            assert s.terms and has_coeff_types(s), name
+        assert all(type(c) is int for c in f3(T).terms.values())

@@ -10,7 +10,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import add_oracle, divide_one_minus, geom_inv, mul_monomial_oracle
+from oracles import (add_oracle, divide_one_minus, geom_inv, has_coeff_types,
+                     mul_monomial_oracle)
 from qverify.cyclotomic import cinv, rat, zeta
 from qverify.errors import (
     DivisionByZero,
@@ -333,14 +334,30 @@ def test_divide_auto_hint():
         num.divide(QSeries.zero(1, None))
 
 
+def test_divide_by_even_content():
+    """1 / (2 - 4q) = sum 2^(n-1) q^n: the divisor's content 2 is divided
+    out, the unit loop runs on ints, and the quotient is halved once, to
+    1/2 and then ints; the same with the signs flipped."""
+    for sign in (1, -1):
+        den = QSeries(1, None, {0: 2 * sign, 1: -4 * sign})
+        q = QSeries.from_coeff(1).divide(den, 12)
+        want = [rat(sign, 2)] + [sign * 2 ** (n - 1) for n in range(1, 12)]
+        assert [q.coeff_at(n) for n in range(12)] == want
+        assert all(type(c) is int for k, c in q.terms.items() if k), q
+
+
 _COEFF_ROWS = (
     (rat(1), rat(-1), rat(2), rat(-3, 2), rat(5, 7)),
     (rat(1, 6), rat(-5, 4), rat(7, 10), rat(-1, 6), rat(-1), rat(2), rat(-3, 2), rat(5, 7)),
     (rat(1), zeta(1, 3), -zeta(2, 3), rat(2) * zeta(1, 3) - rat(1, 3)),
     (rat(-1), zeta(1, 4), zeta(3, 4) * rat(3, 2), rat(1) + zeta(1, 4)),
+    (1, -1, 2, -2, 3),
+    (2, -2, 4, -4, 6),  # even content: a divisor's leading 2 or -2 folds to +-1
 )
-# (left row, right row): each row with itself, then rational x CycRat mixes
-_ROW_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (3, 1), (0, 3))
+# (left row, right row): each row with itself, then rational x CycRat, int x
+# int, int x Rat and int x CycRat mixes
+_ROW_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (3, 1), (0, 3),
+              (4, 4), (4, 5), (5, 5), (1, 5), (4, 1), (2, 4), (5, 3))
 
 
 def _random_side(rng, exact, coeffs, divisor):
@@ -372,19 +389,26 @@ def _assert_same_series(got, want, case):
     assert got.scale == want.scale, case
     assert got.order == want.order, case
     assert got.terms == want.terms, case
-    assert not [c for c in got.terms.values() if type(c) is int], case
+    assert has_coeff_types(got), case
+
+
+def _all_int(*series):
+    return all(type(c) is int for s in series for c in s.terms.values())
 
 
 def test_mul_matches_fraction_product_randomized():
+    """Products of int operands keep int coefficients."""
     rng = random.Random(12081421)
-    for i in range(560):
+    for i in range(1120):
         a, b = _random_pair(rng, i, divisor=False)
-        _assert_same_series(a * b, mul_oracle(a, b), f"draw {i}: {a!r} * {b!r}")
+        got, case = a * b, f"draw {i}: {a!r} * {b!r}"
+        _assert_same_series(got, mul_oracle(a, b), case)
+        assert _all_int(got) or not _all_int(a, b), case
 
 
 def test_divide_matches_inverse_then_multiply_randomized():
     rng = random.Random(20121208)
-    for i in range(560):
+    for i in range(1120):
         a, b = _random_pair(rng, i, divisor=True)
         hint = rng.randint(1, 30) if a.order is None and b.order is None else None
         got = a.divide(b, hint)
@@ -470,7 +494,7 @@ def test_sums_and_monomial_products_match_oracle_loops_randomized():
     divisor.  Neither operand changes."""
     rng = random.Random(14211208)
     neg = qmono(-1)
-    for i in range(560):
+    for i in range(1120):
         a, b = _random_pair(rng, i, divisor=True)
         vb = min(b.terms)
         m = QMonomial(b.terms[vb], rat(vb, b.scale))
@@ -521,6 +545,18 @@ def test_rescale_and_minimize_roundtrip():
     assert up.coeff_at(2) == 5 and up.window_q() == 7
     back = up.minimize_scale()
     assert back.scale == 1 and back.terms == s.terms
+
+
+def test_minimize_scale_keeps_a_finite_window():
+    """1 + O(q^(3/2)) on grid 2 stays on grid 2: grid 1 would claim the
+    q^(3/2) coefficient; a window on the coarser grid lets the grid shrink."""
+    s = QSeries(2, 3, {0: rat(1)})
+    kept = s.minimize_scale()
+    assert (kept.scale, kept.window_q()) == (2, rat(3, 2))
+    with pytest.raises(OrderExceeded):
+        kept.rescaled(4).coeff_at(rat(3, 2))
+    coarse = QSeries(4, 6, {0: 1, 2: 5}).minimize_scale()
+    assert (coarse.scale, coarse.order, coarse.terms) == (2, 3, {0: 1, 1: 5})
 
 
 # ---------------------------------------------------------------------------
