@@ -5,10 +5,10 @@ The central object is
     m(x, base, z) = (1/j(z;base)) * sum_{r in Z} (-1)^r base^binom(r,2) z^r
                                                / (1 - base^{r-1} x z)
 
-evaluated as a truncated series in q with exact coefficients.  The bilateral
-sums (``bilateral_sum``) expand each summand mono(r) / (1 - w(r)) as the
-geometric run sum_k mono(r) w(r)^k (in powers of 1/w(r) when its exponent is
-negative), added in place into one accumulator.  Every evaluator
+evaluated as a truncated series in q with exact coefficients.  Expanded
+geometrically, the bilateral sum of m, h and k (``bilateral_sum``) is two
+double sums with quadratic exponents, like f_{a,b,c}, each one run of the
+series module's double walker.  Every evaluator
 takes the desired window in plain q-units and is one call of the theta
 module's quotient evaluator, which sizes each part's window from exact
 valuations and builds it once: m, h and k divide a bilateral sum by one
@@ -21,9 +21,9 @@ around each side of an identity.
 
 from __future__ import annotations
 
-from .cyclotomic import rat
+from .cyclotomic import cinv, rat
 from .errors import GenericityError, QVerifyError
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, eulerian_sum, memo, qmono
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, eulerian_sum, memo
 from .theta import _check_base, binom2, quotient, theta_quotient
 
 
@@ -51,27 +51,30 @@ def eval_padded(build, order) -> QSeries:
                        f"requested order {order}, after {_PAD_TRIES} evaluations")
 
 
-def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
-    """sum_{r in Z} mono(r) / (1 - w(r)) truncated below q^T.
-
-    mono(r) and w(r) are QMonomial-valued; the valuation of the r-th term
-    (mono(r).expo, plus -w(r).expo when that exponent is negative) must be a
-    convex function of r, which holds for the theta-like sums used here.
-    Each direction of r stops at its first term past the window once the
-    valuations stop falling; each summand is added as a geometric run.
-    """
+def bilateral_sum(u: QMonomial, v: QMonomial, w0: QMonomial, t: QMonomial, T) -> QSeries:
+    """sum_{r in Z} u^r v^binom(r,2) / (1 - w0 t^r) truncated below q^T, for
+    expo(v) > 0 and expo(t) > 0.  With w(r) = w0 t^r, the r with
+    expo(w(r)) > 0 expand as geometric runs into one double sum in (r, k),
+    one ``_walk2`` run from the first such r; the r with expo(w(r)) < 0 are
+    the same half-sum after r -> -r, with prefactor -1/w0, v t/u for u and
+    1/w0 for w0.  An r with expo(w(r)) = 0 adds its summand as a constant,
+    and raises GenericityError when w(r) == 1, wherever the summand lies."""
     T = rat(T)
-    acc = _Acc.below(T)
-    for r, dr in ((0, 1), (-1, -1)):
-        prev = None
-        while True:
-            mono, w = mono_of_r(r), w_of_r(r)
-            v = mono.expo - min(w.expo, 0)
-            if v >= T and prev is not None and v >= prev:
-                break
-            acc.add_geom(mono, w)
-            prev = v
-            r += dr
+    scale = common_scale(T, u.expo, v.expo, w0.expo, t.expo)
+    acc = _Acc(scale, int(T * scale))
+    ev, et = int(v.expo * scale), int(t.expo * scale)
+    r, rem = divmod(-int(w0.expo * scale), et)
+    if not rem:  # expo(w(r)) = 0
+        w = w0 * t**r
+        if w.is_one:
+            raise GenericityError(f"pole: the summand at r = {r} divides by 1 - w(r) = 0")
+        acc.add_mono(u**r * v ** binom2(r) * QMonomial(cinv(1 - w.coeff)))
+    for pre, u, w0 in ((MONO_ONE, u, w0), (-w0.inverse(), v * t / u, w0.inverse())):
+        r = -int(w0.expo * scale) // et + 1  # the first r with expo(w(r)) > 0
+        first, step, w = pre * u**r * v ** binom2(r), u * v**r, w0 * t**r
+        _walk2(acc, int(first.expo * scale), first.coeff,
+               (int(step.expo * scale), ev, step.coeff, v.coeff),
+               (int(w.expo * scale), 0, w.coeff, 1), (et, t.coeff))
     return acc.freeze()
 
 
@@ -79,11 +82,8 @@ def bilateral_sum(mono_of_r, w_of_r, T) -> QSeries:
 def m_eval(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:
     """m(x, base, z), known below q^order."""
     _check_base(base)
-    return quotient(MONO_ONE, lambda K: bilateral_sum(
-        lambda r: (base ** binom2(r)) * (z**r) * qmono(-1 if r % 2 else 1),
-        lambda r: (base ** (r - 1)) * x * z,
-        K,
-    ), ((z, base),), order)
+    return quotient(MONO_ONE, lambda K: bilateral_sum(-z, base, x * z / base, base, K),
+                    ((z, base),), order)
 
 
 def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial, order) -> QSeries:
@@ -126,19 +126,14 @@ def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
 def h_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """h(x, base) = (1/j(base;base^2)) sum_n (-1)^n base^{n(n+1)} / (1 - base^n x)."""
     _check_base(base)
-    return quotient(MONO_ONE, lambda K: bilateral_sum(
-        lambda r: (base ** (r * (r + 1))) * qmono(-1 if r % 2 else 1),
-        lambda r: (base**r) * x,
-        K,
-    ), ((base, base * base),), order)
+    b2 = base * base
+    return quotient(MONO_ONE, lambda K: bilateral_sum(-b2, b2, x, base, K),
+                    ((base, b2),), order)
 
 
 @memo
 def k_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """k(x, base) = (1/(x j(-base;base^4))) sum_n base^{n(2n+1)} / (1 - base^{2n} x^2)."""
     _check_base(base)
-    return quotient(x.inverse(), lambda K: bilateral_sum(
-        lambda r: base ** (r * (2 * r + 1)),
-        lambda r: (base ** (2 * r)) * x * x,
-        K,
-    ), ((-base, base**4),), order)
+    return quotient(x.inverse(), lambda K: bilateral_sum(base**3, base**4, x * x, base**2, K),
+                    ((-base, base**4),), order)

@@ -26,16 +26,19 @@ from .runner import (DEFAULT_ORDER, run_suite, reports_to_json,
 __all__ = ["main", "build_parser", "catalog_records", "builtin_records"]
 
 
-def _positive_int(text) -> int:
-    """argparse type of ``--order``: a comparison order must be positive,
-    as an ``order`` clause in a ``.qid`` file must."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"order must be positive, got {n}")
-    return n
+def _positive_int(what):
+    """argparse type of a count that must be positive, named ``what`` in
+    the error: ``--order`` (as an ``order`` clause in a ``.qid`` file must
+    be) and ``--jobs``."""
+    def parse(text) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n <= 0:
+            raise argparse.ArgumentTypeError(f"{what} must be positive, got {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify q-series identities by exact coefficient "
                     "comparison of truncated series.",
     )
-    p.add_argument("--order", type=_positive_int, default=None, metavar="N",
+    p.add_argument("--order", type=_positive_int("order"), default=None, metavar="N",
                    help="comparison order in powers of q; overrides any "
                         f"per-identity order (default {DEFAULT_ORDER})")
     p.add_argument("--file", action="append", default=[], metavar="PATH",
@@ -54,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "closed-form representations")
     p.add_argument("--name", default=None, metavar="GLOB",
                    help="only verify identities whose name matches the glob")
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
+    p.add_argument("--jobs", type=_positive_int("jobs"), default=1, metavar="K",
                    help="number of parallel worker processes (default 1)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the reports as a JSON array to PATH")

@@ -20,7 +20,7 @@ from math import gcd
 
 from .appell import m_eval
 from .cyclotomic import cpow, rat
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk, common_scale, operand_orders
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, operand_orders
 from .theta import _check_base, binom2, jtheta, jtheta_val, quotient, theta_quotient
 
 __all__ = [
@@ -37,14 +37,12 @@ __all__ = [
 def f_eval(a: int, b: int, c: int, x: QMonomial, y: QMonomial, base: QMonomial, order) -> QSeries:
     """The double sum f_{a,b,c}(x, y, base), truncated below ``order``.
 
-    Each quadrant is summed row by row, with r = rho + sigma*i and
-    s = rho + sigma*j, i, j >= 0 (sigma = 1, rho = 0 for r, s >= 0 and
-    sigma = -1, rho = -1 for r, s < 0).  A row (fixed i) is one walk over j:
-    its exponents are convex in j and each term is its neighbour times a
-    monomial, so it stops at its first term past the window once they rise.
-    The row starts step in i the same way.  As b*r*s grows with i, a row lies
-    above its start plus the least value of row 0's j-part; the rows stop at
-    the first one whose bound is past the window once the starts rise.
+    Each quadrant is one run of the series module's double walker
+    ``_walk2`` over i, j >= 0, with r = rho + sigma*i and s = rho + sigma*j
+    (sigma = 1, rho = 0 for r, s >= 0 and sigma = -1, rho = -1 for r, s < 0).
+    The exponent is quadratic in (i, j), so a step in i or j multiplies the
+    term by a monomial, and a step in i multiplies the monomial of a step
+    in j by base^b.
     """
     if min(a, b, c) < 1:
         raise ValueError("a, b, c must be positive integers")
@@ -54,27 +52,16 @@ def f_eval(a: int, b: int, c: int, x: QMonomial, y: QMonomial, base: QMonomial, 
     acc = _Acc(scale, int(T * scale))
     E, ex, ey = (int(m.expo * scale) for m in (base, x, y))
     xc, yc, bc = x.coeff, y.coeff, base.coeff
-    bc_a, bc_b, bc_c = cpow(bc, a), cpow(bc, b), cpow(bc, c)
     # (sigma, q-exponent at i = j = 0, its first step in i, in j): r, s >= 0
     # give a*binom(i,2) + b*i*j + c*binom(j,2); r, s < 0 give
     # a*binom(i+2,2) + b*(i+1)*(j+1) + c*binom(j+2,2) and the sign sg(r) = -1.
     for sigma, q0, dq_i, dq_j in ((1, 0, 0, 0), (-1, a + b + c, 2 * a + b, b + 2 * c)):
         rho = (sigma - 1) // 2
-        start = q0 * E + rho * (ex + ey)  # exponent at (i, 0)
-        step_i = dq_i * E + sigma * ex
-        step_j = dq_j * E + sigma * ey  # first step of row i in j
-        coeff = sigma * cpow(xc, rho) * cpow(yc, rho) * cpow(bc, q0)  # sg(r)
-        cstep_i = -cpow(xc, sigma) * cpow(bc, dq_i)
-        cstep_j = -cpow(yc, sigma) * cpow(bc, dq_j)
-        low, st = 0, step_j  # least value of row 0's j-part
-        while st < 0:
-            low, st = low + st, st + c * E
-        while start + low < acc.order or step_i < 0:
-            if start + low < acc.order:
-                _walk(acc, start, step_j, c * E, coeff, cstep_j, bc_c)
-            start, step_i = start + step_i, step_i + a * E
-            coeff, cstep_i = coeff * cstep_i, cstep_i * bc_a
-            step_j, cstep_j = step_j + b * E, cstep_j * bc_b
+        _walk2(acc, q0 * E + rho * (ex + ey),
+               sigma * cpow(xc, rho) * cpow(yc, rho) * cpow(bc, q0),  # sg(r)
+               (dq_i * E + sigma * ex, a * E, -cpow(xc, sigma) * cpow(bc, dq_i), cpow(bc, a)),
+               (dq_j * E + sigma * ey, c * E, -cpow(yc, sigma) * cpow(bc, dq_j), cpow(bc, c)),
+               (b * E, cpow(bc, b)))
     return acc.freeze()
 
 

@@ -20,13 +20,14 @@ A coefficient inside a series is an ``int`` when it is integral and a
 ``Rat`` or ``CycRat`` otherwise (a ``QMonomial`` coefficient is always a
 ``Rat`` or ``CycRat``).  The one helper :func:`_int` decides this where a
 coefficient enters a series: ``from_coeff``, ``from_monomial``, each
-accumulator operation, the walker's step factors, the inverse leading
-coefficient of a division and the coefficient of a substituted monomial.  Sums and products of ints stay ints, so
-integral series (theta functions, Eulerian and Hecke sums with +-1
-coefficients) are summed and convolved on Python ints; any other
-coefficient turns the terms it touches into ``Rat | CycRat`` by the usual
-arithmetic.  No coefficient in a series meets ``/`` or a negative ``**``
-(an int would become a float): inverses go through ``cinv``.
+accumulator operation, the walkers' step factors, the inverse leading
+coefficient of a division and the coefficient of a substituted monomial.
+Sums and products of ints stay ints, so integral series (theta functions,
+Eulerian and Hecke sums with +-1 coefficients) are summed and convolved on
+Python ints; any other coefficient turns the terms it touches into
+``Rat | CycRat`` by the usual arithmetic.  No coefficient in a series meets
+``/`` or a negative ``**`` (an int would become a float): inverses go
+through ``cinv``.
 
 A QSeries has two coefficient kernels, the product convolution (``__mul__``)
 and long division (``divide``); both loop over the terms as stored.
@@ -42,9 +43,10 @@ Pochhammer product of an Eulerian sum stays one dict for the whole sum.
 That sum is the Eulerian engine, ``eulerian_sum``, the one evaluator of a
 series of Pochhammer quotients: the catalog definitions, g(x, q), and
 (x; b)_inf as Euler's sum over n of (-1)^n b^binom(n,2) x^n / (b; b)_n.
-Where exponents are quadratic in the summation index, each term is its
-neighbour times a monomial: one walker, ``_walk``, steps such terms on the
-integer grid and stops past the window once the exponents rise.
+Where exponents are quadratic in the summation indices, each term is its
+neighbour times a monomial: the walker ``_walk`` steps such a sequence and
+stops past the window once its exponents rise, and ``_walk2`` runs one
+``_walk`` per row of a double sum (f_{a,b,c}, the Appell-Lerch sums).
 
 Every cached series evaluator (``theta.jtheta``, ``theta.poch_inf``, the
 Appell-Lerch heads and each catalog definition) is decorated with
@@ -541,6 +543,31 @@ def _walk(acc: "_Acc", expo: int, step: int, step2: int, coeff, cstep, cratio) -
             cstep = cstep * cratio
 
 
+def _walk2(acc: "_Acc", expo: int, coeff, row, col, cross) -> None:
+    """Add the terms coeff*q^expo of a double sequence over i, j >= 0 into
+    acc, one ``_walk`` over j per row i.  ``row`` steps row i's first term
+    to row i + 1's and ``col`` steps row 0 in j, each as ``_walk``'s (step,
+    step2, cstep, cratio); row to row, col's step grows by cross[0] >= 0 and
+    its cstep is multiplied by cross[1].  So each row lies at or above its
+    first term plus row 0's least partial sum in j, and the rows stop at the
+    first whose bound is past acc's window once row's step >= 0 (both step2
+    >= 0, and col's > 0 when its step starts negative)."""
+    step, step2, cstep, cratio = row
+    jstep, jstep2, jcstep, jcratio = col
+    dstep, dcstep = cross
+    coeff, cstep, cratio, jcstep, dcstep = map(_int, (coeff, cstep, cratio, jcstep, dcstep))
+    low, st = 0, jstep  # least partial sum of row 0's steps in j
+    while st < 0:
+        low, st = low + st, st + jstep2
+    window = acc.order
+    while expo + low < window or step < 0:
+        if expo + low < window:
+            _walk(acc, expo, jstep, jstep2, coeff, jcstep, jcratio)
+        expo, step = expo + step, step + step2
+        coeff, cstep = coeff * cstep, cstep * cratio
+        jstep, jcstep = jstep + dstep, jcstep * dcstep
+
+
 class _Acc:
     """A sum built in place in its own terms dict on the grid (1/scale)*Z,
     refined as the parts need, below a window (scaled units; None while
@@ -550,8 +577,9 @@ class _Acc:
     each one accumulator.  It multiplies and divides itself by binomials
     (1 - m) in place, so it can also hold a running Pochhammer product;
     add_series reads only scale, order and terms, so one accumulator can be
-    added into another.  Every coefficient it adds or multiplies by goes
-    through ``_int``, and a multiplier of +-1 only adds or negates."""
+    added into another; the walkers add into its terms directly.  Every
+    coefficient it adds or multiplies by goes through ``_int``, and a
+    multiplier of +-1 only adds or negates."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -605,25 +633,6 @@ class _Acc:
                         del terms[k]
                         continue
                 terms[k] = c
-
-    def add_geom(self, m: QMonomial, w: QMonomial) -> None:
-        """Add m/(1 - w) below the (finite) window: the run m*w^k, k >= 0, or
-        -m*w^(-k), k >= 1, when expo(w) < 0; a constant w gives the exact
-        constant m/(1 - w), and w == 1 raises GenericityError.  When m lies
-        at or past the window nothing is added and the grid is kept."""
-        if w.is_one:
-            raise GenericityError(f"pole: summand 1/(1 - {w!r})")
-        if m.expo * self.scale >= self.order:
-            return
-        self.refine(lcm(rat_den(m.expo), rat_den(w.expo)))
-        k, d = int(m.expo * self.scale), int(w.expo * self.scale)
-        if d == 0:
-            _add(self.terms, k, _int(m.coeff * cinv(1 - w.coeff)))
-        elif d > 0:
-            _walk(self, k, d, 0, m.coeff, w.coeff, 1)
-        else:
-            winv = cinv(w.coeff)
-            _walk(self, k - d, -d, 0, -m.coeff * winv, winv, 1)
 
     def times_one_minus(self, m: QMonomial) -> None:
         """Multiply by (1 - m) in place, for m constant or with positive
@@ -689,14 +698,14 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     order = rat(order)
     prod = _Acc.below(order, {0: 1})
     total = _Acc.below(order)
-    num_counts, den_counts = [0] * len(num), [0] * len(den)
+    num_next, den_next = [(0, x) for x, _, _ in num], [(0, x) for x, _, _ in den]
     for n in count(start):
         monos = monos_fn(n)
         if min(m.expo for m in monos) >= order:
             break
-        for m in _advance(num, num_counts, n):
+        for m in _advance(num, num_next, n):
             prod.times_one_minus(m)
-        for m in _advance(den, den_counts, n):
+        for m in _advance(den, den_next, n):
             prod.over_one_minus(m)
         for mono in monos:
             total.add_series(mono, prod)
@@ -705,12 +714,15 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     return total.freeze()
 
 
-def _advance(specs, counts, n):
-    """Yield the binomials x*b^k that bring each spec's count up to count_fn(n)."""
-    for i, (x, b, cf) in enumerate(specs):
-        yield from (x * b**k for k in range(counts[i], cf(n)))
-        counts[i] = max(counts[i], cf(n))
-
+def _advance(specs, nexts, n):
+    """Yield the binomials x*b^k, each the one before times b, that bring
+    each spec's count up to count_fn(n); nexts[i] holds its count k and x*b^k."""
+    for i, (_, b, cf) in enumerate(specs):
+        k, m, target = *nexts[i], cf(n)
+        while k < target:
+            yield m
+            k, m = k + 1, m * b
+        nexts[i] = (k, m)
 
 
 def series_equal(a: QSeries, b: QSeries) -> bool:

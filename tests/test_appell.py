@@ -1,12 +1,15 @@
 """Appell-Lerch sums: special values, functional equations, splittings,
 and the g/h/k Lambert-series bridges."""
 
+import random
+
 import pytest
 
 import test_series as ts
-from oracles import g_alt_oracle, m_alt_oracle, one_minus
+from oracles import bilateral_sum_oracle, g_alt_oracle, has_coeff_types, m_alt_oracle, one_minus
 from qverify import appell
 from qverify.appell import (
+    bilateral_sum,
     changing_z_delta,
     eval_padded,
     g_eval,
@@ -17,7 +20,7 @@ from qverify.appell import (
 from qverify.cyclotomic import rat, zeta
 from qverify.errors import GenericityError
 from qverify.series import QSeries, clear_memos, qmono
-from qverify.theta import jtheta, poch_inf
+from qverify.theta import binom2, jtheta, poch_inf
 
 Q = qmono(1, 1)
 W3 = zeta(1, 3)
@@ -155,6 +158,64 @@ def test_m_genericity_errors():
         m_eval(Q, qmono(1, 2), qmono(1, 2), 10)  # j(z;base) = 0
     with pytest.raises(GenericityError):
         m_eval(ONE, Q, qmono(1, 1), 10)  # summand pole 1/(1 - q^{r-1} x z)
+
+
+@pytest.mark.parametrize("order", [20, 600])
+@pytest.mark.parametrize("fn, args", [
+    (m_eval, (qmono(-1, -30), Q, NEG1)),  # 1/(1 - q^(r-31)) at r = 31, summand at q^465
+    (h_eval, (qmono(1, -40), Q)),  # 1/(1 - q^(r-40)) at r = 40, summand at q^1640
+    (k_eval, (qmono(1, -5), Q)),  # 1/(1 - q^(2r-10)) at r = 5, summand at q^55
+])
+def test_pole_past_the_window_raises(fn, args, order):
+    # a pole makes m, h and k undefined wherever its summand lies
+    with pytest.raises(GenericityError):
+        fn(*args, order)
+
+
+def test_bilateral_sum_matches_oracle_randomized():
+    """bilateral_sum(u, v, w0, t, T) against ``bilateral_sum_oracle`` with
+    mono(r) = u^r v^binom(r,2) and w(r) = w0 t^r.  The four monomials draw
+    coefficients +-1, 2, -1/2, zeta_3 and zeta_4 and exponents on grids 1, 2
+    and 3, and T is fractional.  Two draws in three put some r at
+    expo(w(r)) = 0, half of them with w(r) == 1: a pole, which must raise
+    wherever its summand lies."""
+    rng = random.Random(1208142115)
+    coeffs = [rat(1), rat(-1), rat(2), rat(-1, 2), W3, I4]
+
+    def draw(lo, hi):
+        den = rng.choice((1, 2, 3))
+        return qmono(rng.choice(coeffs), rat(rng.randint(lo * den + 1, hi * den), den))
+
+    seen = {"both halves": 0, "zero exponent": 0, "pole": 0}
+    for i in range(150):
+        u, w0, v, t = draw(-3, 3), draw(-6, 6), draw(0, 2), draw(0, 2)
+        T = rat(rng.randint(20, 80), rng.choice((2, 3)))
+        if i % 3:
+            r = rng.randint(-4, 4)
+            w0 = (t**r).inverse() if i % 3 == 2 else qmono(rng.choice(coeffs), -r * t.expo)
+        case = f"draw {i}: u={u!r}, v={v!r}, w0={w0!r}, t={t!r}, T={T}"
+        rz = -w0.expo / t.expo
+        if rz.denominator == 1 and (w0 * t ** int(rz)).is_one:
+            seen["pole"] += 1
+            with pytest.raises(GenericityError):
+                bilateral_sum(u, v, w0, t, T)
+            continue
+        seen["zero exponent"] += rz.denominator == 1
+
+        def mono(r):
+            return u**r * v ** binom2(r)
+
+        def w(r):
+            return w0 * t**r
+
+        got, want = bilateral_sum(u, v, w0, t, T), bilateral_sum_oracle(mono, w, T)
+        assert got.window_q() == want.window_q() == T, case
+        assert QSeries.first_difference(got, want) is None, case
+        assert has_coeff_types(got), case
+        vals = [(w(r).expo, mono(r).expo - min(w(r).expo, 0)) for r in range(-40, 40)]
+        seen["both halves"] += (any(e > 0 and val < T for e, val in vals)
+                                and any(e < 0 and val < T for e, val in vals))
+    assert min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,15 @@ def test_verify_error_reports_diagnostic():
     assert "m(q, q^2, q)" in rep.message
 
 
+def test_pole_past_the_window_is_error():
+    # the summand r = 31 of m(-q^(-30), q, -1) has 1/(1 - q^(r-31)) and lies
+    # at q^465, far past order 20: m is still undefined, so no verdict
+    rep = verify_identity(_rec('identity far { lhs = m(-q^(-30), q, -1); rhs = 0; }'),
+                          force_order=20)
+    assert rep.status == "error"
+    assert "GenericityError" in rep.message
+
+
 def test_window_padding_reaches_requested_order():
     # both sides have sound window 25 on a first evaluation at order 30;
     # the runner must pad until the planted mismatch at q^27 is visible
@@ -360,3 +369,11 @@ def test_cli_rejects_nonpositive_order(order, capsys):
         main(["--name", "kp522", "--order", order])
     assert exc.value.code == 2
     assert "order must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--name", "kp522", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "jobs must be positive" in capsys.readouterr().err
