@@ -3,17 +3,25 @@
 Coefficients throughout the engine are elements of some Q(zeta_N).  They are
 represented as a tagged union:
 
-* plain rationals stay native ``Rat`` objects (gmpy2.mpq when available,
-  fractions.Fraction otherwise); inside a series an integral one is kept as
-  a Python ``int`` (see the series module);
-* genuinely irrational elements are ``CycRat`` instances holding the
-  coefficient vector over the power basis 1, z, ..., z^(phi(N)-1) of
-  Q(zeta_N), z = exp(2*pi*i/N), reduced mod the N-th cyclotomic polynomial.
+* plain rationals are ``Rat`` (``fractions.Fraction``) objects; inside a
+  series an integral one is kept as a Python ``int`` (see the series module);
+* genuinely irrational elements are ``CycRat`` instances holding
+  ``(n, nums, den)``: the element (sum of nums[i] * z^i) / den of Q(zeta_n),
+  z = exp(2*pi*i/n).  ``nums`` are phi(n) Python ints, the coordinates over
+  the power basis 1, z, ..., z^(phi(n)-1) reduced mod the n-th cyclotomic
+  polynomial Phi_n, and ``den`` is one positive int with
+  gcd(den, *nums) = 1.
 
-Every ``CycRat`` is canonical: N is the smallest conductor whose field
+Phi_n is monic with integer coefficients, so reduction mod Phi_n, lifting to
+a larger conductor and the subfield bases stay integral, and every
+operation runs on Python ints.  An ``int`` or ``Fraction`` operand enters as
+a numerator and a denominator.
+
+Every ``CycRat`` is canonical: n is the smallest conductor whose field
 contains the element (never 1, 2, or congruent to 2 mod 4), and a vector that
-is secretly rational is demoted to a plain ``Rat``.  Canonical form makes
-equality and hashing structural, which the series layer relies on.
+is secretly rational is demoted to a plain ``Rat``.  :func:`_canonical` is
+the one normaliser.  Canonical form makes equality and hashing structural,
+which the series layer relies on.
 """
 
 from __future__ import annotations
@@ -24,14 +32,9 @@ from math import gcd, lcm
 
 from .errors import DivisionByZero, UnsupportedSubstitution
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is optional (the `gmpy2` extra)
-    Rat = Fraction
-
-_RAT = type(Rat(1))
+Rat = Fraction
 #: types acceptable wherever a rational is expected
-RAT_TYPES = (int, Fraction, _RAT)
+RAT_TYPES = (int, Fraction)
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -40,7 +43,7 @@ ONE = Rat(1)
 def rat(p, q=1):
     """Exact rational from integers, strings like '5/8', or Fractions; a Rat
     (immutable) is returned as it is."""
-    if type(p) is _RAT and q == 1:
+    if type(p) is Fraction and q == 1:
         return p
     if type(p) is int and type(q) is int:
         return Rat(p, q)
@@ -48,15 +51,13 @@ def rat(p, q=1):
         return Rat(p) / Rat(q)
     if isinstance(p, str):
         num, _, den = p.partition("/")
-        return Rat(int(num)) / Rat(int(den)) if den else Rat(int(num))
-    if isinstance(p, Fraction):
-        return Rat(p.numerator) / Rat(p.denominator)
+        return Rat(int(num), int(den)) if den else Rat(int(num))
     return Rat(p)
 
 
 def rat_den(x) -> int:
     """Denominator of a rational as a plain int."""
-    return int(x.denominator) if not isinstance(x, int) else 1
+    return 1 if isinstance(x, int) else x.denominator
 
 
 @lru_cache(maxsize=None)
@@ -83,13 +84,13 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_coeffs(n)) - 1
 
 
-def _reduce_mod_cyclo(vec: list, n: int) -> tuple:
-    """Reduce a polynomial (ascending coeff list over Rat) mod Phi_n."""
-    phi = euler_phi(n)
+def _reduce_mod_cyclo(v: list, n: int) -> tuple:
+    """Reduce a polynomial (ascending integer coefficient list, changed in
+    place) mod Phi_n."""
     cyc = cyclotomic_coeffs(n)
-    v = list(vec)
+    phi = len(cyc) - 1
     if len(v) < phi:
-        v.extend([ZERO] * (phi - len(v)))
+        v.extend([0] * (phi - len(v)))
     for d in range(len(v) - 1, phi - 1, -1):
         c = v[d]
         if c:
@@ -101,23 +102,35 @@ def _reduce_mod_cyclo(vec: list, n: int) -> tuple:
     return tuple(v[:phi])
 
 
+def _mul_vecs(a: tuple, b: tuple, n: int) -> tuple:
+    """Product of two conductor-n integer vectors, reduced mod Phi_n."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce_mod_cyclo(prod, n)
+
+
 @lru_cache(maxsize=None)
 def _lift_power(n: int, m: int, i: int) -> tuple:
     """zeta_n^i expressed in the power basis of Q(zeta_m), n | m."""
     k = (m // n) * i
-    vec = [ZERO] * (k + 1)
-    vec[k] = ONE
+    vec = [0] * (k + 1)
+    vec[k] = 1
     return _reduce_mod_cyclo(vec, m)
 
 
-def _lift(coeffs: tuple, n: int, m: int) -> tuple:
-    """Re-express a conductor-n coefficient vector in conductor m (n | m)."""
-    if n == m:
-        return coeffs
-    out = [ZERO] * euler_phi(m)
-    for i, c in enumerate(coeffs):
+def _lift(nums: tuple, n: int, m: int, a: int = 1) -> tuple:
+    """Re-express a conductor-n coordinate vector in conductor m (n | m),
+    with zeta_n sent to zeta_n^a (a Galois conjugate when a is prime to n)."""
+    if n == m and a == 1:
+        return nums
+    out = [0] * euler_phi(m)
+    for i, c in enumerate(nums):
         if c:
-            for jdx, b in enumerate(_lift_power(n, m, i)):
+            for jdx, b in enumerate(_lift_power(n, m, a * i % n)):
                 if b:
                     out[jdx] += c * b
     return tuple(out)
@@ -129,174 +142,155 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _subconductors(n: int) -> tuple[int, ...]:
+    """Conductors of the proper subfields of Q(zeta_n) beyond Q, ascending."""
+    return tuple(d for d in _divisors(n)[:-1] if d >= 3 and d % 4 != 2)
+
+
+@lru_cache(maxsize=None)
 def _subfield_basis(n: int, d: int) -> tuple:
     """Power basis of Q(zeta_d) written as conductor-n vectors (d | n)."""
     return tuple(_lift_power(d, n, i) for i in range(euler_phi(d)))
 
 
-def _solve_in_subfield(vec: tuple, n: int, d: int):
-    """Coefficients of vec over the zeta_d power basis, or None."""
+def _solve_in_subfield(nums: tuple, n: int, d: int):
+    """Coordinates of the integer vector nums over the zeta_d power basis,
+    or None when nums is not in Q(zeta_d).
+
+    An element of Z[zeta_n] that lies in Q(zeta_d) lies in Z[zeta_d], whose
+    power basis is integral, so a non-integral solution means nums is not in
+    the subfield.  Fraction-free Gauss-Jordan elimination on the
+    (rows x cols | nums) system; the lifted basis is independent, so every
+    column gets a pivot.
+    """
     basis = _subfield_basis(n, d)
-    rows = euler_phi(n)
-    cols = len(basis)
-    # Gaussian elimination on the (rows x cols | vec) system.
-    aug = [[basis[j][i] for j in range(cols)] + [vec[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
+    rows, cols = len(nums), len(basis)
+    aug = [[b[i] for b in basis] + [nums[i]] for i in range(rows)]
     for c in range(cols):
-        piv = next((k for k in range(r, rows) if aug[k][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][c]
-        aug[r] = [a * inv for a in aug[r]]
+        piv = next(k for k in range(c, rows) if aug[k][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        prow = aug[c]
+        p = prow[c]
         for k in range(rows):
-            if k != r and aug[k][c]:
-                f = aug[k][c]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [ZERO] * cols
-    for row, c in zip(aug, piv_cols):
-        sol[c] = row[-1]
-    # consistency: rows below the pivots must have zero RHS
-    for k in range(len(piv_cols), rows):
-        if aug[k][-1]:
+            f = aug[k][c]
+            if k != c and f:
+                aug[k] = [p * x - f * y for x, y in zip(aug[k], prow)]
+    sol = []
+    for c in range(cols):
+        q, r = divmod(aug[c][-1], aug[c][c])
+        if r:
             return None
-    # verify (cheap, and guards against a rank-deficient corner case)
-    for i in range(rows):
-        acc = ZERO
-        for j in range(cols):
-            if sol[j]:
-                acc += sol[j] * basis[j][i]
-        if acc != vec[i]:
-            return None
-    return tuple(sol)
+        sol.append(q)
+    sol = tuple(sol)
+    # the pivot rows alone fix sol; lifting it back checks the other rows
+    return sol if _lift(sol, d, n) == nums else None
+
+
+def _lowest(den: int, nums: tuple) -> tuple[int, tuple]:
+    """(den, nums) divided by gcd(den, *nums); den > 0."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return den // g, tuple(c // g for c in nums)
+    return den, nums
 
 
 def _canonical(n: int, vec: tuple):
-    """Return the canonical Rat | CycRat for a conductor-n vector."""
-    if all(c == 0 for c in vec[1:]):
-        return vec[0] if isinstance(vec[0], RAT_TYPES) else rat(vec[0])
-    for d in _divisors(n):
-        if d < 3 or d % 4 == 2 or d == n:
-            continue
-        sol = _solve_in_subfield(vec, n, d)
+    """Return the canonical Rat | CycRat for vec = (den, *nums): the element
+    (sum of nums[i] * zeta_n^i) / den, with den > 0 and nums reduced mod
+    Phi_n."""
+    den, nums = _lowest(vec[0], vec[1:])
+    if not any(nums[1:]):
+        return Rat(nums[0], den)
+    for d in _subconductors(n):
+        sol = _solve_in_subfield(nums, n, d)
         if sol is not None:
-            return CycRat(d, sol)
-    return CycRat(n, vec)
+            return CycRat(d, sol, den)
+    return CycRat(n, nums, den)
 
 
 class CycRat:
-    """A (non-rational) element of Q(zeta_n) in canonical form.
+    """A (non-rational) element (sum of nums[i] * zeta_n^i) / den of
+    Q(zeta_n) in canonical form.
 
-    Do not construct directly unless the (n, coeffs) pair is already
-    canonical; use :func:`zeta` and arithmetic instead.
+    Do not construct directly unless (n, nums, den) is already canonical;
+    use :func:`zeta` and arithmetic instead.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, coeffs: tuple):
+    def __init__(self, n: int, nums: tuple, den: int):
         self.n = n
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- arithmetic -------------------------------------------------------
 
-    def _binop_vecs(self, other):
-        if isinstance(other, RAT_TYPES):
-            other_n, other_c = 1, (rat(other),)
-        elif isinstance(other, CycRat):
-            other_n, other_c = other.n, other.coeffs
+    def _add(self, other, sign: int):
+        """self + sign * other, or NotImplemented."""
+        n, a, da = self.n, self.nums, self.den
+        if isinstance(other, CycRat):
+            m = n if other.n == n else lcm(n, other.n)
+            a = _lift(a, n, m)
+            b, db = _lift(other.nums, other.n, m), other.den
+        elif isinstance(other, RAT_TYPES):
+            m = n
+            p, db = other.numerator, other.denominator
+            b = (p,) + (0,) * (len(a) - 1)
         else:
-            return None
-        m = lcm(self.n, other_n)
-        return m, _lift(self.coeffs, self.n, m), _lift(other_c, other_n, m)
+            return NotImplemented
+        if da == db:
+            return _canonical(m, (da, *(x + sign * y for x, y in zip(a, b))))
+        sb = sign * da
+        return _canonical(m, (da * db, *(x * db + sb * y for x, y in zip(a, b))))
 
     def __add__(self, other):
-        lifted = self._binop_vecs(other)
-        if lifted is None:
-            return NotImplemented
-        m, a, b = lifted
-        return _canonical(m, tuple(x + y for x, y in zip(a, b)))
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        lifted = self._binop_vecs(other)
-        if lifted is None:
-            return NotImplemented
-        m, a, b = lifted
-        return _canonical(m, tuple(x - y for x, y in zip(a, b)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return CycRat(self.n, tuple(-c for c in self.coeffs))
+        return CycRat(self.n, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, RAT_TYPES):
-            if other == 0:
-                return ZERO
-            r = rat(other)
-            return CycRat(self.n, tuple(c * r for c in self.coeffs))
-        if not isinstance(other, CycRat):
+        if isinstance(other, CycRat):
+            n, on = self.n, other.n
+            if n == on:
+                m, a, b = n, self.nums, other.nums
+            else:
+                m = lcm(n, on)
+                a, b = _lift(self.nums, n, m), _lift(other.nums, on, m)
+            return _canonical(m, (self.den * other.den, *_mul_vecs(a, b, m)))
+        if not isinstance(other, RAT_TYPES):
             return NotImplemented
-        m = lcm(self.n, other.n)
-        a = _lift(self.coeffs, self.n, m)
-        b = _lift(other.coeffs, other.n, m)
-        prod = [ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return _canonical(m, _reduce_mod_cyclo(prod, m))
+        p, q = other.numerator, other.denominator
+        if not p:
+            return ZERO
+        den, nums = _lowest(self.den * q, tuple(c * p for c in self.nums))
+        return CycRat(self.n, nums, den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        n = self.n
-        # a(x) * u(x) + Phi_n(x) * v(x) = 1 in Q[x]
-        a = list(self.coeffs)
-        b = [rat(c) for c in cyclotomic_coeffs(n)]
-        # extended gcd over Q[x], tracking coefficients for a only
-        r0, r1 = b, a
-        s0, s1 = [ZERO], [ONE]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 < 0:
-                raise DivisionByZero("inverse of zero cyclotomic element")
-            if d1 == 0:
-                inv = ONE / r1[0]
-                u = [c * inv for c in s1]
-                return _canonical(n, _reduce_mod_cyclo(u, n))
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            f = r0[d0] / r1[d1]
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] -= f * r1[i]
-            if len(s0) < len(s1) + shift:
-                s0 = s0 + [ZERO] * (len(s1) + shift - len(s0))
-            for i in range(len(s1)):
-                s0[i + shift] -= f * s1[i]
-            if deg(r0) < d1:
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
+        """Multiplicative inverse from the norm: with c the product of the
+        images of nums under zeta_n -> zeta_n^a (1 < a < n, a prime to n),
+        the other Galois conjugates, nums * c is the integer N(nums), so
+        1/x = den * c / N(nums)."""
+        n, nums = self.n, self.nums
+        conj = None
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                s = _lift(nums, n, n, a)
+                conj = s if conj is None else _mul_vecs(conj, s, n)
+        norm = _mul_vecs(nums, conj, n)[0]
+        sign = -self.den if norm < 0 else self.den
+        return _canonical(n, (abs(norm), *(sign * c for c in conj)))
 
     def __truediv__(self, other):
         inv = cinv(other)
@@ -324,19 +318,20 @@ class CycRat:
 
     def __eq__(self, other):
         if isinstance(other, CycRat):
-            return self.n == other.n and self.coeffs == other.coeffs
+            return (self.n == other.n and self.den == other.den
+                    and self.nums == other.nums)
         if isinstance(other, RAT_TYPES):
             return False  # canonical CycRat is never rational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.nums, self.den))
 
     def __bool__(self):
         return True  # canonical CycRat is never zero
 
     def __reduce__(self):
-        return (CycRat, (self.n, self.coeffs))
+        return (CycRat, (self.n, self.nums, self.den))
 
     def __repr__(self):
         return coeff_str(self)
@@ -361,9 +356,9 @@ def zeta(k: int, n: int):
         if k % 2 == 0:
             return zeta(k // 2, m)
         return -zeta(((k + m) // 2) % m, m)
-    vec = [ZERO] * (k + 1)
-    vec[k] = ONE
-    return _canonical(n, _reduce_mod_cyclo(vec, n))
+    vec = [0] * (k + 1)
+    vec[k] = 1
+    return _canonical(n, (1, *_reduce_mod_cyclo(vec, n)))
 
 
 # -- dispatch helpers over Rat | CycRat ----------------------------------
@@ -445,9 +440,10 @@ def coeff_str(x) -> str:
     if log is not None:
         return f"zeta({log[0]},{log[1]})"
     parts = []
-    for i, c in enumerate(x.coeffs):
-        if not c:
+    for i, num in enumerate(x.nums):
+        if not num:
             continue
+        c = Fraction(num, x.den)
         mono = "1" if i == 0 else (f"z{x.n}" if i == 1 else f"z{x.n}^{i}")
         if i == 0:
             parts.append(str(c))

@@ -190,7 +190,7 @@ def big_theta_eval(n, p, x, y, base, order) -> QSeries:
     g_{n,n+p,n}(x, y, base, y^n/x^n, x^n/y^n).  Theta_{n,1} is zero."""
     if p == 1:
         w = rat(order)
-        scale = int(w.denominator)
+        scale = w.denominator
         return QSeries(scale, int(w * scale), {})
     if p == 2:
         return _big_theta_2(n, x, y, base, order)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .appell import eval_padded
@@ -131,6 +130,9 @@ def run_suite(records, default_order=DEFAULT_ORDER, force_order=None,
     clear_memos()
     reports = []
     if jobs and jobs > 1 and len(records) > 1:
+        # imported here: it pulls in multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_verify_star, (r, default_order, force_order))
                        for r in records]

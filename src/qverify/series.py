@@ -64,7 +64,7 @@ from math import gcd, inf, lcm
 from .cyclotomic import (
     CycRat,
     RAT_TYPES,
-    _RAT,
+    Rat,
     as_coeff,
     cinv,
     coeff_root,
@@ -82,8 +82,7 @@ from .errors import (
 
 def ceil_rat(x) -> int:
     """Ceiling of an exact rational as int."""
-    num, den = int(x.numerator), int(x.denominator)
-    return -((-num) // den)
+    return -((-x.numerator) // x.denominator)
 
 
 def operand_orders(order, va, vb, op="*"):
@@ -139,7 +138,7 @@ class QMonomial:
             num, den = e, 1
         else:
             e = rat(e)
-            num, den = int(e.numerator), int(e.denominator)
+            num, den = e.numerator, e.denominator
         return QMonomial(coeff_root(self.coeff, num, den), self.expo * e)
 
     @property
@@ -179,8 +178,8 @@ def qmono(coeff=1, expo=0) -> QMonomial:
 def _int(c):
     """A series coefficient from c: an integral Rat becomes an int; an int,
     another Rat or a CycRat is returned as it is."""
-    if type(c) is _RAT and c.denominator == 1:
-        return int(c.numerator)
+    if type(c) is Rat and c.denominator == 1:
+        return c.numerator
     return c
 
 
@@ -261,7 +260,7 @@ class QSeries:
             raise OrderExceeded(
                 f"coefficient of q^({e}) requested; series known below q^({rat(self.order, self.scale)})"
             )
-        if int(n.denominator) != 1:
+        if n.denominator != 1:
             return rat(0)
         return self.terms.get(int(n), rat(0))
 

@@ -6,19 +6,27 @@ helpers here: a dict sum, the coefficient loops ``add_oracle`` and
 by ``one_minus``).  None of them uses the engine's accumulator, its term
 walker, or the ``QSeries`` sums and monomial products built on them.
 ``has_coeff_types`` checks the coefficient layout of a series.
+
+The ``cyc_*`` functions are a reference for ``qverify.cyclotomic``: an
+element of Q(zeta_n) is a tuple of ``Fraction`` coordinates over the power
+basis, multiplied by convolution and reduced mod Phi_n, carried to a larger
+conductor by lifting each power of zeta, brought down to its minimal
+conductor by Gaussian elimination over Q in every subfield, and inverted by
+the extended Euclidean algorithm against Phi_n.
 """
 
+from fractions import Fraction
 from math import lcm
 
 from qverify.appell import eval_padded
-from qverify.cyclotomic import CycRat, cinv, rat, rat_den
+from qverify.cyclotomic import CycRat, cinv, cyclotomic_coeffs, rat, rat_den
 from qverify.errors import GenericityError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
 
 
 #: the types a series coefficient may have (an int when it is integral)
-COEFF_TYPES = (int, type(rat(1)), CycRat)
+COEFF_TYPES = (int, Fraction, CycRat)
 
 
 def has_coeff_types(s: QSeries) -> bool:
@@ -360,3 +368,147 @@ def kp_lhs_oracle(order) -> QSeries:
                 monos.append(mono if k % 2 == 0 else -mono)
         k += 1
     return series_from_monomials(monos, T)
+
+
+# -- cyclotomic reference: Fraction coordinate vectors ------------------------
+#
+# A reference value is a Fraction when rational and otherwise a pair
+# (n, coords): n the minimal conductor, coords the phi(n) Fraction
+# coordinates over 1, z, ..., z^(phi(n)-1), z = zeta_n.
+
+
+def cyc_reduce(vec, n: int) -> tuple:
+    """An ascending Fraction coefficient list reduced mod Phi_n."""
+    cyc = cyclotomic_coeffs(n)
+    phi = len(cyc) - 1
+    v = [Fraction(c) for c in vec] + [Fraction(0)] * max(0, phi - len(vec))
+    for d in range(len(v) - 1, phi - 1, -1):
+        c = v[d]
+        if c:
+            for i, f in enumerate(cyc):
+                v[d - phi + i] -= c * f
+    return tuple(v[:phi])
+
+
+def cyc_lift(coords, n: int, m: int) -> tuple:
+    """Conductor-n coordinates rewritten in conductor m (n | m):
+    zeta_n^i = z^(i*m/n)."""
+    poly = [Fraction(0)] * ((len(coords) - 1) * (m // n) + 1)
+    for i, c in enumerate(coords):
+        poly[i * (m // n)] = c
+    return cyc_reduce(poly, m)
+
+
+def cyc_solve(coords, n: int, d: int):
+    """Coordinates of a conductor-n vector over the zeta_d power basis
+    (d | n), by Gaussian elimination over Q, or None."""
+    basis = [cyc_lift([0] * i + [1], d, n) for i in range(len(cyclotomic_coeffs(d)) - 1)]
+    rows, cols = len(coords), len(basis)
+    aug = [[basis[j][i] for j in range(cols)] + [Fraction(coords[i])] for i in range(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((k for k in range(r, rows) if aug[k][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [a * inv for a in aug[r]]
+        for k in range(rows):
+            if k != r and aug[k][c]:
+                f = aug[k][c]
+                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    if any(aug[k][-1] for k in range(r, rows)):
+        return None
+    sol = [Fraction(0)] * cols
+    for row, c in zip(aug, piv_cols):
+        sol[c] = row[-1]
+    return tuple(sol) if cyc_lift(sol, d, n) == tuple(coords) else None
+
+
+def cyc_canonical(n: int, coords):
+    """The reference value of sum coords[i] zeta_n^i (coords reduced)."""
+    coords = tuple(Fraction(c) for c in coords)
+    if not any(coords[1:]):
+        return coords[0]
+    for d in range(3, n):
+        if n % d == 0 and d % 4 != 2:
+            sol = cyc_solve(coords, n, d)
+            if sol is not None:
+                return (d, sol)
+    return (n, coords)
+
+
+def cyc_of(x):
+    """The reference value of an engine coefficient."""
+    if isinstance(x, CycRat):
+        return (x.n, tuple(Fraction(c, x.den) for c in x.nums))
+    return Fraction(x)
+
+
+def _cyc_pair(x, y):
+    """(m, a, b): reference values x and y as coordinates in one conductor."""
+    xn, xc = x if isinstance(x, tuple) else (1, (x,))
+    yn, yc = y if isinstance(y, tuple) else (1, (y,))
+    m = lcm(xn, yn)
+    return m, cyc_lift(xc, xn, m), cyc_lift(yc, yn, m)
+
+
+def cyc_add(x, y):
+    m, a, b = _cyc_pair(x, y)
+    return cyc_canonical(m, [p + q for p, q in zip(a, b)])
+
+
+def cyc_sub(x, y):
+    m, a, b = _cyc_pair(x, y)
+    return cyc_canonical(m, [p - q for p, q in zip(a, b)])
+
+
+def cyc_mul(x, y):
+    m, a, b = _cyc_pair(x, y)
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            prod[i + j] += p * q
+    return cyc_canonical(m, cyc_reduce(prod, m))
+
+
+def cyc_inverse(x):
+    """1/x for a nonzero reference value: extended Euclid in Q[z], solving
+    a(z) u(z) + Phi_n(z) v(z) = 1 for u."""
+    if not isinstance(x, tuple):
+        return 1 / x
+    n, coords = x
+
+    def deg(p):
+        return max((i for i, c in enumerate(p) if c), default=-1)
+
+    r0, r1 = [Fraction(c) for c in cyclotomic_coeffs(n)], list(coords)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while deg(r1) > 0:
+        d0, d1 = deg(r0), deg(r1)
+        if d0 < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        f = r0[d0] / r1[d1]
+        shift = d0 - d1
+        for i in range(d1 + 1):
+            r0[i + shift] -= f * r1[i]
+        s0 = s0 + [Fraction(0)] * max(0, len(s1) + shift - len(s0))
+        for i, c in enumerate(s1):
+            s0[i + shift] -= f * c
+        if deg(r0) < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+    inv = 1 / r1[0]
+    return cyc_canonical(n, cyc_reduce([c * inv for c in s1], n))
+
+
+def cyc_pow(x, k: int):
+    """x**k by k-fold products (of 1/x when k < 0)."""
+    base = cyc_inverse(x) if k < 0 else x
+    out = Fraction(1)
+    for _ in range(abs(k)):
+        out = cyc_mul(out, base)
+    return out

@@ -1,8 +1,21 @@
 """Exact cyclotomic-rational arithmetic: canonical forms, ring laws, roots."""
 
+import pickle
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    cyc_add,
+    cyc_canonical,
+    cyc_inverse,
+    cyc_mul,
+    cyc_of,
+    cyc_pow,
+    cyc_solve,
+    cyc_sub,
+)
 from qverify.cyclotomic import (
     CycRat,
     Rat,
@@ -217,3 +230,86 @@ def test_multiplicative_inverse(a):
     if a == 0 or a == rat(0):
         return
     assert a * cinv(a) == rat(1)
+
+
+# ---------------------------------------------------------------------------
+# the integer layout against the Fraction-vector reference (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+_ORACLE_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 24)
+
+
+def assert_canonical(x):
+    """x is a Rat, or a CycRat (n, nums, den) with den > 0, gcd(den, *nums)
+    = 1, phi(n) integer coordinates, at its minimal conductor and not
+    rational; it survives a pickle round trip with its hash."""
+    if not isinstance(x, CycRat):
+        assert type(x) is Rat
+        return
+    n, nums, den = x.n, x.nums, x.den
+    assert n >= 3 and n % 4 != 2
+    assert type(nums) is tuple and len(nums) == euler_phi(n)
+    assert all(type(c) is int for c in nums)
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert any(nums[1:])
+    coords = cyc_of(x)[1]
+    for d in range(3, n):
+        if n % d == 0 and d % 4 != 2:
+            assert cyc_solve(coords, n, d) is None, (x, d)
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is CycRat and y == x and hash(y) == hash(x)
+    assert (y.n, y.nums, y.den) == (n, nums, den)
+
+
+@st.composite
+def cyc_with_reference(draw):
+    """(engine value, reference value) of sum c_i zeta_n^i over i < phi(n),
+    with fractional c_i, many of them zero so that subfield and rational
+    values come up."""
+    n = draw(st.sampled_from(_ORACLE_CONDUCTORS))
+    coord = st.one_of(st.just(0), st.fractions(-4, 4, max_denominator=6))
+    coords = draw(st.lists(coord, min_size=euler_phi(n), max_size=euler_phi(n)))
+    value = sum((c * zeta(i, n) for i, c in enumerate(coords)), Rat(0))
+    return value, cyc_canonical(n, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_with_reference(), cyc_with_reference())
+def test_ring_ops_match_fraction_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    assert_canonical(a)
+    assert cyc_of(a) == ra
+    for got, want in ((a + b, cyc_add(ra, rb)), (a - b, cyc_sub(ra, rb)),
+                      (a * b, cyc_mul(ra, rb))):
+        assert_canonical(got)
+        assert cyc_of(got) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_with_reference(), st.integers(-3, 4))
+def test_inverse_and_pow_match_fraction_reference(x, k):
+    a, ra = x
+    if not ra:
+        return
+    inv = cinv(a)
+    assert_canonical(inv)
+    assert cyc_of(inv) == cyc_inverse(ra)
+    got = a ** k
+    assert_canonical(got)
+    assert cyc_of(got) == cyc_pow(ra, k)
+
+
+def test_mixed_conductor_results_match_fraction_reference():
+    # conductors 3 and 8 meet in 24, 5 and 3 in 15, 12 and 8 in 24; and
+    # zeta_12 * zeta_12^2 = zeta_4 falls back to conductor 4
+    cases = [(rat(1, 2) * zeta(1, 3), zeta(1, 8) + rat(2, 3)),
+             (zeta(1, 5) - rat(3, 4), zeta(2, 3) * rat(5, 6)),
+             (zeta(1, 12) + zeta(1, 8), zeta(11, 12) - zeta(7, 8))]
+    for a, b in cases:
+        for got, want in ((a + b, cyc_add(cyc_of(a), cyc_of(b))),
+                          (a - b, cyc_sub(cyc_of(a), cyc_of(b))),
+                          (a * b, cyc_mul(cyc_of(a), cyc_of(b))),
+                          (a / b, cyc_mul(cyc_of(a), cyc_inverse(cyc_of(b))))):
+            assert_canonical(got)
+            assert cyc_of(got) == want
+    assert (zeta(1, 12) * zeta(2, 12)).n == 4
