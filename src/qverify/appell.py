@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from .cyclotomic import cinv, rat
 from .errors import GenericityError, QVerifyError
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, eulerian_sum, memo
+from .eulerian import eulerian_sum
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, memo
 from .theta import _check_base, binom2, quotient, theta_quotient
 
 
@@ -107,7 +108,7 @@ def changing_z_delta(x: QMonomial, base: QMonomial, z1: QMonomial, z0: QMonomial
 def g_eval(x: QMonomial, base: QMonomial, order) -> QSeries:
     """g(x, base) = x^{-1} (-1 + sum_{n>=0} base^{n^2} / ((x;base)_{n+1} (base/x;base)_n)).
 
-    One call of the Eulerian engine, ``series.eulerian_sum``, as the
+    One call of the Eulerian engine, ``eulerian.eulerian_sum``, as the
     numerator of the quotient evaluator with no denominator and prefactor
     x^{-1}: the sum runs to order + expo(x).  Its stop rule holds because
     both Pochhammer x's, x and base/x, have exponent >= 0.

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import rat
-from .series import eulerian_sum, memo, qmono
+from .eulerian import eulerian_sum
+from .series import memo, qmono
 from .errors import UnknownCatalogName
 
 __all__ = ["CatalogEntry", "catalog_lookup", "catalog_names", "CATALOG"]

@@ -272,6 +272,8 @@ class CycRat:
         p, q = other.numerator, other.denominator
         if not p:
             return ZERO
+        if q == 1 and (p == 1 or p == -1):  # a sign: no new vector to reduce
+            return self if p == 1 else -self
         den, nums = _lowest(self.den * q, tuple(c * p for c in self.nums))
         return CycRat(self.n, nums, den)
 

@@ -16,33 +16,38 @@ where val is the smallest stored exponent (or the window itself when the
 known part is empty).  An exact monomial divisor gives an exact shift; two
 exact sides need a window hint.
 
-A coefficient inside a series is an ``int`` when it is integral and a
-``Rat`` or ``CycRat`` otherwise (a ``QMonomial`` coefficient is always a
-``Rat`` or ``CycRat``).  The one helper :func:`_int` decides this where a
-coefficient enters a series: ``from_coeff``, ``from_monomial``, each
-accumulator operation, the walkers' step factors, the inverse leading
-coefficient of a division and the coefficient of a substituted monomial.
-Sums and products of ints stay ints, so integral series (theta functions,
-Eulerian and Hecke sums with +-1 coefficients) are summed and convolved on
-Python ints; any other coefficient turns the terms it touches into
-``Rat | CycRat`` by the usual arithmetic.  No coefficient in a series meets
+A coefficient inside a series is an ``int`` or a ``Rat`` or ``CycRat`` (a
+``QMonomial`` coefficient is always a ``Rat`` or ``CycRat``).  The one
+helper :func:`_int` turns an integral Rat into an int where a coefficient
+enters a series: ``from_coeff``, ``from_monomial``, each accumulator
+operation, the walkers' step factors, the inverse leading coefficient of a
+division, the coefficient of a substituted monomial, and every coefficient
+of a product.  Sums and products of ints stay ints, so integral series
+(theta functions, Eulerian and Hecke sums with +-1 coefficients) are summed
+and convolved on Python ints; any other coefficient turns the terms it
+touches into ``Rat | CycRat`` by the usual arithmetic, and a sum of Rats
+(1/2 + 1/2) may leave an integral Rat.  No coefficient in a series meets
 ``/`` or a negative ``**`` (an int would become a float): inverses go
 through ``cinv``.
 
-A QSeries has two coefficient kernels, the product convolution (``__mul__``)
-and long division (``divide``); both loop over the terms as stored.
+A QSeries has two coefficient kernels, the product (``__mul__``) and long
+division (``divide``).  A product with more than ``kernels.KRON_PAIRS``
+term pairs per output slot and no CycRat is one multiply of two Python ints
+by Kronecker substitution (``kernels.kronecker``: each side scaled to ints
+by the lcm of its denominators and packed one exponent a digit); any other
+product loops over the term pairs.  Division loops over its quotient
+exponents with the remainder in a list over them.
 
 Every other coefficient operation is one call of the accumulator ``_Acc``:
 sums and differences, negation, products by a scalar or a monomial, and
 division by an exact monomial.  The sparse sums (j(x;q), f_{a,b,c},
 Appell-Lerch and Eulerian series) are built in place in the same
 accumulator and frozen once into a QSeries.  The accumulator also multiplies
-(``times_one_minus``) and divides (``over_one_minus``: c[k+d] += m*c[k] in
-ascending k) itself by a binomial (1 - m) in place, so the running
-Pochhammer product of an Eulerian sum stays one dict for the whole sum.
-That sum is the Eulerian engine, ``eulerian_sum``, the one evaluator of a
-series of Pochhammer quotients: the catalog definitions, g(x, q), and
-(x; b)_inf as Euler's sum over n of (-1)^n b^binom(n,2) x^n / (b; b)_n.
+(``times_one_minus``) and divides (``over_one_minus``) itself by a binomial
+(1 - m) in place, so that it can hold the running Pochhammer product of the
+Eulerian engine (``eulerian.eulerian_sum``) when that product is not dense
+over the ints.
+
 Where exponents are quadratic in the summation indices, each term is its
 neighbour times a monomial: the walker ``_walk`` steps such a sequence and
 stops past the window once its exponents rise, and ``_walk2`` runs one
@@ -58,8 +63,9 @@ included; each call gets its own copy of the kept series, and
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import count
 from math import gcd, inf, lcm
+
+from . import kernels
 
 from .cyclotomic import (
     CycRat,
@@ -306,8 +312,9 @@ class QSeries:
 
     def __mul__(self, other):
         """Product with a series, monomial or coefficient.  Two series are
-        convolved below the module's product window, on their coefficients
-        as stored (ints times ints stay ints)."""
+        convolved below the module's product window, by ``kernels.kronecker`` when
+        that takes them, else by a loop over the term pairs; an integral
+        coefficient of the product is an int."""
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
@@ -333,6 +340,9 @@ class QSeries:
             va = a.effval()
             vb = b.effval()
             window = min(a.order + vb, b.order + va)
+        out = kernels.kronecker(a.terms, b.terms, window)
+        if out is not None:
+            return QSeries(a.scale, window, out)
         out: dict = {}
         bitems = sorted(b.terms.items())
         for ka, ca in sorted(a.terms.items()):
@@ -350,6 +360,8 @@ class QSeries:
                         del out[k]
                     else:
                         out[k] = s
+        if set(map(type, out.values())) - {int}:
+            out = {k: _int(c) for k, c in out.items()}
         return QSeries(a.scale, window, out)
 
     __rmul__ = __mul__
@@ -396,10 +408,10 @@ class QSeries:
             window = b.order - 2 * vb + va
         else:
             window = min(a.order - vb, b.order - 2 * vb + va)
-        # a / b = (a / (b / g)) / g.  rem is the remainder, indexed by
-        # quotient exponent; each quotient term c subtracts c * b_k from the
-        # entry k above it.  A unit b_0 (the common case) skips a multiply
-        # per term.
+        # a / b = (a / (b / g)) / g.  rem[i] is the remainder at quotient
+        # exponent lo + i (None while nothing has reached it); each quotient
+        # term c subtracts c * b_k from the entry k above it.  A unit b_0
+        # (the common case) skips a multiply per term.
         bt, g = b.terms, 1
         if all(type(c) is int for c in bt.values()):
             g = gcd(*bt.values())
@@ -409,22 +421,26 @@ class QSeries:
         b0inv = _int(cinv(bt[vb]))
         unit = b0inv == 1
         step = sorted((k - vb, -c) for k, c in bt.items() if k != vb)
-        rem = {k - vb: c for k, c in a.terms.items() if k - vb < window}
+        lo, size = va - vb, window - va + vb
+        rem = [None] * size
+        for k, c in a.terms.items():
+            if k - vb < window:
+                rem[k - va] = c
         out: dict = {}
-        for n in range(va - vb, window):
-            c = rem.pop(n, None)
+        for i in range(size):
+            c = rem[i]
             if not c:
                 continue
             if not unit:
                 c = c * b0inv
-            out[n] = c
+            out[lo + i] = c
             for k, f in step:
-                m = n + k
-                if m >= window:
+                j = i + k
+                if j >= size:
                     break
                 p = f * c
-                cur = rem.get(m)
-                rem[m] = p if cur is None else cur + p
+                cur = rem[j]
+                rem[j] = p if cur is None else cur + p
         if g != 1:
             f = _int(cinv(g))
             out = {n: _int(c * f) for n, c in out.items()}
@@ -465,9 +481,10 @@ class QSeries:
         keys = set(a.terms) | set(b.terms)
         if window is not None:
             keys = {k for k in keys if k < window}
+        zero = rat(0)
         for k in sorted(keys):
-            ca = a.terms.get(k, rat(0))
-            cb = b.terms.get(k, rat(0))
+            ca = a.terms.get(k, zero)
+            cb = b.terms.get(k, zero)
             if ca != cb:
                 return (rat(k, a.scale), ca, cb)
         return None
@@ -663,65 +680,6 @@ class _Acc:
         s = QSeries(self.scale, self.order, self.terms)
         self.terms = None
         return s
-
-
-# --------------------------------------------------------------------------
-# Eulerian summation engine
-#
-# An Eulerian series is a sum of terms
-#     term(n) = (one or two monomials in q) * prod_i (x_i; b_i)_{c_i(n)}
-#             / prod_j (y_j; d_j)_{e_j(n)}
-# with nondecreasing counts c_i, e_j.  The running product over all
-# Pochhammer factors is one accumulator for the whole sum: advancing a count
-# by one multiplies it by a single binomial (1 - mono) in place
-# (``times_one_minus``) or divides it by one in place (``over_one_minus``),
-# both O(window), and each term adds the product times its monomials into a
-# second accumulator.  Summation stops at the first n whose least monomial
-# exponent reaches the window.  That is sound when the least exponent does
-# not decrease in n and every Pochhammer x has exponent >= 0: the product
-# then has valuation >= 0, so no term from n on reaches below the window.
-# --------------------------------------------------------------------------
-
-
-def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
-    """Sum ``term(n)`` for ``n >= start`` below q^order (order in q-units,
-    on the grid of its denominator), stopping at the first n whose least
-    exponent of ``monos_fn(n)`` reaches the order.
-
-    ``monos_fn(n)`` returns the monomial part(s) of the n-th term, and
-    ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
-    into / divided out of the term; ``const`` is added once.  The least
-    exponent of ``monos_fn(n)`` must not decrease in n, and every x must
-    have exponent >= 0.  Integral coefficients are ints, as in any series.
-    """
-    order = rat(order)
-    prod = _Acc.below(order, {0: 1})
-    total = _Acc.below(order)
-    num_next, den_next = [(0, x) for x, _, _ in num], [(0, x) for x, _, _ in den]
-    for n in count(start):
-        monos = monos_fn(n)
-        if min(m.expo for m in monos) >= order:
-            break
-        for m in _advance(num, num_next, n):
-            prod.times_one_minus(m)
-        for m in _advance(den, den_next, n):
-            prod.over_one_minus(m)
-        for mono in monos:
-            total.add_series(mono, prod)
-    if const is not None:
-        total.add_mono(QMonomial(const))
-    return total.freeze()
-
-
-def _advance(specs, nexts, n):
-    """Yield the binomials x*b^k, each the one before times b, that bring
-    each spec's count up to count_fn(n); nexts[i] holds its count k and x*b^k."""
-    for i, (_, b, cf) in enumerate(specs):
-        k, m, target = *nexts[i], cf(n)
-        while k < target:
-            yield m
-            k, m = k + 1, m * b
-        nexts[i] = (k, m)
 
 
 def series_equal(a: QSeries, b: QSeries) -> bool:

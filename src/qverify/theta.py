@@ -35,8 +35,9 @@ from operator import mul
 
 from .cyclotomic import cinv, rat
 from .errors import GenericityError, UnsupportedArgument
+from .eulerian import eulerian_sum
 from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
-                     eulerian_sum, memo, operand_orders, qmono)
+                     memo, operand_orders, qmono)
 
 
 def _check_base(base: QMonomial):

@@ -6,6 +6,7 @@ kept here as ``mul_oracle``; division against the earlier two-step kernel
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,9 @@ from qverify.errors import (
     OrderExceeded,
     UnsupportedSubstitution,
 )
+from qverify import eulerian, kernels
+from qverify.eulerian import eulerian_sum
+from qverify.kernels import KRON_PAIRS
 from qverify.series import (
     MONO_ONE,
     MONO_Q,
@@ -414,6 +418,187 @@ def test_divide_matches_inverse_then_multiply_randomized():
         got = a.divide(b, hint)
         want = divide_oracle(a, b, hint)
         _assert_same_series(got, want, f"draw {i}: {a!r} / {b!r}, hint {hint}")
+
+
+def _wide_coeff(rng, kind):
+    """A coefficient of one of the kinds the dense kernels meet: small
+    ints, ints up to 2^80 of both signs, Rats over mixed denominators (an
+    integral one is sometimes a Rat, sometimes an int), or a CycRat among
+    small ints."""
+    sign = rng.choice((-1, 1))
+    if kind == "small" or (kind == "cyc" and rng.random() < 0.7):
+        return sign * rng.randint(1, 3)
+    if kind == "big":
+        return sign * rng.randrange(1, 2**80)
+    if kind == "rat":
+        c = rat(sign * rng.randrange(1, 10**6), rng.choice((1, 2, 3, 4, 7, 12, 2**40)))
+        return c if rng.random() < 0.5 else int(c) if c.denominator == 1 else c
+    return rng.choice((zeta(1, 3), zeta(1, 4) * rat(3, 2)))
+
+
+def _wide_side(rng, kind, exact, most=400):
+    """A series of 1 to ``most`` terms (log-uniform) on grid 1, 2 or 8, with
+    a valuation that may be negative and a density of 1 to 1/3 of its
+    span; exact or known a little past its last term."""
+    n = int(most ** rng.random())
+    span = n * rng.choice((1, 1, 2, 3))
+    lo = rng.randint(-20, 20)
+    terms = {k: _wide_coeff(rng, kind) for k in rng.sample(range(lo, lo + span), n)}
+    order = None if exact else lo + span + rng.randint(0, span)
+    return QSeries(rng.choice((1, 2, 8)), order, terms)
+
+
+def _no_integral_rat(s):
+    return not any(type(c) is Fraction and c.denominator == 1 for c in s.terms.values())
+
+
+def test_product_takes_kronecker_above_the_density_threshold(monkeypatch):
+    """Two exact dense m-term series have m*m term pairs over 2m - 1 output
+    slots: the loop takes the largest m with at most KRON_PAIRS pairs a
+    slot, and Kronecker substitution the next m."""
+    took = []
+    kron = kernels.kronecker
+    monkeypatch.setattr(kernels, "kronecker", lambda *a: took.append(kron(*a)) or took[-1])
+    m = max(m for m in range(1, 10 * KRON_PAIRS) if m * m <= KRON_PAIRS * (2 * m - 1))
+    for k in (m, m + 1):
+        a = QSeries(1, None, {i: (-1) ** i * (i + 1) for i in range(k)})
+        _assert_same_series(a * a, mul_oracle(a, a), k)
+    assert [t is not None for t in took] == [False, True]
+
+
+def test_product_kernels_match_loop_across_the_threshold_randomized(monkeypatch):
+    """Products of 1 to 400 terms against ``mul_oracle``, on both sides of
+    the Kronecker density threshold: small ints, ints up to 2^80 of both
+    signs, Rats over mixed denominators, CycRats (always the loop); exact
+    and finite sides (exact x exact included), negative valuations, grids 1,
+    2 and 8.  No integral coefficient of a product is a Rat."""
+    took = []
+    kron = kernels.kronecker
+
+    def spy(at, bt, window):
+        out = kron(at, bt, window)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(kernels, "kronecker", spy)
+    rng = random.Random(20091)
+    seen = {"kron": 0, "loop": 0, "kron_rat": 0, "kron_wide": 0, "kron_neg": 0,
+            "kron_exact": 0}
+    for i in range(400):
+        kind = ("small", "big", "rat", "cyc")[i % 4]
+        most = 400 if kind in ("small", "big") else 120
+        a = _wide_side(rng, kind, (i // 4) % 2 == 0, most)
+        b = _wide_side(rng, rng.choice(("small", kind)), (i // 8) % 2 == 0, most)
+        took.clear()
+        got, case = a * b, f"draw {i}: {a!r} * {b!r}"
+        _assert_same_series(got, mul_oracle(a, b), case)
+        assert _no_integral_rat(got), case
+        if not took or not took[0]:
+            seen["loop"] += 1
+            continue
+        seen["kron"] += 1
+        seen["kron_rat"] += kind == "rat"
+        seen["kron_wide"] += any(type(c) is int and abs(c) >= 2**64 for c in got.terms.values())
+        seen["kron_neg"] += min(got.terms, default=0) < 0
+        seen["kron_exact"] += got.order is None
+    assert min(seen.values()) >= 8, seen
+
+
+def test_integral_product_coefficients_are_ints():
+    """An integral coefficient of a product is an int, on the loop (1 x 2
+    terms) and on Kronecker substitution (200 x 200 terms)."""
+    half = rat(1, 2)
+    got = QSeries(1, 10, {0: 1, 1: 1}) * QSeries(1, 10, {0: half, 1: half})
+    assert got.terms == {0: half, 1: 1, 2: half} and type(got.terms[1]) is int
+    a = QSeries(1, 200, {k: rat(k + 1, 2) for k in range(200)})
+    got = a * a
+    _assert_same_series(got, mul_oracle(a, a), "200 x 200")
+    assert _no_integral_rat(got) and any(type(c) is int for c in got.terms.values())
+
+
+def test_divide_matches_oracle_on_long_windows_randomized():
+    """Long division into a remainder list against ``divide_oracle``:
+    dividends of 1 to 400 terms, divisors of 1 to 30 with a unit, content
+    or Rat leading term, ints up to 2^80, Rats over mixed denominators,
+    CycRats, negative valuations, grids 1, 2 and 8, exact sides with a
+    hint."""
+    rng = random.Random(2012)
+    for i in range(120):
+        kind = ("small", "big", "rat", "cyc")[i % 4]
+        most = 400 if kind == "small" else 60
+        a = _wide_side(rng, kind, i % 4 == 1, most)
+        b = _wide_side(rng, rng.choice(("small", kind)), i % 3 == 0, 30)
+        b.terms[min(b.terms)] = rng.choice((1, -1, 2, -3, rat(1, 2), b.terms[min(b.terms)]))
+        hint = rng.randint(1, 120) if a.order is None and b.order is None else None
+        got = a.divide(b, hint)
+        _assert_same_series(got, divide_oracle(a, b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}")
+
+
+def test_dense_eulerian_sum_matches_accumulators_randomized(monkeypatch):
+    """``eulerian_sum`` on dense int lists against the accumulator engine
+    it replaces (``_dense_sum`` switched off), for grid, window and terms:
+    fractional orders and exponents, constant binomials (1 - c) and
+    1/(1 - 2), bases -q^e, signs and 2 on monomials, first terms below 0,
+    a const, start 1.  A Rat or off-grid monomial, a constant 1/(1 + 1) or
+    a term below the first makes ``_dense_sum`` give up, and a Rat const
+    keeps the sum off it."""
+    dense = eulerian._dense_sum
+    took = []
+
+    def spy(*args):
+        out = dense(*args)
+        took.append(out is not None)
+        return out
+
+    rng = random.Random(1998)
+    counts = (lambda n: n, lambda n: n + 1, lambda n: 2 * n)
+
+    def ex(lo, hi):
+        return rat(rng.randint(lo, hi), rng.choice((1, 2, 3)))
+
+    seen = {"dense": 0, "gave up": 0, "not tried": 0}
+    for i in range(300):
+        num = tuple((qmono(rng.choice((1, -1, 2, -3)), ex(0, 6)),
+                     qmono(rng.choice((1, -1)), ex(1, 6)), rng.choice(counts))
+                    for _ in range(rng.randint(0, 2)))
+        den = []
+        for _ in range(rng.randint(0, 2)):
+            e = ex(0, 6)
+            c = rng.choice((-1, 2, 2, 3)) if e == 0 else rng.choice((1, -1, 2, -2))
+            den.append((qmono(c, e), qmono(rng.choice((1, -1)), ex(1, 6)), rng.choice(counts)))
+        a, b, e0 = rng.randint(0, 3), ex(1, 4), ex(-6, 4)
+        c0 = rng.choice((1, -1, 2, 1, -1, 2, rat(1, 2)))
+        shift = rng.choice((None, 0, 1, -2, rat(1, 5) if i % 10 == 0 else 1))
+        sign = rng.choice((lambda n: 1, lambda n: -1 if n % 2 else 1))
+        dip = 3 if i % 20 == 0 else 0  # term 1 below term 0, against the rule
+
+        def monos(n, a=a, b=b, e0=e0, c0=c0, shift=shift, sign=sign, dip=dip):
+            m = qmono(c0 * sign(n), a * n * n + b * n + e0 - (dip if n == 1 else 0))
+            return (m,) if shift is None else (m, qmono(-1, m.expo + shift))
+
+        const = rng.choice((None, None, 1, -2, rat(1, 3)))
+        order = rat(rng.randint(0, 40), rng.choice((1, 2, 3)))
+        args = (order, monos, num, tuple(den), const, rng.choice((0, 0, 1)))
+        monkeypatch.setattr(eulerian, "_dense_sum", spy)
+        took.clear()
+        got = eulerian_sum(*args)
+        monkeypatch.setattr(eulerian, "_dense_sum", lambda *a: None)
+        want = eulerian_sum(*args)
+        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), i
+        assert has_coeff_types(got), i
+        seen["not tried" if not took else "dense" if took[0] else "gave up"] += 1
+    assert min(seen.values()) >= 30, seen
+    # exponents 0, 2, 4 and then odd ones: off the slots of the first three
+    # terms and the specs (every other exponent), so the sum is given up
+    args = (30, lambda n: (qmono(1, 2 * n + (n >= 3)),), (),
+            ((qmono(1, 2), qmono(1, 2), lambda n: n),))
+    monkeypatch.setattr(eulerian, "_dense_sum", spy)
+    took.clear()
+    got = eulerian_sum(*args)
+    monkeypatch.setattr(eulerian, "_dense_sum", lambda *a: None)
+    want = eulerian_sum(*args)
+    assert took == [False]
+    assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms)
 
 
 def _random_mono(rng, coeffs, lo, hi):

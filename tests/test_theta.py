@@ -18,7 +18,8 @@ from qverify.appell import bilateral_sum
 from qverify.cyclotomic import CycRat, rat, zeta
 from qverify.errors import GenericityError, UnsupportedArgument
 from qverify.hecke import f_eval
-from qverify.series import MONO_ONE, QSeries, qmono
+from qverify import eulerian, kernels
+from qverify.series import MONO_ONE, QSeries, clear_memos, qmono
 from qverify.theta import (
     J,
     Jbar,
@@ -165,6 +166,42 @@ def test_poch_inf_matches_product_oracle_randomized():
         assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), \
             (x, base, order)
         assert has_coeff_types(got)
+
+
+def test_dense_euler_sum_matches_product_oracle(monkeypatch):
+    """(x; base)_inf for x = +-q^a at orders 150 and 400 on the dense
+    Eulerian engine against the product of its binomials: a base of -q^b
+    gives binomials -1 * q^d, and both ways of dividing by a binomial run
+    (strided prefix sums for d up to 1/STRIDED of the window, doubling
+    above).  x = q/2 and x = zeta_3 q leave the sum to the accumulators."""
+    over, dense = kernels.over_one_minus, eulerian._dense_sum
+    ways, engines = set(), []
+
+    def spy_over(a, c, d):
+        ways.add((d * kernels.STRIDED <= len(a), c))
+        over(a, c, d)
+
+    def spy_dense(*args):
+        out = dense(*args)
+        engines.append(out is not None)
+        return out
+
+    monkeypatch.setattr(eulerian, "over_one_minus", spy_over)
+    monkeypatch.setattr(eulerian, "_dense_sum", spy_dense)
+    clear_memos()
+    cases = [(qmono(c, a), qmono(cb, b), order)
+             for order, a, b in ((150, 1, 1), (150, 0, 2), (150, 3, rat(1, 2)),
+                                 (400, 1, 1), (400, 2, 3))
+             for c, cb in ((1, 1), (-1, -1))]
+    cases += [(qmono(rat(1, 2), 1), qmono(1, 1), 150), (qmono(W3, 1), qmono(1, 1), 150)]
+    for x, base, order in cases:
+        engines.clear()
+        got, want = poch_inf(x, base, order), poch_inf_product_oracle(x, base, order)
+        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), \
+            (x, base, order)
+        assert has_coeff_types(got)
+        assert engines == ([] if x.is_one else [x.coeff in (1, -1)]), (x, base, order)
+    assert ways == {(True, 1), (False, 1), (True, -1), (False, -1)}
 
 
 def test_poch_fin_small_products():
