@@ -234,6 +234,8 @@ class CycRat:
             a = _lift(a, n, m)
             b, db = _lift(other.nums, other.n, m), other.den
         elif isinstance(other, RAT_TYPES):
+            if not other:  # the dense Eulerian lists add zeros at every empty slot
+                return self
             m = n
             p, db = other.numerator, other.denominator
             b = (p,) + (0,) * (len(a) - 1)

@@ -7,16 +7,16 @@ An Eulerian series is a sum of terms
             / prod_j (y_j; d_j)_{e_j(n)}
 with nondecreasing counts c_i, e_j.  The running product over all
 Pochhammer factors is one value for the whole sum: advancing a count by one
-multiplies it by a single binomial (1 - mono) in place or divides it by one
-in place, both O(window), and each term adds the product times its
-monomials into the total.  When every coefficient is an int, the product
-and the total are dense int lists stepped by the list kernels of
-``kernels``; otherwise they are accumulators (``series._Acc``, whose
-``over_one_minus`` is c[k+d] += m*c[k] in ascending k).  Summation stops at
-the first n whose least monomial exponent reaches the window.  That is
-sound when the least exponent does not decrease in n and every Pochhammer x
-has exponent >= 0: the product then has valuation >= 0, so no term from n
-on reaches below the window.
+multiplies it by a single binomial (1 - c*q^d) in place or divides it by
+one in place, both O(window), and each term adds the product times its
+monomials into the total.  The product and the total are dense lists of
+coefficients (int, Rat or CycRat) on one grid, stepped by the list kernels
+of ``kernels``.  Summation stops at the first n whose least monomial
+exponent reaches the window.  That is sound when the least exponent does
+not decrease in n and every Pochhammer x has exponent >= 0: the product
+then has valuation >= 0, so no term from n on reaches below the window.
+A term that breaks either rule raises ValueError.  The accumulator sum in
+the tests (``oracles.eulerian_sum_oracle``) is the engine's oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from itertools import count, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .cyclotomic import rat
+from .cyclotomic import cinv, rat
+from .errors import GenericityError
 from .kernels import over_one_minus, times_one_minus
-from .series import QMonomial, QSeries, _Acc, _int, common_scale
+from .series import QMonomial, QSeries, _int, common_scale
 
 
 def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
@@ -37,64 +38,28 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
 
     ``monos_fn(n)`` returns the monomial part(s) of the n-th term, and
     ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
-    into / divided out of the term; ``const`` is added once.  The least
-    exponent of ``monos_fn(n)`` must not decrease in n, and every x must
-    have exponent >= 0.  Integral coefficients are ints, as in any series.
-    When every x, base and const has an int coefficient the sum runs on
-    dense int lists (``_dense_sum``); any other sum, or one that
-    ``_dense_sum`` gives up, runs on accumulators.
+    into / divided out of the term; ``const`` is added once.  Term
+    exponents must be quadratic in n and never below the first term's
+    least, and every x must have exponent >= 0; ValueError otherwise.
+    Dividing by a constant binomial 1 - 1 raises GenericityError.
+
+    The running product (below the window) and the total (from the first
+    term's least exponent, or 0, to the window) are dense lists with one
+    slot per multiple of g, the gcd of the specs' exponents and those of the
+    first three terms (for exponents quadratic in n, the gcd of them all),
+    on the grid of the order, the specs and those terms.  The result is on
+    the grid the sum reaches: that of the order, the binomials applied and
+    the monomials added.  Integral coefficients are ints, as in any series.
     """
     order = rat(order)
     const = None if const is None else QMonomial(const)
-    if all(type(_int(m.coeff)) is int for m in _spec_monos(num, den, const)):
-        s = _dense_sum(order, monos_fn, num, den, const, start)
-        if s is not None:
-            return s
-    prod = _Acc.below(order, {0: 1})
-    total = _Acc.below(order)
-    num_next, den_next = [(0, x) for x, _, _ in num], [(0, x) for x, _, _ in den]
-    for n in count(start):
-        monos = monos_fn(n)
-        if min(m.expo for m in monos) >= order:
-            break
-        for m in _advance(num, num_next, n):
-            prod.times_one_minus(m)
-        for m in _advance(den, den_next, n):
-            prod.over_one_minus(m)
-        for mono in monos:
-            total.add_series(mono, prod)
-    if const is not None:
-        total.add_mono(const)
-    return total.freeze()
-
-
-def _spec_monos(num, den, const):
-    """The x and base of every Pochhammer spec, and const when given."""
-    yield from (m for x, b, _ in (*num, *den) for m in (x, b))
-    if const is not None:
-        yield const
-
-
-def _dense_sum(order, monos_fn, num, den, const, start):
-    """``eulerian_sum`` with int coefficients on dense lists: the running
-    product below the window, and the total from the least exponent of the
-    first term (or 0) to the window, on the grid of the order and the specs
-    with one slot per multiple of g, the gcd there of the specs' exponents
-    and those of the first three terms (for exponents quadratic in n, the
-    gcd of them all).
-    The result is on the grid the accumulators would reach: that of the
-    order, the binomials applied and the monomials added.  None, to leave
-    the sum to the accumulators, when a monomial has a coefficient that is
-    not an int, an exponent off the slots or below the first term's, or a
-    binomial divided out is constant and its inverse not an int."""
-    expos = [m.expo for m in _spec_monos(num, den, None)]
-    scale = common_scale(order, *expos)
-    firsts = [m.expo * scale for n in range(start, start + 3) for m in monos_fn(n)]
+    expos = [m.expo for x, b, _ in (*num, *den) for m in (x, b)]
+    firsts = [m.expo for n in range(start, start + 3) for m in monos_fn(n)]
+    scale = common_scale(order, *expos, *firsts)
+    g = gcd(*(int(e * scale) for e in (*expos, *firsts))) or 1
     W, used = int(order * scale), order.denominator
-    if W < 1 or any(e.denominator != 1 for e in firsts):
-        return None
-    g = gcd(*(int(e * scale) for e in expos), *map(int, firsts)) or 1
-    base = min(0, int(min(m.expo for m in monos_fn(start)) * scale) // g * g)
+    lo = int(min(m.expo for m in monos_fn(start)) * scale)
+    base = min(0, lo) if lo < W else 0
     size, top = -(-W // g), W + base
     prod, total = [1] + [0] * (size - 1), [0] * size
     # per spec: [over, count_fn, count k, scaled exponent and coefficient
@@ -109,11 +74,15 @@ def _dense_sum(order, monos_fn, num, den, const, start):
             over, cf, k, e, c, be, bc = step
             target = cf(n)
             while k < target:
+                if e < 0:
+                    raise ValueError(f"eulerian_sum: binomial 1 - ({c})q^({rat(e, scale)}) "
+                                     "has a negative exponent; every x needs exponent >= 0")
                 used, d = lcm(used, scale // gcd(e, scale)), e // g
-                if d < 0 or d == 0 and over and c != 2:
-                    return None
-                if d == 0:  # a constant binomial: 1 - c, or 1/(1 - 2)
-                    prod = list(map(mul, prod, repeat(-1 if over else 1 - c)))
+                if d == 0:  # a constant binomial: times 1 - c, or 1/(1 - c)
+                    if over and c == 1:
+                        raise GenericityError("pole: 1/(1 - 1)")
+                    f = _int(cinv(1 - c) if over else 1 - c)
+                    prod = list(map(mul, prod, repeat(f)))
                 elif over:
                     over_one_minus(prod, c, d)
                 else:
@@ -123,8 +92,13 @@ def _dense_sum(order, monos_fn, num, den, const, start):
         for mono in monos:
             q, c = mono.expo.denominator, _int(mono.coeff)
             e = mono.expo.numerator * (scale // q)
-            if scale % q or e < base or e % g or type(c) is not int:
-                return None
+            if scale % q or e % g:
+                raise ValueError(f"eulerian_sum: term {n} has exponent {mono.expo}, off the "
+                                 "lattice of the first three terms; exponents must be "
+                                 "quadratic in n")
+            if e < lo:
+                raise ValueError(f"eulerian_sum: term {n} has exponent {mono.expo}, below the "
+                                 "first term's; the least exponent must not decrease in n")
             used = lcm(used, q)
             i = (e - base) // g
             t = total[i:]
@@ -135,14 +109,3 @@ def _dense_sum(order, monos_fn, num, den, const, start):
     f = scale // used
     terms = {(base + g * i) // f: c for i, c in enumerate(total) if c}
     return QSeries(used, top // f, terms)
-
-
-def _advance(specs, nexts, n):
-    """Yield the binomials x*b^k, each the one before times b, that bring
-    each spec's count up to count_fn(n); nexts[i] holds its count k and x*b^k."""
-    for i, (_, b, cf) in enumerate(specs):
-        k, m, target = *nexts[i], cf(n)
-        while k < target:
-            yield m
-            k, m = k + 1, m * b
-        nexts[i] = (k, m)

@@ -1,10 +1,11 @@
-"""Dense integer kernels of the series layer.
+"""Dense kernels of the series layer.
 
 ``kronecker`` multiplies two term dicts with int or Rat coefficients by
-Kronecker substitution (one multiply of two Python ints); ``times_one_minus``
-and ``over_one_minus`` multiply and divide a dense list of ints by a
-binomial (1 - c*q^d) in place, by slice ``map`` and strided prefix sums.
-``series`` chooses them over its term loops by the thresholds here.
+Kronecker substitution (one multiply of two Python ints); ``series``
+chooses it over its term loop by the threshold here.  ``times_one_minus``
+and ``over_one_minus`` multiply and divide a dense list of coefficients
+(int, Rat or CycRat) by a binomial (1 - c*q^d) in place, by slice ``map``
+and strided prefix sums; they step the Eulerian engine (``eulerian``).
 
 They are a module of their own because each module is compiled when it is
 imported without a bytecode cache, and the peak memory of that compile
@@ -78,14 +79,14 @@ def kronecker(at: dict, bt: dict, window):
 STRIDED = 8
 
 
-def times_one_minus(a: list, c: int, d: int) -> None:
+def times_one_minus(a: list, c, d: int) -> None:
     """a *= (1 - c*q^d) in place, a a dense list below its length, d > 0."""
     t = a[:-d]
     a[d:] = (map(sub, a[d:], t) if c == 1 else map(add, a[d:], t) if c == -1
              else map(sub, a[d:], map(mul, t, repeat(c))))
 
 
-def over_one_minus(a: list, c: int, d: int) -> None:
+def over_one_minus(a: list, c, d: int) -> None:
     """a /= (1 - c*q^d) in place, a a dense list below its length, d > 0:
     a prefix sum over each residue class mod d when d <= len(a)/STRIDED,
     else the product of (1 + c^(2^i) q^(2^i d)) over 2^i d < len(a)."""
@@ -95,6 +96,7 @@ def over_one_minus(a: list, c: int, d: int) -> None:
             times_one_minus(a, -c, d)
             c, d = c * c, 2 * d
         return
-    step = None if c == 1 else lambda t, x: x + c * t
+    step = (None if c == 1 else (lambda t, x: x - t) if c == -1
+            else lambda t, x: x + c * t)
     for r in range(d):
         a[r::d] = accumulate(a[r::d], step)

@@ -40,13 +40,10 @@ exponents with the remainder in a list over them.
 
 Every other coefficient operation is one call of the accumulator ``_Acc``:
 sums and differences, negation, products by a scalar or a monomial, and
-division by an exact monomial.  The sparse sums (j(x;q), f_{a,b,c},
-Appell-Lerch and Eulerian series) are built in place in the same
-accumulator and frozen once into a QSeries.  The accumulator also multiplies
-(``times_one_minus``) and divides (``over_one_minus``) itself by a binomial
-(1 - m) in place, so that it can hold the running Pochhammer product of the
-Eulerian engine (``eulerian.eulerian_sum``) when that product is not dense
-over the ints.
+division by an exact monomial.  The sparse sums (j(x;q), f_{a,b,c} and
+the Appell-Lerch sums) are built in place in the same accumulator and
+frozen once into a QSeries; the Eulerian sums run on dense lists
+(``eulerian``).
 
 Where exponents are quadratic in the summation indices, each term is its
 neighbour times a monomial: the walker ``_walk`` steps such a sequence and
@@ -80,7 +77,6 @@ from .cyclotomic import (
 )
 from .errors import (
     DivisionByZero,
-    GenericityError,
     OrderExceeded,
     UnsupportedSubstitution,
 )
@@ -590,12 +586,10 @@ class _Acc:
     every part is exact) that only falls; frozen once into a QSeries.
     It starts empty or from a copy of given terms, and series added to it
     are read, never changed, so ``QSeries`` sums and monomial products are
-    each one accumulator.  It multiplies and divides itself by binomials
-    (1 - m) in place, so it can also hold a running Pochhammer product;
-    add_series reads only scale, order and terms, so one accumulator can be
-    added into another; the walkers add into its terms directly.  Every
-    coefficient it adds or multiplies by goes through ``_int``, and a
-    multiplier of +-1 only adds or negates."""
+    each one accumulator.  add_series reads only scale, order and terms, so
+    one accumulator can be added into another; the walkers add into its
+    terms directly.  Every coefficient it adds or multiplies by goes through
+    ``_int``, and a multiplier of +-1 only adds or negates."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -649,30 +643,6 @@ class _Acc:
                         del terms[k]
                         continue
                 terms[k] = c
-
-    def times_one_minus(self, m: QMonomial) -> None:
-        """Multiply by (1 - m) in place, for m constant or with positive
-        exponent (the window stays): add -m times a copy of the terms."""
-        self.add_series(-m, QSeries(self.scale, None, dict(self.terms)))
-
-    def over_one_minus(self, m: QMonomial) -> None:
-        """Divide by (1 - m) in place, for m constant or with exponent d > 0
-        (the window stays, and must be finite for d > 0): on the refined
-        grid, c[k+d] += m*c[k] in ascending k below the window.  A constant
-        m scales every term by 1/(1 - m); m == 1 raises GenericityError."""
-        if m.is_one:
-            raise GenericityError(f"pole: 1/(1 - {m!r})")
-        self.refine(rat_den(m.expo))
-        d, c0, terms = int(m.expo * self.scale), _int(m.coeff), self.terms
-        if d == 0:
-            f = _int(cinv(1 - c0))
-            self.terms = {k: c * f for k, c in terms.items()}
-            return
-        unit, neg = c0 == 1, c0 == -1
-        for k in range(min(terms, default=self.order), self.order - d):
-            c = terms.get(k)
-            if c is not None:
-                _add(terms, k + d, c if unit else -c if neg else c * c0)
 
     def freeze(self) -> QSeries:
         """The sum as a QSeries, truncated below the window; the accumulator

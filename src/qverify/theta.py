@@ -13,8 +13,8 @@ General x is first normalized with the index shift
 so the exponents of the sum for j(x'; B) grow monotonically away from n = 0.
 Each direction of n is one run of the series module's term walker, which
 f_{a,b,c} and the Appell-Lerch sums share.  (x; base)_inf is Euler's sum,
-one call of the series module's Eulerian engine with O(sqrt(window)) terms
-(the product is its test oracle); (x; base)_n is built factor by factor.
+one call of the Eulerian engine with O(sqrt(window)) terms (the product
+is its test oracle); (x; base)_n is built factor by factor.
 
 Every series over a theta product, pre * A / prod j(y; d), is evaluated by
 one quotient evaluator, :func:`quotient`: the Appell-Lerch sums m, h, k and
@@ -74,11 +74,11 @@ def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:
     _check_base(base)
     if n < 0:
         raise UnsupportedArgument("finite Pochhammer needs n >= 0")
-    acc = _Acc(common_scale(x.expo, base.expo), None, {0: 1})
+    p = QSeries(common_scale(x.expo, base.expo), None, {0: 1})
     for _ in range(n):
-        acc.times_one_minus(x)
+        p = p - p.mul_monomial(x)
         x = x * base
-    return acc.freeze()
+    return p
 
 
 def jtheta_shift(x: QMonomial, base: QMonomial):

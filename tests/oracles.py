@@ -5,6 +5,8 @@ helpers here: a dict sum, the coefficient loops ``add_oracle`` and
 ``mul_monomial_oracle``, and ``divide_one_minus``/``geom_inv`` (long division
 by ``one_minus``).  None of them uses the engine's accumulator, its term
 walker, or the ``QSeries`` sums and monomial products built on them.
+``eulerian_sum_oracle`` sums an Eulerian series term by term on sparse
+series, the way the engine did before its dense lists.
 ``has_coeff_types`` checks the coefficient layout of a series.
 
 The ``cyc_*`` functions are a reference for ``qverify.cyclotomic``: an
@@ -16,6 +18,7 @@ the extended Euclidean algorithm against Phi_n.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from qverify.appell import eval_padded
@@ -191,6 +194,38 @@ def poch_inf_product_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
         s = add_oracle(s, mul_monomial_oracle(s, -x))
         x = x * base
     return s
+
+
+def eulerian_sum_oracle(order, monos_fn, num=(), den=(), const=None, start=0) -> QSeries:
+    """``eulerian.eulerian_sum`` as the sparse accumulator engine summed it:
+    the running Pochhammer product is a series known below the order, times
+    (1 - m) as s + (-m)*s and over (1 - m) by ``divide_one_minus``, one
+    binomial x*b^k at a time; each term adds the product times its
+    monomials with ``add_oracle``, until the least exponent of a term
+    reaches the order.  It checks none of the engine's preconditions."""
+    order = rat(order)
+    scale = rat_den(order)
+    window = int(order * scale)
+    prod, total = QSeries(scale, window, {0: 1}), QSeries.zero(scale, window)
+    specs = [(over, x, b, cf) for over, ss in ((False, num), (True, den)) for x, b, cf in ss]
+    counts = [0] * len(specs)
+    for n in count(start):
+        monos = monos_fn(n)
+        if min(m.expo for m in monos) >= order:
+            break
+        for i, (over, x, b, cf) in enumerate(specs):
+            for k in range(counts[i], cf(n)):
+                m = x * b ** k
+                if over:
+                    prod = divide_one_minus(prod, m)
+                else:
+                    prod = add_oracle(prod, mul_monomial_oracle(prod, -m))
+            counts[i] = max(counts[i], cf(n))
+        for m in monos:
+            total = add_oracle(total, mul_monomial_oracle(prod, m))
+    if const is not None:
+        total = add_oracle(total, QSeries.from_monomial(QMonomial(const)))
+    return total
 
 
 def m_alt_oracle(x: QMonomial, base: QMonomial, z: QMonomial, order) -> QSeries:

@@ -1,6 +1,7 @@
 """Exact cyclotomic-rational arithmetic: canonical forms, ring laws, roots."""
 
 import pickle
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -119,6 +120,15 @@ def test_mixed_conductor_sum_and_product():
     assert isinstance(s, CycRat) and s.n == 12
     assert s - i == w
     assert (w + i) * cinv(w + i) == rat(1)
+
+
+def test_adding_a_zero_returns_the_element():
+    """x + 0, 0 + x, x - 0 and x + Fraction(0) return x itself (the dense
+    Eulerian lists add zeros at every empty slot), and 0 - x is -x."""
+    for x in (zeta(1, 3), rat(2, 3) * zeta(1, 4) - 1, zeta(1, 5) + zeta(2, 5)):
+        for y in (x + 0, 0 + x, x - 0, x + Fraction(0), Fraction(0) + x):
+            assert y is x
+        assert 0 - x == -x == Fraction(0) - x
 
 
 def test_inverse_and_division():

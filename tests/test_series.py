@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (add_oracle, divide_one_minus, geom_inv, has_coeff_types,
+from oracles import (add_oracle, eulerian_sum_oracle, geom_inv, has_coeff_types,
                      mul_monomial_oracle)
 from qverify.cyclotomic import cinv, rat, zeta
 from qverify.errors import (
@@ -20,7 +20,7 @@ from qverify.errors import (
     OrderExceeded,
     UnsupportedSubstitution,
 )
-from qverify import eulerian, kernels
+from qverify import kernels
 from qverify.eulerian import eulerian_sum
 from qverify.kernels import KRON_PAIRS
 from qverify.series import (
@@ -534,71 +534,90 @@ def test_divide_matches_oracle_on_long_windows_randomized():
         _assert_same_series(got, divide_oracle(a, b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}")
 
 
-def test_dense_eulerian_sum_matches_accumulators_randomized(monkeypatch):
-    """``eulerian_sum`` on dense int lists against the accumulator engine
-    it replaces (``_dense_sum`` switched off), for grid, window and terms:
-    fractional orders and exponents, constant binomials (1 - c) and
-    1/(1 - 2), bases -q^e, signs and 2 on monomials, first terms below 0,
-    a const, start 1.  A Rat or off-grid monomial, a constant 1/(1 + 1) or
-    a term below the first makes ``_dense_sum`` give up, and a Rat const
-    keeps the sum off it."""
-    dense = eulerian._dense_sum
-    took = []
-
-    def spy(*args):
-        out = dense(*args)
-        took.append(out is not None)
-        return out
-
+def test_dense_eulerian_sum_matches_accumulators_randomized():
+    """``eulerian_sum`` on dense lists against ``eulerian_sum_oracle``, the
+    accumulator engine it replaced, for grid, window and terms: int, Rat
+    and CycRat coefficients on x, base, monomials and const; fractional
+    orders and exponents, orders <= 0, a monomial off the order's and the
+    specs' grid; constant binomials (1 - c) and 1/(1 - c) with inverses
+    1/2, -1/2, 3/2 and 1/(1 - zeta_3); bases -q^e, first terms below 0,
+    start 1.  A term below the first raises ValueError when it is summed."""
     rng = random.Random(1998)
     counts = (lambda n: n, lambda n: n + 1, lambda n: 2 * n)
+    pools = ((1, -1, 2, -3), (1, -1, 2, rat(1, 2), rat(-2, 3)),
+             (1, -1, zeta(1, 3), -zeta(1, 4), rat(1, 2) * zeta(1, 3)))
 
     def ex(lo, hi):
         return rat(rng.randint(lo, hi), rng.choice((1, 2, 3)))
 
-    seen = {"dense": 0, "gave up": 0, "not tried": 0}
+    seen = {"int": 0, "rat": 0, "cyc": 0, "order <= 0": 0, "off the specs' grid": 0,
+            "non-int constant inverse": 0, "dip raised": 0}
     for i in range(300):
-        num = tuple((qmono(rng.choice((1, -1, 2, -3)), ex(0, 6)),
-                     qmono(rng.choice((1, -1)), ex(1, 6)), rng.choice(counts))
-                    for _ in range(rng.randint(0, 2)))
+        kind = ("int", "rat", "cyc")[i % 3]
+        pool = pools[i % 3]
+        bases = (1, -1) if kind == "int" else (1, -1, pool[-1])
+        num = tuple((qmono(rng.choice(pool), ex(0, 6)), qmono(rng.choice(bases), ex(1, 6)),
+                     rng.choice(counts)) for _ in range(rng.randint(0, 2)))
         den = []
         for _ in range(rng.randint(0, 2)):
             e = ex(0, 6)
-            c = rng.choice((-1, 2, 2, 3)) if e == 0 else rng.choice((1, -1, 2, -2))
-            den.append((qmono(c, e), qmono(rng.choice((1, -1)), ex(1, 6)), rng.choice(counts)))
+            c = rng.choice((-1, 2, 3, rat(1, 3), zeta(1, 3))) if e == 0 else rng.choice(pool)
+            seen["non-int constant inverse"] += e == 0 and c != 2
+            den.append((qmono(c, e), qmono(rng.choice(bases), ex(1, 6)), rng.choice(counts)))
         a, b, e0 = rng.randint(0, 3), ex(1, 4), ex(-6, 4)
-        c0 = rng.choice((1, -1, 2, 1, -1, 2, rat(1, 2)))
-        shift = rng.choice((None, 0, 1, -2, rat(1, 5) if i % 10 == 0 else 1))
+        c0 = rng.choice(pool)
+        shift = rng.choice((None, 0, 1, -2, rat(1, 5) if i % 4 == 0 else 1))
         sign = rng.choice((lambda n: 1, lambda n: -1 if n % 2 else 1))
-        dip = 3 if i % 20 == 0 else 0  # term 1 below term 0, against the rule
+        start = rng.choice((0, 0, 1))
+        # in one draw in 20, term start + 1 is one below term start
+        dip = a * (2 * start + 1) + b + 1 if i % 20 == 0 else 0
 
-        def monos(n, a=a, b=b, e0=e0, c0=c0, shift=shift, sign=sign, dip=dip):
-            m = qmono(c0 * sign(n), a * n * n + b * n + e0 - (dip if n == 1 else 0))
+        def monos(n, a=a, b=b, e0=e0, c0=c0, shift=shift, sign=sign, dip=dip, start=start):
+            m = qmono(c0 * sign(n), a * n * n + b * n + e0 - (dip if n == start + 1 else 0))
             return (m,) if shift is None else (m, qmono(-1, m.expo + shift))
 
-        const = rng.choice((None, None, 1, -2, rat(1, 3)))
-        order = rat(rng.randint(0, 40), rng.choice((1, 2, 3)))
-        args = (order, monos, num, tuple(den), const, rng.choice((0, 0, 1)))
-        monkeypatch.setattr(eulerian, "_dense_sum", spy)
-        took.clear()
-        got = eulerian_sum(*args)
-        monkeypatch.setattr(eulerian, "_dense_sum", lambda *a: None)
-        want = eulerian_sum(*args)
-        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), i
-        assert has_coeff_types(got), i
-        seen["not tried" if not took else "dense" if took[0] else "gave up"] += 1
-    assert min(seen.values()) >= 30, seen
-    # exponents 0, 2, 4 and then odd ones: off the slots of the first three
-    # terms and the specs (every other exponent), so the sum is given up
-    args = (30, lambda n: (qmono(1, 2 * n + (n >= 3)),), (),
-            ((qmono(1, 2), qmono(1, 2), lambda n: n),))
-    monkeypatch.setattr(eulerian, "_dense_sum", spy)
-    took.clear()
-    got = eulerian_sum(*args)
-    monkeypatch.setattr(eulerian, "_dense_sum", lambda *a: None)
-    want = eulerian_sum(*args)
-    assert took == [False]
-    assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms)
+        const = rng.choice((None, None, 1, -2, rat(1, 3), zeta(1, 3)))
+        order = rat(rng.randint(-4, 40), rng.choice((1, 2, 3)))
+        args = (order, monos, num, tuple(den), const, start)
+        case = f"draw {i}: {args}"
+        if dip and min(m.expo for m in monos(start)) < order:
+            with pytest.raises(ValueError, match="below the first"):
+                eulerian_sum(*args)
+            seen["dip raised"] += 1
+            continue
+        got, want = eulerian_sum(*args), eulerian_sum_oracle(*args)
+        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), case
+        assert has_coeff_types(got), case
+        seen[kind] += 1
+        seen["order <= 0"] += order <= 0
+        seen["off the specs' grid"] += shift == rat(1, 5)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_eulerian_sum_preconditions():
+    """A sum that breaks ``eulerian_sum``'s rules raises ValueError naming
+    the rule: an exponent off the lattice of the first three terms, a term
+    below the first, a binomial with a negative exponent (from x or from a
+    base); 1/(1 - 1) raises GenericityError.  An order <= 0 gives the empty
+    series on the window the sum reaches: the order's, less the first
+    term's exponent when that is below 0."""
+    Q2 = qmono(1, 2)
+    with pytest.raises(ValueError, match="off the lattice"):
+        # exponents 0, 2, 4 and then odd ones: off the slots of the first
+        # three terms and the specs (every other exponent)
+        eulerian_sum(30, lambda n: (qmono(1, 2 * n + (n >= 3)),), (), ((Q2, Q2, lambda n: n),))
+    with pytest.raises(ValueError, match="below the first"):
+        eulerian_sum(10, lambda n: (qmono(1, 3 if n == 1 else n * n + 4),))
+    for x, base in ((qmono(1, -1), MONO_Q), (Q2, qmono(1, -1))):
+        with pytest.raises(ValueError, match="negative exponent"):
+            eulerian_sum(10, lambda n: (qmono(1, n),), ((x, base, lambda n: n),))
+    with pytest.raises(GenericityError):
+        eulerian_sum(10, lambda n: (qmono(1, n),), (), ((MONO_ONE, MONO_Q, lambda n: n + 1),))
+    den = ((qmono(-1, 1), MONO_Q, lambda n: n),)  # (-q; q)_n
+    for first, order, const, want in ((-2, 0, None, (1, -2)), (-2, rat(-1, 2), None, (2, -5)),
+                                      (0, 0, 1, (1, 0))):
+        s = eulerian_sum(order, lambda n, e=first: (qmono(1, n * n + e),), (), den, const)
+        assert (s.terms, (s.scale, s.order)) == ({}, want), (first, order, const)
 
 
 def _random_mono(rng, coeffs, lo, hi):
@@ -610,15 +629,11 @@ def _random_mono(rng, coeffs, lo, hi):
 def test_accumulator_matches_series_sums_randomized():
     """_Acc against the coefficient loops of ``oracles``: add_mono as
     ``add_oracle`` of ``from_monomial``, add_series as ``add_oracle`` of
-    ``mul_monomial_oracle``, times_one_minus as
-    ``add_oracle(s, mul_monomial_oracle(s, -m))``, over_one_minus as
-    ``divide_one_minus``.  Grids 1, 2, 3 and 6 mix;
-    a part is often added once more with the opposite sign, so coefficients
-    cancel; series windows fall below the accumulator's; the m divided out
-    is constant (the only choice while the sum is exact) or has positive
-    exponent."""
+    ``mul_monomial_oracle``.  Grids 1, 2, 3 and 6 mix; a part is often
+    added once more with the opposite sign, so coefficients cancel; series
+    windows fall below the accumulator's."""
     rng = random.Random(1208142101)
-    ops = ("mono", "series", "one_minus", "over_one_minus")
+    ops = ("mono", "series")
     for i in range(400):
         coeffs = _COEFF_ROWS[i % len(_COEFF_ROWS)]
         scale = rng.choice((1, 2, 3, 6))
@@ -632,7 +647,7 @@ def test_accumulator_matches_series_sums_randomized():
             if op == "mono":
                 acc.add_mono(m)
                 want = add_oracle(want, QSeries.from_monomial(m))
-            elif op == "series":
+            else:
                 s = _random_side(rng, rng.random() < 0.3, coeffs, divisor=False)
                 added.append((s, dict(s.terms)))
                 case += f" * {s!r}"
@@ -640,24 +655,9 @@ def test_accumulator_matches_series_sums_randomized():
                     sm = qmono(sign * m.coeff, m.expo)
                     acc.add_series(sm, s)
                     want = add_oracle(want, mul_monomial_oracle(s, sm))
-            elif op == "one_minus":
-                m = _random_mono(rng, coeffs, 0, 6)
-                acc.times_one_minus(m)
-                want = add_oracle(want, mul_monomial_oracle(want, -m))
-            else:
-                m = _random_mono(rng, coeffs, 0, 6)
-                if want.order is None or rng.random() < 0.25:
-                    m = qmono(m.coeff)
-                if m.is_one:
-                    continue
-                case += f" / (1 - {m!r})"
-                acc.over_one_minus(m)
-                want = divide_one_minus(want, m)
         _assert_same_series(acc.freeze(), want, case)
         for s, terms in added:
             assert s.terms == terms, case
-    with pytest.raises(GenericityError):
-        _Acc(1, 10).over_one_minus(MONO_ONE)
 
 
 def test_sums_and_monomial_products_match_oracle_loops_randomized():
