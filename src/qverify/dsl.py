@@ -27,14 +27,24 @@ arithmetic operations, integer powers ``^k``, and calls into the engine:
     catalog("name").repr[i]  its i-th closed-form representation
     catalog("name", MONO)    the Eulerian expansion with q -> MONO
 
-``#`` starts a comment running to the end of the line.  Arguments of the
-engine calls must evaluate to exact monomials c*q^e.
+Numbers are ASCII digits ``[0-9]+``; a poch count is an integer literal or
+``inf``.  ``#`` starts a comment running to the end of the line.  Arguments
+of the engine calls must evaluate to exact monomials c*q^e.  Malformed text,
+nesting deeper than the parser's stack included, raises ``ParseError`` with
+a line and column.
+
+The table ``_HEADS`` drives every call head: its bracket-parameter count,
+its argument names by group (the parser reads the group sizes from them,
+the evaluator names a non-monomial argument by them) and its evaluator.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 from .cyclotomic import rat, zeta as zeta_root
 from .errors import ParseError, UnsupportedArgument, UnsupportedSubstitution
@@ -118,98 +128,48 @@ class IdentityRecord:
     tags: tuple = ()
 
 
-# head -> (number of bracket parameters, tuple of argument-group sizes)
-_CALL_SHAPES = {
-    "j": (0, (1, 1)),
-    "m": (0, (3,)),
-    "g": (0, (1, 1)),
-    "h": (0, (1, 1)),
-    "k": (0, (1, 1)),
-    "poch": (0, (1, 1, 1)),
-    "J": (2, None),
-    "JB": (2, None),
-    "Jm": (1, None),
-    "f": (3, (2, 1)),
-    "gabc": (3, (2, 1, 2)),
-    "habc": (3, (2, 1, 2)),
-    "thetanp": (2, (2, 1)),
-    "thetaabc": (3, (2, 1)),
-    "bigtheta": (2, (2, 1)),
-    "strfn": (3, None),
-}
-
-
 # --------------------------------------------------------------------------
 # Tokenizer
 # --------------------------------------------------------------------------
 
 
-_PUNCT = "()[]{},;=+-*/^."
-
-
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # NAME INT STRING PUNCT EOF
     value: str
     line: int
     col: int
 
 
+# One alternative per token kind, tried in order at each position; ERROR
+# takes any character that starts no token.  A NAME starts with a letter or
+# '_', so a \w run that starts with another character (a non-ASCII digit) is
+# an error too.
+_TOKEN = re.compile(
+    r'(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<INT>[0-9]+)|(?P<NAME>\w+)'
+    r'|"(?P<STRING>[^"\n]*)"|(?P<PUNCT>[][(){},;=+\-*/^.])|(?P<ERROR>.)',
+    re.DOTALL,
+)
+
+
 def tokenize(text: str):
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("NAME", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            toks.append(_Tok("STRING", text[i + 1:j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "ERROR" or (kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
+            if value == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        toks.append(_Tok(kind, value, line, col))
+    toks.append(_Tok("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -222,6 +182,15 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+
+    def parse(self, rule):
+        """Run a grammar rule; nesting deeper than the Python stack allows
+        is a ParseError at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            t = self.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col)
 
     # -- token plumbing --
 
@@ -287,10 +256,7 @@ class _Parser:
             v = self.parse_rational()
             self.expect(")")
             return v
-        if self.at("-"):
-            return rat(self.parse_int())
-        t = self.expect_kind("INT")
-        return rat(int(t.value))
+        return rat(self.parse_int())
 
     def parse_power_exponent(self) -> int:
         """Integer exponent after '^' on a non-monomial factor."""
@@ -362,7 +328,7 @@ class _Parser:
                 return Zeta(k, n)
             if t.value == "catalog":
                 return self.parse_catalog_ref()
-            if t.value in _CALL_SHAPES:
+            if t.value in _HEADS:
                 return self.parse_call()
             self.error(f"unknown function or symbol {t.value!r}", t)
         self.error(f"expected an expression, found {t.value!r}", t)
@@ -388,7 +354,7 @@ class _Parser:
     def parse_call(self):
         head_tok = self.expect_kind("NAME")
         head = head_tok.value
-        n_params, group_sizes = _CALL_SHAPES[head]
+        n_params, groups, _ = _HEADS[head]
         params = ()
         if n_params:
             self.expect("[")
@@ -402,38 +368,38 @@ class _Parser:
                     head_tok,
                 )
             params = tuple(vals)
-        if group_sizes is None:
+        if not groups:
             if self.at("("):
                 self.error(f"{head}[...] takes no call arguments", head_tok)
             return Call(head, params, ())
         self.expect("(")
-        groups = []
-        for gi, size in enumerate(group_sizes):
-            args = [self.parse_call_arg(head, gi)]
+        parsed = []
+        for gi, names in enumerate(groups):
+            parse_arg = self.parse_count if names == ("count",) else self.parse_expression
+            args = [parse_arg()]
             while self.accept(","):
-                args.append(self.parse_call_arg(head, gi))
-            if len(args) != size:
+                args.append(parse_arg())
+            if len(args) != len(names):
                 self.error(
-                    f"{head} expects {size} argument(s) in group {gi + 1}, "
+                    f"{head} expects {len(names)} argument(s) in group {gi + 1}, "
                     f"got {len(args)}",
                     head_tok,
                 )
-            groups.append(tuple(args))
-            if gi + 1 < len(group_sizes):
+            parsed.append(tuple(args))
+            if gi + 1 < len(groups):
                 self.expect(";")
         self.expect(")")
-        return Call(head, params, tuple(groups))
+        return Call(head, params, tuple(parsed))
 
-    def parse_call_arg(self, head, gi):
-        if head == "poch" and gi == 2:
-            t = self.peek()
-            if t.kind == "NAME" and t.value == "inf":
-                self.next()
-                return PochInf()
-            if t.kind == "INT":
-                return Num(rat(int(self.next().value)))
-            self.error("poch count must be a nonnegative integer or 'inf'", t)
-        return self.parse_expression()
+    def parse_count(self):
+        """The count of poch(x; q; n|inf): an integer literal or 'inf'."""
+        t = self.peek()
+        if t.kind == "NAME" and t.value == "inf":
+            self.next()
+            return PochInf()
+        if t.kind == "INT":
+            return Num(rat(int(self.next().value)))
+        self.error("poch count must be a nonnegative integer or 'inf'", t)
 
     # -- identity files --
 
@@ -467,7 +433,7 @@ class _Parser:
 
 def parse_expression(text: str):
     p = _Parser(text)
-    node = p.parse_expression()
+    node = p.parse(p.parse_expression)
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected trailing input {t.value!r}", t.line, t.col)
@@ -475,7 +441,8 @@ def parse_expression(text: str):
 
 
 def parse_identities(text: str):
-    return _Parser(text).parse_identities()
+    p = _Parser(text)
+    return p.parse(p.parse_identities)
 
 
 # --------------------------------------------------------------------------
@@ -595,61 +562,50 @@ def _catalog_repr_ast(name: str, index: int):
     return parse_expression(src)
 
 
+def _poch(x, base, count, order):
+    if isinstance(count, PochInf):
+        return _theta.poch_inf(x, base, order)
+    return _theta.poch_fin(x, base, int(count.value))
+
+
+# head -> (number of bracket parameters, call-argument names by group,
+# evaluator).  The evaluator is called as fn(*params, *arguments, order) with
+# each argument an exact monomial (a poch count stays its literal).  It looks
+# its function up on the module at call time, so a wrapper set on that module
+# attribute (a tracer's, a test's spy) is the one called.
+_XY = (("x", "y"), ("base",))
+_HEADS = {
+    "j": (0, (("argument",), ("base",)), lambda *a: _theta.jtheta(*a)),
+    "J": (2, (), lambda *a: _theta.J(*a)),
+    "JB": (2, (), lambda *a: _theta.Jbar(*a)),
+    "Jm": (1, (), lambda *a: _theta.Jm(*a)),
+    "m": (0, (("argument", "base", "z"),), lambda *a: _appell.m_eval(*a)),
+    "g": (0, (("argument",), ("base",)), lambda *a: _appell.g_eval(*a)),
+    "h": (0, (("argument",), ("base",)), lambda *a: _appell.h_eval(*a)),
+    "k": (0, (("argument",), ("base",)), lambda *a: _appell.k_eval(*a)),
+    "poch": (0, (("argument",), ("base",), ("count",)), _poch),
+    "f": (3, _XY, lambda *a: _hecke.f_eval(*a)),
+    "gabc": (3, _XY + (("z1", "z0"),), lambda *a: _hecke.g_abc_eval(*a)),
+    "habc": (3, _XY + (("z1", "z0"),), lambda *a: _hecke.h_abc_eval(*a)),
+    "thetanp": (2, _XY, lambda *a: _hecke.theta_np_eval(*a)),
+    "thetaabc": (3, _XY, lambda *a: _hecke.theta_abc_eval(*a)),
+    "bigtheta": (2, _XY, lambda *a: _hecke.big_theta_eval(*a)),
+    "strfn": (3, (), lambda n, m, l, order:
+              _hecke.string_function(n, m, l, qmono(1, 1), order)),
+}
+
+
 def _eval_call(node: Call, order) -> QSeries:
-    head, p = node.head, node.params
-    args = [
-        [a if isinstance(a, PochInf) else eval_expr(a, order) for a in group]
-        for group in node.groups
-    ]
-
-    def mono(gi, ai, what):
-        return _as_monomial(args[gi][ai], what)
-
-    if head == "j":
-        return _theta.jtheta(mono(0, 0, "j argument"), mono(1, 0, "j base"), order)
-    if head == "J":
-        return _theta.J(p[0], p[1], order)
-    if head == "JB":
-        return _theta.Jbar(p[0], p[1], order)
-    if head == "Jm":
-        return _theta.Jm(p[0], order)
-    if head == "m":
-        return _appell.m_eval(
-            mono(0, 0, "m argument"), mono(0, 1, "m base"), mono(0, 2, "m z"), order
-        )
-    if head in ("g", "h", "k"):
-        fn = {"g": _appell.g_eval, "h": _appell.h_eval, "k": _appell.k_eval}[head]
-        return fn(mono(0, 0, f"{head} argument"), mono(1, 0, f"{head} base"), order)
-    if head == "poch":
-        x = mono(0, 0, "poch argument")
-        base = mono(1, 0, "poch base")
-        count = node.groups[2][0]
-        if isinstance(count, PochInf):
-            return _theta.poch_inf(x, base, order)
-        return _theta.poch_fin(x, base, int(count.value))
-    if head == "f":
-        return _hecke.f_eval(*p, mono(0, 0, "f x"), mono(0, 1, "f y"),
-                             mono(1, 0, "f base"), order)
-    if head in ("gabc", "habc"):
-        fn = _hecke.g_abc_eval if head == "gabc" else _hecke.h_abc_eval
-        return fn(*p, mono(0, 0, f"{head} x"), mono(0, 1, f"{head} y"),
-                  mono(1, 0, f"{head} base"),
-                  mono(2, 0, f"{head} z1"), mono(2, 1, f"{head} z0"), order)
-    if head == "thetanp":
-        return _hecke.theta_np_eval(*p, mono(0, 0, "thetanp x"),
-                                    mono(0, 1, "thetanp y"),
-                                    mono(1, 0, "thetanp base"), order)
-    if head == "thetaabc":
-        return _hecke.theta_abc_eval(*p, mono(0, 0, "thetaabc x"),
-                                     mono(0, 1, "thetaabc y"),
-                                     mono(1, 0, "thetaabc base"), order)
-    if head == "bigtheta":
-        return _hecke.big_theta_eval(*p, mono(0, 0, "bigtheta x"),
-                                     mono(0, 1, "bigtheta y"),
-                                     mono(1, 0, "bigtheta base"), order)
-    if head == "strfn":
-        return _hecke.string_function(*p, qmono(1, 1), order)
-    raise TypeError(f"unhandled call head {head!r}")  # pragma: no cover
+    head = node.head
+    _, groups, fn = _HEADS[head]
+    names = [name for group in groups for name in group]
+    # every argument is evaluated before any is checked to be a monomial, so
+    # an evaluation error in a later argument wins over an earlier non-monomial
+    vals = [a if name == "count" else eval_expr(a, order)
+            for name, a in zip(names, chain.from_iterable(node.groups))]
+    monos = [v if name == "count" else _as_monomial(v, f"{head} {name}")
+             for name, v in zip(names, vals)]
+    return fn(*node.params, *monos, order)
 
 
 def eval_expr(node, order) -> QSeries:
@@ -688,9 +644,8 @@ def eval_expr(node, order) -> QSeries:
         return _div(a, b, order)
     if isinstance(node, Pow):
         base = eval_expr(node.base, order)
-        if node.k < 0 and base.order is None and len(base.terms) > 1:
-            base = _div(QSeries.from_coeff(1), base, order)
-            return base ** (-node.k)
+        if node.k < 0:
+            return _div(QSeries.from_coeff(1), base, order) ** -node.k
         return base ** node.k
     if isinstance(node, CatalogRef):
         entry = _catalog.catalog_lookup(node.name)

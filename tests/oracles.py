@@ -8,6 +8,8 @@ walker, or the ``QSeries`` sums and monomial products built on them.
 ``eulerian_sum_oracle`` sums an Eulerian series term by term on sparse
 series, the way the engine did before its dense lists.
 ``has_coeff_types`` checks the coefficient layout of a series.
+``tokenize_oracle`` is the DSL's per-character tokenizer, the reference for
+``qverify.dsl.tokenize``.
 
 The ``cyc_*`` functions are a reference for ``qverify.cyclotomic``: an
 element of Q(zeta_n) is a tuple of ``Fraction`` coordinates over the power
@@ -23,7 +25,7 @@ from math import lcm
 
 from qverify.appell import eval_padded
 from qverify.cyclotomic import CycRat, cinv, cyclotomic_coeffs, rat, rat_den
-from qverify.errors import GenericityError, UnsupportedArgument
+from qverify.errors import GenericityError, ParseError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
 
@@ -547,3 +549,66 @@ def cyc_pow(x, k: int):
     for _ in range(abs(k)):
         out = cyc_mul(out, base)
     return out
+
+
+def tokenize_oracle(text: str) -> list:
+    """(kind, value, line, col) of each token of text, EOF last, scanned one
+    character at a time.  It differs from ``qverify.dsl.tokenize`` in two
+    places: a non-ASCII digit starts an INT here (an error there), and the
+    column does not advance through a comment, so after a trailing comment
+    EOF sits at the ``#``."""
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("NAME", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            toks.append(("STRING", text[i + 1:j], start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch in "()[]{},;=+-*/^.":
+            toks.append(("PUNCT", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(("EOF", "", line, col))
+    return toks

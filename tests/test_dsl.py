@@ -1,15 +1,17 @@
 """Expression-language tests: tokenizer, parser, printer, evaluator."""
 
 import pathlib
+import random
 
 import pytest
 
-from qverify import catalog
+from oracles import tokenize_oracle
+from qverify import appell, catalog, hecke, theta
 from qverify.appell import m_eval
 from qverify.catalog import CATALOG
 from qverify.cyclotomic import rat, zeta
-from qverify.dsl import (BinOp, Call, CatalogRef, IdentityRecord, Neg, Num,
-                         Pow, QPow, eval_expr, parse_expression,
+from qverify.dsl import (_HEADS, BinOp, Call, CatalogRef, IdentityRecord, Neg,
+                         Num, Pow, QPow, eval_expr, parse_expression,
                          parse_identities, pretty, pretty_identity, tokenize)
 from qverify.errors import (GenericityError, ParseError, UnknownCatalogName,
                             UnsupportedArgument, UnsupportedSubstitution)
@@ -42,6 +44,45 @@ def test_tokenizer_string_and_errors():
         tokenize('"unterminated')
     with pytest.raises(ParseError):
         tokenize("a ? b")
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_tokenizer_matches_per_character_oracle_randomized():
+    """The pattern tokenizer gives the oracle's kind, value, line and column
+    for every token of the builtin suite, the catalog representations and
+    random text over the DSL's ASCII alphabet, or the same ParseError."""
+    rng = random.Random(19)
+    alphabet = "qjmfzeta_Jc019()[]{},;=+-*/^. \t\r\n#\"?"
+    texts = [BUILTIN.read_text()]
+    texts += [src for entry in CATALOG.values() for src in entry.representations]
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(25)))
+              for _ in range(4000)]
+    errors = trailing_comments = 0
+    for text in texts:
+        old, new = _tokens_or_error(tokenize_oracle, text), _tokens_or_error(tokenize, text)
+        if isinstance(old, str):
+            assert new == old, text
+            errors += 1
+            continue
+        assert new[:-1] == old[:-1], text
+        # intended difference: the oracle does not advance its column
+        # through a comment, so after a trailing comment its EOF sits at '#'
+        last_line = text[text.rfind("\n") + 1:]
+        assert new[-1] == ("EOF", "", old[-1][2], len(last_line) + 1), text
+        if old[-1] != new[-1]:
+            assert last_line[old[-1][3] - 1] == "#", text
+            trailing_comments += 1
+    assert errors >= 500 and trailing_comments >= 50, (errors, trailing_comments)
+    # intended difference: a non-ASCII digit starts an INT in the oracle
+    assert tokenize_oracle("q^\u00b2")[2] == ("INT", "\u00b2", 1, 3)
+    with pytest.raises(ParseError, match="unexpected character"):
+        tokenize("q^\u00b2")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +125,8 @@ def test_call_shapes():
     ("q^(1/0)", "zero denominator"),
     ("1 +", "expected an expression"),
     ("(1", "expected ')'"),
+    ("q^\u00b2", "unexpected character"),
+    ("\u0661", "unexpected character"),
 ])
 def test_parse_errors(bad, fragment):
     with pytest.raises(ParseError) as ei:
@@ -95,6 +138,12 @@ def test_parse_errors(bad, fragment):
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_expression("q q")
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_expression("(" * 100 + "q" + ")" * 100) == QPow(rat(1))
+    with pytest.raises(ParseError, match="nested too deeply.*line 1"):
+        parse_expression("(" * 300 + "q" + ")" * 300)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +219,55 @@ def test_eval_engine_calls():
     rep = eval_expr(parse_expression('catalog("phi_6th").repr[0]'), T)
     direct = 2 * m_eval(qmono(1, 1), qmono(1, 3), qmono(-1), T)
     assert series_equal(rep, direct)
+
+
+Q = qmono(1, 1)
+W3 = zeta(1, 3)
+#: head -> [(sample call, module, evaluator attribute, its expected arguments)]
+HEAD_SAMPLES = {
+    "j": [("j(zeta(1,3)*q^(-3/2); q^2)", theta, "jtheta",
+           (qmono(W3, rat(-3, 2)), qmono(1, 2), 30))],
+    "J": [("J[1,3]", theta, "J", (1, 3, 30))],
+    "JB": [("JB[1,3]", theta, "Jbar", (1, 3, 30))],
+    "Jm": [("Jm[2]", theta, "Jm", (2, 30))],
+    "m": [("m(q, q^3, -q^2)", appell, "m_eval", (Q, qmono(1, 3), qmono(-1, 2), 30))],
+    "g": [("g(-q^(1/3); q^(1/2))", appell, "g_eval",
+           (qmono(-1, rat(1, 3)), qmono(1, rat(1, 2)), 30))],
+    "h": [("h(zeta(1,3)*q^(1/2); q)", appell, "h_eval", (qmono(W3, rat(1, 2)), Q, 30))],
+    "k": [("k(q; q^5)", appell, "k_eval", (Q, qmono(1, 5), 30))],
+    "poch": [("poch(-q^(1/2); q; inf)", theta, "poch_inf", (qmono(-1, rat(1, 2)), Q, 30)),
+             ("poch(q; q^2; 5)", theta, "poch_fin", (Q, qmono(1, 2), 5))],
+    "f": [("f[2,3,2](zeta(1,3)*q^(1/2), -q^(-1); q)", hecke, "f_eval",
+           (2, 3, 2, qmono(W3, rat(1, 2)), qmono(-1, -1), Q, 30))],
+    "gabc": [("gabc[1,3,1](-q^2, q^(1/2); q; -q^(-2), q)", hecke, "g_abc_eval",
+              (1, 3, 1, qmono(-1, 2), qmono(1, rat(1, 2)), Q, qmono(-1, -2), Q, 30))],
+    "habc": [("habc[1,2,1](zeta(1,3)*q, -q^(3/2); q; -1, -1)", hecke, "h_abc_eval",
+              (1, 2, 1, qmono(W3, 1), qmono(-1, rat(3, 2)), Q, qmono(-1), qmono(-1), 30))],
+    "thetanp": [("thetanp[1,2](q, -q^(1/2); q)", hecke, "theta_np_eval",
+                 (1, 2, Q, qmono(-1, rat(1, 2)), Q, 30))],
+    "thetaabc": [("thetaabc[1,2,1](zeta(1,3)*q, -q^(3/2); q)", hecke, "theta_abc_eval",
+                  (1, 2, 1, qmono(W3, 1), qmono(-1, rat(3, 2)), Q, 30))],
+    "bigtheta": [("bigtheta[1,2](q^(1/2), -q; q)", hecke, "big_theta_eval",
+                  (1, 2, qmono(1, rat(1, 2)), qmono(-1, 1), Q, 30))],
+    "strfn": [("strfn[2,2,0]", hecke, "string_function", (2, 2, 0, Q, 30))],
+}
+
+
+def test_every_head_reaches_its_evaluator_through_the_module(monkeypatch):
+    """Each head of the table parses, prints back to the same AST, and calls
+    the function on its module attribute at call time (a wrapper set there,
+    such as a tracer's, sees the call) with its arguments in order."""
+    assert set(HEAD_SAMPLES) == set(_HEADS)
+    for head, samples in HEAD_SAMPLES.items():
+        for src, module, attr, expected in samples:
+            node = parse_expression(src)
+            assert isinstance(node, Call) and node.head == head, src
+            assert parse_expression(pretty(node)) == node, src
+            calls, result = [], QSeries.from_coeff(7)
+            monkeypatch.setattr(module, attr, lambda *args: calls.append(args) or result)
+            assert eval_expr(node, 30) is result, src
+            assert calls == [expected], src
+            monkeypatch.undo()
 
 
 def test_eval_division_and_negative_powers():

@@ -337,11 +337,17 @@ def test_cli_fail_and_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):
-    p = tmp_path / "syn.qid"
-    p.write_text("identity broken { lhs = f[5,5](q^5, q^2; q); rhs = 1; }\n")
-    assert main(["--file", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert "bracket parameters" in err and "syn.qid" in err
+    """A malformed file exits 2 (not 1, "an identity failed") and names the
+    file: a wrong arity, a non-ASCII digit, nesting too deep to parse."""
+    deep = "(" * 300 + "q" + ")" * 300
+    for side, fragment in [("f[5,5](q^5, q^2; q)", "bracket parameters"),
+                           ("q^\u00b2", "unexpected character"),
+                           (deep, "nested too deeply")]:
+        p = tmp_path / "syn.qid"
+        p.write_text(f"identity broken {{ lhs = {side}; rhs = 1; }}\n", encoding="utf-8")
+        assert main(["--file", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err and "syn.qid" in err
 
 
 def test_cli_empty_selection_warns(capsys):
