@@ -234,7 +234,7 @@ class CycRat:
             a = _lift(a, n, m)
             b, db = _lift(other.nums, other.n, m), other.den
         elif isinstance(other, RAT_TYPES):
-            if not other:  # the dense Eulerian lists add zeros at every empty slot
+            if not other:  # a dense list adds zeros at its empty slots
                 return self
             m = n
             p, db = other.numerator, other.denominator
@@ -272,8 +272,8 @@ class CycRat:
         if not isinstance(other, RAT_TYPES):
             return NotImplemented
         p, q = other.numerator, other.denominator
-        if not p:
-            return ZERO
+        if not p:  # zero times an element: an int zero stays an int, as in a series
+            return 0 if type(other) is int else ZERO
         if q == 1 and (p == 1 or p == -1):  # a sign: no new vector to reduce
             return self if p == 1 else -self
         den, nums = _lowest(self.den * q, tuple(c * p for c in self.nums))

@@ -484,13 +484,17 @@ def pretty(node) -> str:
     if isinstance(node, Neg):
         return "-" + _paren(node.arg, _PREC_UNARY)
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            left = _paren(node.left, _PREC_ADD)
-            right = _paren(node.right, _PREC_ADD + (node.op == "-"))
-            return f"{left} {node.op} {right}"
-        left = _paren(node.left, _PREC_MUL)
-        right = _paren(node.right, _PREC_MUL + (node.op == "/"))
-        return f"{left}{node.op}{right}"
+        # a left-nested chain of one precedence level in a loop, so that a
+        # long flat sum or product does not recurse once per operand
+        prec, chain = _prec(node), []
+        while isinstance(node, BinOp) and _prec(node) == prec:
+            chain.append(node)
+            node = node.left
+        sep = " " if prec == _PREC_ADD else ""
+        parts = [_paren(node, prec)]
+        for n in reversed(chain):
+            parts.append(f"{sep}{n.op}{sep}{_paren(n.right, prec + (n.op in '-/'))}")
+        return "".join(parts)
     if isinstance(node, Pow):
         base = _paren(node.base, _PREC_ATOM)
         return f"{base}^{node.k}" if node.k >= 0 else f"{base}^({node.k})"
@@ -627,21 +631,24 @@ def eval_expr(node, order) -> QSeries:
     if isinstance(node, Neg):
         return -eval_expr(node.arg, order)
     if isinstance(node, BinOp):
-        a = eval_expr(node.left, order)
-        if node.op in "*/" and a.terms:
-            # b is evaluated higher by a's negative valuation (b's own is
-            # not known yet: taken as 0), so a*b and a/b reach the window
-            va = min(0, rat(min(a.terms), a.scale))
-            b = eval_expr(node.right, operand_orders(order, va, 0, node.op)[1])
-        else:
-            b = eval_expr(node.right, order)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return _div(a, b, order)
+        # the left operands of a left-nested chain in a loop, so that a long
+        # flat sum or product does not recurse once per operand
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        a = eval_expr(node, order)
+        for node in reversed(chain):
+            if node.op in "*/" and a.terms:
+                # b is evaluated higher by a's negative valuation (b's own
+                # is not known yet: taken as 0), so a*b and a/b reach the window
+                va = min(0, rat(min(a.terms), a.scale))
+                b = eval_expr(node.right, operand_orders(order, va, 0, node.op)[1])
+            else:
+                b = eval_expr(node.right, order)
+            a = (a + b if node.op == "+" else a - b if node.op == "-"
+                 else a * b if node.op == "*" else _div(a, b, order))
+        return a
     if isinstance(node, Pow):
         base = eval_expr(node.base, order)
         if node.k < 0:

@@ -9,25 +9,27 @@ with nondecreasing counts c_i, e_j.  The running product over all
 Pochhammer factors is one value for the whole sum: advancing a count by one
 multiplies it by a single binomial (1 - c*q^d) in place or divides it by
 one in place, both O(window), and each term adds the product times its
-monomials into the total.  The product and the total are dense lists of
-coefficients (int, Rat or CycRat) on one grid, stepped by the list kernels
-of ``kernels``.  Summation stops at the first n whose least monomial
-exponent reaches the window.  That is sound when the least exponent does
-not decrease in n and every Pochhammer x has exponent >= 0: the product
-then has valuation >= 0, so no term from n on reaches below the window.
-A term that breaks either rule raises ValueError.  The accumulator sum in
-the tests (``oracles.eulerian_sum_oracle``) is the engine's oracle.
+monomials into the total.  The product and the total are dense lists on
+one grid, held by ``kernels.ListSum`` (int and Rat coefficients) or, when a
+spec, the constant or one of the first three terms holds a CycRat, by
+``kernels.CycSum`` (integer coordinates over Q(zeta_M) with one
+denominator, each output coefficient made canonical once).  Summation
+stops at the first n whose least monomial exponent reaches the window.
+That is sound when the least exponent does not decrease in n and every
+Pochhammer x has exponent >= 0: the product then has valuation >= 0, so no
+term from n on reaches below the window.  A term that breaks either rule
+raises ValueError.  The accumulator sum in the tests
+(``oracles.eulerian_sum_oracle``) is the engine's oracle.
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import count
 from math import gcd, lcm
-from operator import add, mul, sub
 
 from .cyclotomic import cinv, rat
 from .errors import GenericityError
-from .kernels import over_one_minus, times_one_minus
+from .kernels import CycSum, ListSum, conductor
 from .series import QMonomial, QSeries, _int, common_scale
 
 
@@ -53,15 +55,19 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     """
     order = rat(order)
     const = None if const is None else QMonomial(const)
-    expos = [m.expo for x, b, _ in (*num, *den) for m in (x, b)]
-    firsts = [m.expo for n in range(start, start + 3) for m in monos_fn(n)]
-    scale = common_scale(order, *expos, *firsts)
-    g = gcd(*(int(e * scale) for e in (*expos, *firsts))) or 1
+    first = monos_fn(start)
+    lattice = [m for x, b, _ in (*num, *den) for m in (x, b)]
+    lattice += [*first, *monos_fn(start + 1), *monos_fn(start + 2)]
+    expos = [m.expo for m in lattice]
+    scale = common_scale(order, *expos)
+    g = gcd(*(int(e * scale) for e in expos)) or 1
     W, used = int(order * scale), order.denominator
-    lo = int(min(m.expo for m in monos_fn(start)) * scale)
+    lo = int(min(m.expo for m in first) * scale)
     base = min(0, lo) if lo < W else 0
     size, top = -(-W // g), W + base
-    prod, total = [1] + [0] * (size - 1), [0] * size
+    m = conductor([mono.coeff for mono in (*lattice, const) if mono is not None])
+    acc = ListSum(size) if m == 1 else CycSum(m, size)
+    add_term = acc.add
     # per spec: [over, count_fn, count k, scaled exponent and coefficient
     # of its next binomial x*b^k, and those of b]
     steps = [[over, cf, 0, int(x.expo * scale), _int(x.coeff), int(b.expo * scale), _int(b.coeff)]
@@ -81,12 +87,11 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 if d == 0:  # a constant binomial: times 1 - c, or 1/(1 - c)
                     if over and c == 1:
                         raise GenericityError("pole: 1/(1 - 1)")
-                    f = _int(cinv(1 - c) if over else 1 - c)
-                    prod = list(map(mul, prod, repeat(f)))
+                    acc.scale(_int(cinv(1 - c) if over else 1 - c))
                 elif over:
-                    over_one_minus(prod, c, d)
+                    acc.over(c, d)
                 else:
-                    times_one_minus(prod, c, d)
+                    acc.times(c, d)
                 k, e, c = k + 1, e + be, c * bc
             step[2:5] = k, e, c
         for mono in monos:
@@ -100,12 +105,9 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 raise ValueError(f"eulerian_sum: term {n} has exponent {mono.expo}, below the "
                                  "first term's; the least exponent must not decrease in n")
             used = lcm(used, q)
-            i = (e - base) // g
-            t = total[i:]
-            total[i:] = (map(add, t, prod) if c == 1 else map(sub, t, prod) if c == -1
-                         else map(add, t, map(mul, prod, repeat(c))))
+            add_term((e - base) // g, c)
     if const is not None and top > 0:
-        total[-base // g] += _int(const.coeff)
+        acc.add_const(-base // g, _int(const.coeff))
     f = scale // used
-    terms = {(base + g * i) // f: c for i, c in enumerate(total) if c}
+    terms = {(base + g * i) // f: c for i, c in acc.items()}
     return QSeries(used, top // f, terms)

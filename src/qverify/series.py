@@ -32,11 +32,17 @@ through ``cinv``.
 
 A QSeries has two coefficient kernels, the product (``__mul__``) and long
 division (``divide``).  A product with more than ``kernels.KRON_PAIRS``
-term pairs per output slot and no CycRat is one multiply of two Python ints
-by Kronecker substitution (``kernels.kronecker``: each side scaled to ints
-by the lcm of its denominators and packed one exponent a digit); any other
-product loops over the term pairs.  Division loops over its quotient
-exponents with the remainder in a list over them.
+term pairs per output slot and no CycRat, or ``kernels.CYC_PAIRS`` with
+one, is one multiply of two Python ints by Kronecker substitution
+(``kernels.kronecker``): each side is scaled to ints by the lcm of its
+denominators and packed one exponent a digit, and a side with a CycRat is
+split at the common conductor M into phi(M) integer coordinates, packed
+inside each digit.  Any other product loops over the term pairs.  Division
+loops over its quotient exponents with the remainder in a list over them
+(``kernels.long_division``); when a side holds a CycRat, a CycRat divisor
+is made rational by its Galois conjugates and each integer coordinate row
+of the dividend is divided (``kernels.cyc_quotient``).  On coordinates, a
+coefficient is made canonical once, where it leaves the kernel.
 
 Every other coefficient operation is one call of the accumulator ``_Acc``:
 sums and differences, negation, products by a scalar or a monomial, and
@@ -308,9 +314,9 @@ class QSeries:
 
     def __mul__(self, other):
         """Product with a series, monomial or coefficient.  Two series are
-        convolved below the module's product window, by ``kernels.kronecker`` when
-        that takes them, else by a loop over the term pairs; an integral
-        coefficient of the product is an int."""
+        convolved below the module's product window, by ``kernels.kronecker``
+        when that takes them, else by a loop over the term pairs; an
+        integral coefficient of the product is an int."""
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
@@ -379,10 +385,12 @@ class QSeries:
         only another leading coefficient costs a multiply per quotient
         term.
 
-        The window is the module's quotient window; an exact divisor with
-        one term gives an exact shift.  window_hint (scaled units, on the
-        common grid) is read only when both sides are exact and the divisor
-        has several terms, and is then required.
+        When a side holds a CycRat, ``kernels.cyc_quotient`` divides on
+        integer coordinates, with the same window and the same content and
+        unit path.  The window is the module's quotient window; an exact
+        divisor with one term gives an exact shift.  window_hint (scaled
+        units, on the common grid) is read only when both sides are exact
+        and the divisor has several terms, and is then required.
         """
         a, b = QSeries.unify(self, other)
         if not b.terms:
@@ -404,39 +412,26 @@ class QSeries:
             window = b.order - 2 * vb + va
         else:
             window = min(a.order - vb, b.order - 2 * vb + va)
-        # a / b = (a / (b / g)) / g.  rem[i] is the remainder at quotient
-        # exponent lo + i (None while nothing has reached it); each quotient
-        # term c subtracts c * b_k from the entry k above it.  A unit b_0
-        # (the common case) skips a multiply per term.
+        m = kernels.conductor(a.terms.values(), b.terms.values())
+        if m > 1:
+            out = kernels.cyc_quotient(a.terms, b.terms, window, m) if a.terms else {}
+            return QSeries(a.scale, window, out)
+        # a / b = (a / (b / g)) / g, with rem the remainder over the
+        # quotient exponents lo, lo + 1, ...; a unit b_0 (the common case)
+        # skips a multiply per term
         bt, g = b.terms, 1
         if all(type(c) is int for c in bt.values()):
             g = gcd(*bt.values())
             g = g if bt[vb] > 0 else -g
             if g != 1:
                 bt = {k: c // g for k, c in bt.items()}
-        b0inv = _int(cinv(bt[vb]))
-        unit = b0inv == 1
         step = sorted((k - vb, -c) for k, c in bt.items() if k != vb)
         lo, size = va - vb, window - va + vb
         rem = [None] * size
         for k, c in a.terms.items():
             if k - vb < window:
                 rem[k - va] = c
-        out: dict = {}
-        for i in range(size):
-            c = rem[i]
-            if not c:
-                continue
-            if not unit:
-                c = c * b0inv
-            out[lo + i] = c
-            for k, f in step:
-                j = i + k
-                if j >= size:
-                    break
-                p = f * c
-                cur = rem[j]
-                rem[j] = p if cur is None else cur + p
+        out = kernels.long_division(rem, step, _int(cinv(bt[vb])), lo)
         if g != 1:
             f = _int(cinv(g))
             out = {n: _int(c * f) for n, c in out.items()}

@@ -7,7 +7,7 @@ import pytest
 
 import test_series as ts
 from oracles import bilateral_sum_oracle, g_alt_oracle, has_coeff_types, m_alt_oracle, one_minus
-from qverify import appell
+from qverify import appell, kernels
 from qverify.appell import (
     bilateral_sum,
     changing_z_delta,
@@ -375,6 +375,24 @@ def test_g_sums_once(monkeypatch):
             calls.clear()
             g_eval(x, b, 40)
             assert len(calls) == 1, (x, b, calls)
+
+
+def test_cyclotomic_g_lists_hold_no_rational_zeros(monkeypatch):
+    """g(zeta_4; q) at order 60 runs on integer coordinate lists: every
+    slot that reaches ``kernels.over_one_minus`` is an int (a Fraction(0)
+    from 0 * CycRat there would be added at every later step)."""
+    seen = []
+    over = kernels.over_one_minus
+
+    def spy(a, c, d):
+        seen.extend(set(map(type, a)))
+        over(a, c, d)
+
+    monkeypatch.setattr(kernels, "over_one_minus", spy)
+    clear_memos()
+    got = g_eval(qmono(I4, 0), Q, 60)
+    assert got.window_q() >= 60 and has_coeff_types(got)
+    assert seen and set(seen) == {int}, set(seen)
 
 
 def test_g_to_m():

@@ -15,6 +15,7 @@ from qverify.dsl import (_HEADS, BinOp, Call, CatalogRef, IdentityRecord, Neg,
                          parse_identities, pretty, pretty_identity, tokenize)
 from qverify.errors import (GenericityError, ParseError, UnknownCatalogName,
                             UnsupportedArgument, UnsupportedSubstitution)
+from qverify.runner import verify_identity
 from qverify.series import QSeries, clear_memos, qmono, series_equal
 from qverify.theta import Jm, jtheta
 
@@ -144,6 +145,36 @@ def test_deep_nesting_is_a_parse_error():
     assert parse_expression("(" * 100 + "q" + ")" * 100) == QPow(rat(1))
     with pytest.raises(ParseError, match="nested too deeply.*line 1"):
         parse_expression("(" * 300 + "q" + ")" * 300)
+
+
+def _same_ast(a, b):
+    """a == b for ASTs whose operands nest deeply: BinOp nodes are walked
+    with a stack, and only the other nodes compare recursively."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, BinOp) and isinstance(b, BinOp):
+            if a.op != b.op:
+                return False
+            stack += ((a.left, b.left), (a.right, b.right))
+        elif a != b:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("lhs, rhs", (
+    ("+".join(["q"] * 5000), "5000*q"),
+    ("q^2 - " + " - ".join(["q"] * 2500) + " + q*" + "*".join(["1"] * 2500), "q^2 - 2499*q"),
+    ("q^3*" + "/".join(["2"] * 5000), "2^(-4998)*q^3"),
+), ids=("sum", "difference and product", "quotient"))
+def test_long_flat_chains_evaluate_and_print_back(lhs, rhs):
+    """Left-nested chains of 5000 operands (a sum, a difference and a
+    product, a quotient) evaluate and pretty-print in loops: the identity
+    passes at order 5 and its pretty form parses back to the same AST."""
+    (record,) = parse_identities(f"identity chain {{ lhs = {lhs}; rhs = {rhs}; }}")
+    assert verify_identity(record, 5).status == "pass"
+    assert _same_ast(parse_expression(pretty(record.lhs)), record.lhs)
+    assert _same_ast(parse_identities(pretty_identity(record))[0].lhs, record.lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qverify import appell, catalog, hecke, runner, theta
+from qverify import appell, catalog, cyclotomic, hecke, runner, theta
 from qverify.cyclotomic import rat, zeta
 from qverify.cli import builtin_records, catalog_records, main
 from qverify.dsl import parse_identities
@@ -383,3 +383,29 @@ def test_cli_rejects_nonpositive_jobs(jobs, capsys):
         main(["--name", "kp522", "--jobs", jobs])
     assert exc.value.code == 2
     assert "jobs must be positive" in capsys.readouterr().err
+
+
+#: cyclotomic._canonical calls while master_expansion_11 (over Q(zeta_3))
+#: is verified at order 100: 1630 with every series product and quotient
+#: holding a CycRat on integer coordinates, 3571 with the products on the
+#: per-pair loop and 6120 with the quotients there too
+CANONICAL_CALLS_MAX = 1700
+
+
+def test_master_expansion_canonical_calls_gate(monkeypatch):
+    """A deterministic work count, not a time: a silent fallback of the
+    cyclotomic series kernels to their per-pair loops fails here."""
+    calls = []
+    real = cyclotomic._canonical
+
+    def counted(n, vec):
+        calls.append(n)
+        return real(n, vec)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qverify") and getattr(mod, "_canonical", None) is real:
+            monkeypatch.setattr(mod, "_canonical", counted)
+    clear_memos()
+    (record,) = [r for r in builtin_records() if r.name == "master_expansion_11"]
+    assert verify_identity(record, 100).status == "pass"
+    assert 0 < len(calls) <= CANONICAL_CALLS_MAX, len(calls)

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (add_oracle, eulerian_sum_oracle, geom_inv, has_coeff_types,
-                     mul_monomial_oracle)
-from qverify.cyclotomic import cinv, rat, zeta
+from oracles import (add_oracle, cyc_canonical, eulerian_sum_oracle, geom_inv,
+                     has_coeff_types, mul_monomial_oracle)
+from qverify.cyclotomic import CycRat, cinv, rat, zeta
 from qverify.errors import (
     DivisionByZero,
     GenericityError,
@@ -22,7 +22,7 @@ from qverify.errors import (
 )
 from qverify import kernels
 from qverify.eulerian import eulerian_sum
-from qverify.kernels import KRON_PAIRS
+from qverify.kernels import CYC_PAIRS, KRON_PAIRS
 from qverify.series import (
     MONO_ONE,
     MONO_Q,
@@ -469,9 +469,10 @@ def test_product_takes_kronecker_above_the_density_threshold(monkeypatch):
 def test_product_kernels_match_loop_across_the_threshold_randomized(monkeypatch):
     """Products of 1 to 400 terms against ``mul_oracle``, on both sides of
     the Kronecker density threshold: small ints, ints up to 2^80 of both
-    signs, Rats over mixed denominators, CycRats (always the loop); exact
-    and finite sides (exact x exact included), negative valuations, grids 1,
-    2 and 8.  No integral coefficient of a product is a Rat."""
+    signs, Rats over mixed denominators, CycRats (on coordinates above
+    CYC_PAIRS); exact and finite sides (exact x exact included), negative
+    valuations, grids 1, 2 and 8.  No integral coefficient of a product is
+    a Rat."""
     took = []
     kron = kernels.kronecker
 
@@ -534,6 +535,138 @@ def test_divide_matches_oracle_on_long_windows_randomized():
         _assert_same_series(got, divide_oracle(a, b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}")
 
 
+def _assert_canonical(s, case):
+    """Every coefficient is nonzero and in canonical form: a CycRat equals
+    the reference canonical value of its own coordinates."""
+    assert has_coeff_types(s), case
+    for c in s.terms.values():
+        assert c, case
+        if type(c) is CycRat:
+            coords = tuple(Fraction(x, c.den) for x in c.nums)
+            assert cyc_canonical(c.n, coords) == (c.n, coords), case
+
+
+def _coordinate_products(monkeypatch, forced):
+    """Spy on kernels.kronecker, recording whether each product took it;
+    forced sets CYC_PAIRS to 0, so that every CycRat product of two
+    nonempty sides does."""
+    took = []
+    kron = kernels.kronecker
+
+    def spy(at, bt, window):
+        out = kron(at, bt, window)
+        took.append(out is not None)
+        return out
+
+    monkeypatch.setattr(kernels, "kronecker", spy)
+    monkeypatch.setattr(kernels, "CYC_PAIRS", 0 if forced else CYC_PAIRS)
+    return took
+
+
+@pytest.mark.parametrize("forced", (False, True))
+def test_coordinate_product_reduces_before_the_zero_test(monkeypatch, forced):
+    """(1 + q)(zeta_3^2 + (1 + zeta_3) q): the q coefficient has coordinates
+    (1, 1, 1) in zeta_3^0, zeta_3^1, zeta_3^2, which is 0 mod Phi_3, so the
+    product has no q^1 key; the same spread over 40 slots, on the loop and
+    on coordinates."""
+    took = _coordinate_products(monkeypatch, forced)
+    w2 = zeta(2, 3)
+    for k in (1, 40):
+        a = QSeries(1, None, {0: 1, k: 1})
+        b = QSeries(1, None, {0: w2, k: 1 + zeta(1, 3)})
+        got = a * b
+        assert got.terms == {0: w2, 2 * k: 1 + zeta(1, 3)}, (k, got)
+        _assert_canonical(got, k)
+        q = (got * QSeries(1, 3 * k, {0: 1})).divide(a)
+        assert q.terms == b.terms and q.order == 3 * k, (k, q)
+    assert any(took) == forced
+
+
+def _cyc_element(rng, n):
+    """A random element sum a_i zeta_n^i / d with small a_i, often a root
+    of unity or rational, canonical as the arithmetic leaves it."""
+    r = rng.random()
+    if r < 0.2:
+        return rng.choice((1, -1, 2, rat(-1, 3)))
+    if r < 0.45:
+        c = rng.choice((1, -1)) * zeta(rng.randrange(1, n), n)
+        return int(c) if type(c) is Fraction else c
+    c = sum(rng.randint(-3, 3) * zeta(i, n) for i in range(rng.randint(1, n)))
+    c = c * rat(1, rng.choice((1, 1, 2, 3))) or zeta(1, n)
+    return int(c) if type(c) is Fraction and c.denominator == 1 else c
+
+
+#: the conductors of the randomized CycRat kernels: one field each, and
+#: Q(zeta_3) mixed with Q(zeta_4) (conductor 12)
+_CONDUCTORS = ((3,), (4,), (5,), (12,), (3, 4))
+
+
+def _cyc_side(rng, conds, exact, divisor, most=40):
+    """A random series of 1 to ``most`` terms on grid 1 or 2, dense or
+    spread over up to 4x its length, from the given conductors; a divisor
+    has its leading term, and a dividend is sometimes empty."""
+    n = int(most ** rng.random())
+    span = n * rng.choice((1, 1, 2, 4))
+    lo = rng.randint(-6, 6)
+    keys = rng.sample(range(lo, lo + span), n)
+    if divisor:
+        keys = [lo] + [k for k in keys if k != lo][:n - 1]
+    elif rng.random() < 0.05:
+        keys = []
+    terms = {k: _cyc_element(rng, rng.choice(conds)) for k in keys}
+    order = None if exact else lo + span + rng.randint(0, span)
+    return QSeries(rng.choice((1, 2)), order, terms)
+
+
+@pytest.mark.parametrize("forced", (False, True))
+def test_cyc_products_match_oracle_randomized(monkeypatch, forced):
+    """CycRat products against ``mul_oracle`` at conductors 3, 4, 5, 12 and
+    3 with 4 mixed, exact and finite sides, 1 to 40 terms, on both sides of
+    the CYC_PAIRS rule (and, forced, every product on coordinates): each
+    window and term equals the oracle's and each coefficient is
+    canonical."""
+    took = _coordinate_products(monkeypatch, forced)
+    rng = random.Random(2009 + forced)
+    seen = {"coords": 0, "loop": 0}
+    for i in range(250):
+        conds = _CONDUCTORS[i % len(_CONDUCTORS)]
+        a = _cyc_side(rng, conds, (i // 5) % 2 == 0, False)
+        b = _cyc_side(rng, conds, (i // 10) % 2 == 0, False)
+        took.clear()
+        got, case = a * b, f"draw {i}: {a!r} * {b!r}"
+        _assert_same_series(got, mul_oracle(a, b), case)
+        _assert_canonical(got, case)
+        seen["coords" if took and took[0] else "loop"] += 1
+    assert seen["coords"] >= 50 and (forced or seen["loop"] >= 50), seen
+
+
+def test_cyc_quotients_match_oracle_randomized():
+    """CycRat quotients against ``divide_oracle`` at conductors 3, 4, 5, 12
+    and 3 with 4 mixed: rational and CycRat divisors of 1 to 12 terms (one
+    term, exact or finite, included), dividends of 1 to 40 terms, exact
+    sides with a window_hint; each window and term equals the oracle's and
+    each coefficient is canonical."""
+    rng = random.Random(20121)
+    seen = {"cyc divisor": 0, "rational divisor": 0, "one-term divisor": 0, "hint": 0}
+    for i in range(250):
+        conds = _CONDUCTORS[i % len(_CONDUCTORS)]
+        a = _cyc_side(rng, conds, (i // 5) % 2 == 0, False)
+        b = _cyc_side(rng, conds, (i // 10) % 3 == 0, True, rng.choice((1, 2, 12)))
+        if i % 3 == 0:
+            b = QSeries(b.scale, b.order, {k: rng.choice((1, -1, 2, rat(1, 2)))
+                                           for k in b.terms})
+        hint = rng.randint(1, 40) if a.order is None and b.order is None else None
+        got = a.divide(b, hint)
+        case = f"draw {i}: {a!r} / {b!r}, hint {hint}"
+        _assert_same_series(got, divide_oracle(a, b, hint), case)
+        _assert_canonical(got, case)
+        cyc = any(type(c) is CycRat for c in b.terms.values())
+        seen["cyc divisor" if cyc else "rational divisor"] += 1
+        seen["one-term divisor"] += len(b.terms) == 1
+        seen["hint"] += hint is not None
+    assert min(seen.values()) >= 20, seen
+
+
 def test_dense_eulerian_sum_matches_accumulators_randomized():
     """``eulerian_sum`` on dense lists against ``eulerian_sum_oracle``, the
     accumulator engine it replaced, for grid, window and terms: int, Rat
@@ -592,6 +725,23 @@ def test_dense_eulerian_sum_matches_accumulators_randomized():
         seen["order <= 0"] += order <= 0
         seen["off the specs' grid"] += shift == rat(1, 5)
     assert min(seen.values()) >= 5, seen
+
+
+def test_eulerian_sum_widens_its_conductor():
+    """A coefficient outside the field of the specs and the first three
+    terms (zeta_4 from term 3 on, against zeta_3 and -1/2) lifts the
+    coordinate lists to conductor 12, also with a constant of denominator
+    3; equal to the accumulator oracle."""
+    def monos(n):
+        return (qmono(zeta(1, 4) if n >= 3 else rat(-1, 2), n * n),)
+
+    x, base = qmono(zeta(1, 3), 1), qmono(1, 1)
+    for const in (None, rat(2, 3)):
+        args = (40, monos, (), ((x, base, lambda n: n + 1),), const, 0)
+        got, want = eulerian_sum(*args), eulerian_sum_oracle(*args)
+        assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms)
+        assert any(type(c) is CycRat and c.n == 12 for c in got.terms.values())
+        _assert_canonical(got, const)
 
 
 def test_eulerian_sum_preconditions():

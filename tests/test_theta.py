@@ -18,7 +18,7 @@ from qverify.appell import bilateral_sum
 from qverify.cyclotomic import CycRat, Rat, rat, zeta
 from qverify.errors import GenericityError, UnsupportedArgument
 from qverify.hecke import f_eval
-from qverify import eulerian, kernels
+from qverify import kernels
 from qverify.series import MONO_ONE, QSeries, clear_memos, qmono
 from qverify.theta import (
     J,
@@ -171,31 +171,47 @@ def test_poch_inf_matches_product_oracle_randomized():
 def test_dense_euler_sum_matches_product_oracle(monkeypatch):
     """(x; base)_inf on the dense Eulerian engine against the product of its
     binomials: x = +-q^a at orders 150 and 400 (a base of -q^b gives
-    binomials -1 * q^d), x = q/2 and zeta_3 q, and bases q/2 and zeta_3 q^3,
-    whose binomials have Rat and CycRat coefficients.  Both ways of dividing
-    by a binomial run for c = 1, -1, a Rat and a CycRat (strided prefix
-    sums for d up to 1/STRIDED of the window, doubling above)."""
-    over = kernels.over_one_minus
+    binomials -1 * q^d), x = q/2 and zeta_3 q, and bases q/2, zeta_3 q^3
+    and (with x = q/2) zeta_3 q^3 again, whose binomials have Rat, CycRat
+    and non-integral CycRat coefficients.  On int and Rat lists, both ways
+    of dividing by a binomial run for c = 1, -1 and a Rat (strided prefix
+    sums for d up to 1/STRIDED of the window, doubling above); on
+    coordinates, both run for a CycRat (a root of unity of order k with
+    k*d up to 1/STRIDED of the window, else doubling)."""
     ways = set()
+    list_over, cyc_over = kernels.over_one_minus, kernels.CycSum.over
 
-    def spy_over(a, c, d):
-        ways.add((d * kernels.STRIDED <= len(a), c if c in (1, -1) else type(c)))
-        over(a, c, d)
+    def kind(c):
+        return c if c in (1, -1) else type(c)
 
-    monkeypatch.setattr(eulerian, "over_one_minus", spy_over)
+    def spy_list(a, c, d):
+        ways.add(("list", d * kernels.STRIDED <= len(a), kind(c)))
+        list_over(a, c, d)
+
+    def spy_cyc(acc, c, d):
+        k = kernels._root_order(c)
+        ways.add(("coords", k is not None and k * d * kernels.STRIDED <= len(acc.prod[0]),
+                  kind(c)))
+        cyc_over(acc, c, d)
+
+    monkeypatch.setattr(kernels, "over_one_minus", spy_list)
+    monkeypatch.setattr(kernels.CycSum, "over", spy_cyc)
     clear_memos()
     cases = [(qmono(c, a), qmono(cb, b), order)
              for order, a, b in ((150, 1, 1), (150, 0, 2), (150, 3, rat(1, 2)),
                                  (400, 1, 1), (400, 2, 3))
              for c, cb in ((1, 1), (-1, -1))]
     cases += [(qmono(rat(1, 2), 1), Q, 150), (qmono(W3, 1), Q, 150),
-              (Q, qmono(rat(1, 2), 1), 60), (Q, qmono(W3, 3), 150)]
+              (Q, qmono(rat(1, 2), 1), 60), (Q, qmono(W3, 3), 150),
+              (qmono(rat(1, 2), 1), qmono(W3, 3), 60)]
     for x, base, order in cases:
         got, want = poch_inf(x, base, order), poch_inf_product_oracle(x, base, order)
         assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), \
             (x, base, order)
         assert has_coeff_types(got)
-    assert ways == {(strided, c) for strided in (True, False) for c in (1, -1, Rat, CycRat)}
+    lists = {w[1:] for w in ways if w[0] == "list"}
+    assert lists == {(strided, c) for strided in (True, False) for c in (1, -1, Rat)}
+    assert {(True, CycRat), (False, CycRat)} <= {w[1:] for w in ways if w[0] == "coords"}
 
 
 def test_poch_fin_small_products():
