@@ -496,8 +496,18 @@ def pretty(node) -> str:
             parts.append(f"{sep}{n.op}{sep}{_paren(n.right, prec + (n.op in '-/'))}")
         return "".join(parts)
     if isinstance(node, Pow):
-        base = _paren(node.base, _PREC_ATOM)
-        return f"{base}^{node.k}" if node.k >= 0 else f"{base}^({node.k})"
+        # a chain of powers in a loop, so that a long one does not recurse
+        # once per power; each inner power is parenthesised
+        ks = []
+        while isinstance(node, Pow):
+            ks.append(node.k)
+            node = node.base
+        s = _paren(node, _PREC_ATOM)
+        for i, k in enumerate(reversed(ks)):
+            if i:
+                s = f"({s})"
+            s += f"^{k}" if k >= 0 else f"^({k})"
+        return s
     if isinstance(node, Call):
         s = node.head
         if node.params:
@@ -650,10 +660,16 @@ def eval_expr(node, order) -> QSeries:
                  else a * b if node.op == "*" else _div(a, b, order))
         return a
     if isinstance(node, Pow):
-        base = eval_expr(node.base, order)
-        if node.k < 0:
-            return _div(QSeries.from_coeff(1), base, order) ** -node.k
-        return base ** node.k
+        # a chain of powers in a loop, innermost first, so that a long one
+        # does not recurse once per power
+        ks = []
+        while isinstance(node, Pow):
+            ks.append(node.k)
+            node = node.base
+        a = eval_expr(node, order)
+        for k in reversed(ks):
+            a = _div(QSeries.from_coeff(1), a, order) ** -k if k < 0 else a ** k
+        return a
     if isinstance(node, CatalogRef):
         entry = _catalog.catalog_lookup(node.name)
         if node.subst is not None:

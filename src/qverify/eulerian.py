@@ -10,15 +10,14 @@ Pochhammer factors is one value for the whole sum: advancing a count by one
 multiplies it by a single binomial (1 - c*q^d) in place or divides it by
 one in place, both O(window), and each term adds the product times its
 monomials into the total.  The product and the total are dense lists on
-one grid, held by ``kernels.ListSum`` (int and Rat coefficients) or, when a
-spec, the constant or one of the first three terms holds a CycRat, by
-``kernels.CycSum`` (integer coordinates over Q(zeta_M) with one
-denominator, each output coefficient made canonical once).  Summation
-stops at the first n whose least monomial exponent reaches the window.
-That is sound when the least exponent does not decrease in n and every
-Pochhammer x has exponent >= 0: the product then has valuation >= 0, so no
-term from n on reaches below the window.  A term that breaks either rule
-raises ValueError.  The accumulator sum in the tests
+one grid, held by ``kernels.RowSum`` as rows of integer coordinates over
+Q(zeta_M) with one denominator (M = 1 for a rational sum), each output
+coefficient made once, an int when it is integral.  Summation stops at the
+first n whose least monomial exponent reaches the window.  That is sound
+when the least exponent does not decrease in n and every Pochhammer x has
+exponent >= 0: the product then has valuation >= 0, so no term from n on
+reaches below the window.  A term that breaks either rule raises
+ValueError.  The accumulator sum in the tests
 (``oracles.eulerian_sum_oracle``) is the engine's oracle.
 """
 
@@ -29,7 +28,7 @@ from math import gcd, lcm
 
 from .cyclotomic import cinv, rat
 from .errors import GenericityError
-from .kernels import CycSum, ListSum, conductor
+from .kernels import RowSum, conductor
 from .series import QMonomial, QSeries, _int, common_scale
 
 
@@ -65,8 +64,8 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     lo = int(min(m.expo for m in first) * scale)
     base = min(0, lo) if lo < W else 0
     size, top = -(-W // g), W + base
-    m = conductor([mono.coeff for mono in (*lattice, const) if mono is not None])
-    acc = ListSum(size) if m == 1 else CycSum(m, size)
+    m = conductor([mono.coeff for mono in (*lattice, const) if mono is not None])[0]
+    acc = RowSum(m, size)
     add_term = acc.add
     # per spec: [over, count_fn, count k, scaled exponent and coefficient
     # of its next binomial x*b^k, and those of b]
@@ -83,7 +82,9 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 if e < 0:
                     raise ValueError(f"eulerian_sum: binomial 1 - ({c})q^({rat(e, scale)}) "
                                      "has a negative exponent; every x needs exponent >= 0")
-                used, d = lcm(used, scale // gcd(e, scale)), e // g
+                if used < scale:  # used divides scale: at scale, no lcm moves it
+                    used = lcm(used, scale // gcd(e, scale))
+                d = e // g
                 if d == 0:  # a constant binomial: times 1 - c, or 1/(1 - c)
                     if over and c == 1:
                         raise GenericityError("pole: 1/(1 - 1)")
@@ -104,7 +105,8 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
             if e < lo:
                 raise ValueError(f"eulerian_sum: term {n} has exponent {mono.expo}, below the "
                                  "first term's; the least exponent must not decrease in n")
-            used = lcm(used, q)
+            if used < scale:
+                used = lcm(used, q)
             add_term((e - base) // g, c)
     if const is not None and top > 0:
         acc.add_const(-base // g, _int(const.coeff))

@@ -1,28 +1,31 @@
-"""Dense kernels of the series layer.
+"""Dense kernels of the series layer, on one representation.
 
-Products.  ``kronecker`` multiplies two term dicts by Kronecker substitution
-(one multiply of two Python ints); ``series`` chooses it over its term loop
-by the thresholds here.  Int and Rat sides are scaled to ints by the lcm of
-their denominators, one exponent a digit.  A side holding a CycRat is split
-at the common conductor M into phi(M) integer coordinates per exponent over
-one denominator (the power basis mod Phi_M, so the coordinates are unique),
-and each digit packs the zeta-degree too: 2*phi(M) - 1 sub-digits a slot.
-Each output slot is reduced mod Phi_M and becomes one coefficient, an int,
-a Rat or one ``cyclotomic._canonical`` call; nothing in between is
-canonicalised.
+Rows.  A series over Q(zeta_M) is held, slot by exponent slot, as phi(M)
+rows of ints over one positive denominator, interleaved in one list: entry
+s*phi + i is coordinate i of slot s over the power basis mod Phi_M, so the
+coordinates are unique (``_coords``).  A rational series is the case M = 1:
+one row over one denominator.  A shift by d slots is a shift by d*phi
+entries, so a rational coefficient acts on every row at once.  A slot
+becomes one coefficient where it leaves a kernel (``_join``): an int when
+it is integral, else a Rat or one ``cyclotomic._canonical`` call; nothing
+in between is canonicalised.
 
-Quotients.  ``long_division`` is the division loop of ``QSeries.divide``.
-``cyc_quotient`` divides when a side holds a CycRat: a CycRat divisor is
-made rational by multiplying both sides by its other Galois conjugates, and
-each coordinate row of the dividend is long-divided by the rational
-divisor.
+Products.  ``kronecker`` puts both sides on rows at their common conductor
+and ``_cmul`` multiplies them by Kronecker substitution, one multiply of
+two Python ints: each digit is an exponent slot holding 2*phi(M) - 1
+sub-digits of its zeta-degree, and each output slot is reduced mod Phi_M.
+``series`` chooses it over its term loop by the thresholds here.
 
-Eulerian sums.  ``ListSum`` and ``CycSum`` hold the running product and the
-total of the Eulerian engine (``eulerian``) as dense lists: of int or Rat
-coefficients, or of coordinates over Q(zeta_M), on which a binomial
-(1 - c*q^d) with c in Q(zeta_M) is the integer matrix of c's numerator.
-``times_one_minus`` and ``over_one_minus`` multiply and divide a list by a
-binomial in place, by slice ``map`` and strided prefix sums.
+Quotients.  ``quotient`` makes a CycRat divisor rational by multiplying
+both sides by its other Galois conjugates, divides the rational divisor by
+its content and long-divides the dividend's rows by it at once
+(``long_division``).
+
+Eulerian sums.  ``RowSum`` holds the running product and the total of the
+Eulerian engine (``eulerian``) on rows.  A binomial (1 - c*q^d) acts on
+them by slice ``map`` and strided prefix sums when c is an int
+(``times_one_minus``, ``over_one_minus``), a Rat divisor by the prefix
+sums too, and anything else through the integer matrix of c's numerator.
 
 They are a module of their own because each module is compiled when it is
 imported without a bytecode cache, and the peak memory of that compile
@@ -32,10 +35,10 @@ memory of a benchmark run rose by about 2 %.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 
 from .cyclotomic import (CycRat, Rat, _canonical, _lift, _lift_power, _reduce_mod_cyclo,
                          cyclotomic_coeffs, euler_phi, root_of_unity_log)
@@ -49,32 +52,29 @@ KRON_PAIRS = 12
 CYC_PAIRS = 2
 
 
-def conductor(*coeffs) -> int:
-    """The lcm of the conductors of the CycRats among the given collections
-    of coefficients; 1 when there is none (found by a C-level type scan)."""
-    if CycRat not in set(map(type, chain(*coeffs))):
-        return 1
-    return lcm(*{c.n for c in chain(*coeffs) if type(c) is CycRat})
+def conductor(*coeffs):
+    """(m, ints) for the given collections of coefficients: m the lcm of
+    the conductors of their CycRats (1 when there is none), and ints
+    whether every one is an int; by one C-level type scan."""
+    types = set(map(type, chain(*coeffs)))
+    if CycRat not in types:
+        return 1, types <= {int}
+    return lcm(*{c.n for c in chain(*coeffs) if type(c) is CycRat}), False
 
 
 def kronecker(at: dict, bt: dict, window):
-    """The product of two term dicts below window (None: all of it) by
-    Kronecker substitution; None when it has at most KRON_PAIRS term pairs
-    per output slot with no CycRat, or CYC_PAIRS with one: the term loop is
-    then the faster.
-
-    Without a CycRat, each side is scaled to ints by the lcm of its
-    denominators and read as the digits, one per exponent, of one int.  A
-    side holding a CycRat is split into its coordinates at the common
-    conductor (``_coords``) and multiplied by ``_cmul``."""
+    """The product of two term dicts below window (None: all of it), on
+    rows at their common conductor (``_coords``, ``_cmul``, ``_join``);
+    None when it has at most KRON_PAIRS term pairs per output slot with no
+    CycRat, or CYC_PAIRS with one: the term loop is then the faster."""
     # a side of k terms gives at most k pairs a slot (untruncated), so at
     # most CYC_PAIRS <= KRON_PAIRS takes the loop without a type scan
-    if min(len(at), len(bt)) <= CYC_PAIRS:
+    small = min(len(at), len(bt))
+    if small <= CYC_PAIRS:
         return None
-    ta, tb = set(map(type, at.values())), set(map(type, bt.values()))
-    cyc = CycRat in ta or CycRat in tb
-    pairs_max = CYC_PAIRS if cyc else KRON_PAIRS
-    if min(len(at), len(bt)) <= pairs_max:
+    m, ints = conductor(at.values(), bt.values())
+    pairs_max = KRON_PAIRS if m == 1 else CYC_PAIRS
+    if small <= pairs_max:
         return None
     va, vb = min(at), min(bt)
     la = (max(at) if window is None else min(max(at), window - vb - 1)) - va + 1
@@ -82,24 +82,8 @@ def kronecker(at: dict, bt: dict, window):
     slots = la + lb - 1 if window is None else min(la + lb - 1, window - va - vb)
     if slots < 1 or len(at) * len(bt) <= pairs_max * slots:
         return None
-    if cyc:
-        m = conductor(at.values(), bt.values())
-        (ra, da), (rb, db) = _coords(at, m, va, la), _coords(bt, m, vb, lb)
-        return _join(_cmul(ra, rb, m, slots), da * db, m, va + vb)
-    sides = []
-    for t, v, n, types in ((at, va, la, ta), (bt, vb, lb, tb)):
-        coeffs = list(map(t.get, range(v, v + n), repeat(0)))
-        d = 1
-        if Rat in types:
-            d = lcm(*(c.denominator for c in t.values()))
-            coeffs = [c.numerator * (d // c.denominator) for c in coeffs]
-        sides.append((coeffs, d, max(map(abs, coeffs))))
-    (ca, da, ma), (cb, db, mb) = sides
-    digits = _kmul(ca, cb, ma * mb * min(len(at), len(bt)), slots)
-    k0, d = va + vb, da * db
-    if d == 1:
-        return {k0 + i: c for i, c in enumerate(digits) if c}
-    return {k0 + i: c // d if c % d == 0 else Rat(c, d) for i, c in enumerate(digits) if c}
+    (a, da), (b, db) = _coords(at, m, va, la, ints), _coords(bt, m, vb, lb, ints)
+    return dict(_join(_cmul(a, b, m, slots), da * db, m, va + vb))
 
 
 def _kmul(ca: list, cb: list, bound: int, count: int) -> list:
@@ -120,44 +104,50 @@ def _kmul(ca: list, cb: list, bound: int, count: int) -> list:
     return [fb(buf[i:i + nb], "little") - half for i in range(0, nb * count, nb)]
 
 
-# -- coordinates: a series over Q(zeta_m) as phi(m) rows of ints, row i
-# holding coordinate i (over the power basis mod Phi_m, so they are unique)
-# of each exponent slot, all over one positive denominator
-
-
-def _coords(t: dict, m: int, v: int, n: int):
-    """(rows, den): the terms of t at exponents v .. v + n - 1 (v <= min(t))
-    as coordinates at conductor m over the lcm of their denominators."""
-    den = lcm(*{c.den if type(c) is CycRat else c.denominator
-                for c in t.values() if type(c) is not int})
-    rows = [[0] * n for _ in range(euler_phi(m))]
+def _coords(t: dict, m: int, v: int, n: int, ints: bool):
+    """(a, den): the terms of t at exponents v .. v + n - 1 (v <= min(t))
+    as rows at conductor m over the lcm of their denominators; ints says
+    that every coefficient is an int (so m = 1).  Any other coefficient, an
+    integral Rat included, is turned into ints."""
+    phi = euler_phi(m)
+    a = [0] * (n * phi)
+    if ints:
+        for k, c in t.items():
+            if k - v < n:
+                a[k - v] = c
+        return a, 1
+    den = lcm(*{c.den if type(c) is CycRat else c.denominator for c in t.values()})
     for k, c in t.items():
         k -= v
         if k < n:
-            if type(c) is int:
-                rows[0][k] = c * den
-            elif type(c) is CycRat:
+            if type(c) is CycRat:
                 f = den // c.den
-                for r, x in zip(rows, _lift(c.nums, c.n, m)):
-                    r[k] = x * f
+                a[k * phi:(k + 1) * phi] = [x * f for x in _lift(c.nums, c.n, m)]
             else:
-                rows[0][k] = c.numerator * (den // c.denominator)
-    return rows, den
+                a[k * phi] = c.numerator * (den // c.denominator)
+    return a, den
 
 
-def _cmul(ra: list, rb: list, m: int, slots: int) -> list:
-    """The product of two coordinate rows at conductor m, below ``slots``
-    slots: one ``_kmul`` with each slot's zeta-degree packed inside it
-    (2*phi - 1 sub-digits a slot), then every slot reduced mod Phi_m."""
-    phi = len(ra)
+def _cmul(a: list, b: list, m: int, slots: int) -> list:
+    """The product of rows a and b at conductor m, below ``slots`` slots:
+    one ``_kmul`` with each slot's zeta-degree packed inside it (2*phi - 1
+    sub-digits a slot), then every slot reduced mod Phi_m."""
+    phi = euler_phi(m)
     s = 2 * phi - 1
-    la, lb = min(len(ra[0]), slots), min(len(rb[0]), slots)
+    la, lb = len(a) // phi, len(b) // phi
     slots = min(slots, la + lb - 1)
-    xa, xb = [0] * (la * s), [0] * (lb * s)
-    for i in range(phi):
-        xa[i::s], xb[i::s] = ra[i][:la], rb[i][:lb]
-    bound = max(map(abs, xa)) * max(map(abs, xb)) * min(la, lb) * phi
+    if phi == 1:
+        xa, xb = a, b
+    else:
+        xa, xb = [0] * (la * s), [0] * (lb * s)
+        for i in range(phi):
+            xa[i::s], xb[i::s] = a[i::phi], b[i::phi]
+    # a digit sums at most min(nonzero entries) products of two entries
+    pairs = min(len(xa) - xa.count(0), len(xb) - xb.count(0))
+    bound = max(map(abs, xa)) * max(map(abs, xb)) * pairs
     digits = _kmul(xa, xb, bound, slots * s)
+    if phi == 1:
+        return digits
     cyc = cyclotomic_coeffs(m)
     for d in range(s - 1, phi - 1, -1):  # z^d = z^d - z^(d-phi) * Phi_m
         top = digits[d::s]
@@ -167,95 +157,97 @@ def _cmul(ra: list, rb: list, m: int, slots: int) -> list:
                 r = digits[j::s]
                 digits[j::s] = (map(sub, r, top) if f == 1 else map(add, r, top) if f == -1
                                 else map(sub, r, map(mul, top, repeat(f))))
-    return [digits[i::s] for i in range(phi)]
-
-
-def _join(rows: list, den: int, m: int, v: int) -> dict:
-    """{v + s: coefficient} for each nonzero slot s of coordinate rows at
-    conductor m over den: one ``_canonical`` call per irrational slot, and
-    an int or Rat for a rational one."""
-    out = {}
-    for k, nums in enumerate(zip(*rows), v):
-        if any(nums[1:]):
-            out[k] = _canonical(m, (den, *nums))
-        elif nums[0]:
-            c = nums[0]
-            out[k] = c // den if c % den == 0 else Rat(c, den)
+    out = [0] * (slots * phi)
+    for i in range(phi):
+        out[i::phi] = digits[i::s]
     return out
 
 
-def cyc_quotient(at: dict, bt: dict, window: int, m: int) -> dict:
+def _join(a: list, den: int, m: int, v: int):
+    """(v + s, coefficient) for each nonzero slot s of rows a at conductor
+    m over den, as an iterator: an int or Rat for a rational slot, and one
+    ``_canonical`` call for any other."""
+    phi = euler_phi(m)
+    if phi > 1:
+        return ((k, _canonical(m, (den, *nums)) if any(nums[1:])
+                 else nums[0] // den if nums[0] % den == 0 else Rat(nums[0], den))
+                for k, nums in enumerate(zip(*[iter(a)] * phi), v) if any(nums))
+    if den == 1:
+        return compress(enumerate(a, v), a)
+    return ((k, c // den if c % den == 0 else Rat(c, den)) for k, c in enumerate(a, v) if c)
+
+
+def quotient(at: dict, bt: dict, window: int) -> dict:
     """at / bt at exponents below window (scaled units, the quotient window
-    of ``QSeries.divide``), m the conductor of both sides; at nonempty.
+    of ``QSeries.divide``); at nonempty.
 
     A divisor holding a CycRat, at conductor mb, is made rational first:
     the dividend and divisor are multiplied by C, the product of the
     divisor's images under zeta -> zeta^t (t prime to mb, t != 1), so the
     divisor becomes its norm, an integer series.  Every list has the
     quotient's slot count, size = window - va + vb: that is the window
-    each side is known to, by the product and quotient windows.  The
-    divisor is divided by its content, signed like its leading
-    coefficient, and each coordinate row of the dividend is long-divided
-    by it (``long_division``)."""
+    each side is known to, by the product and quotient windows.  A
+    rational divisor keeps the step list of its own terms.  The divisor is
+    divided by its content, signed like its leading coefficient, and the
+    dividend's rows are long-divided by it at once (``long_division``)."""
     va, vb = min(at), min(bt)
     size = window - va + vb
     if size < 1:
         return {}
-    mb = conductor(bt.values())
-    ra, den = _coords(at, m, va, size)
-    rb, db = _coords(bt, mb, vb, size)
-    div, dn = rb[0], db
-    if mb > 1:
-        pb, cj = len(rb), None
+    m, ints = conductor(at.values(), bt.values())
+    mb = 1 if m == 1 else conductor(bt.values())[0]
+    a, den = _coords(at, m, va, size, ints)
+    if mb == 1:  # bi: bt's terms scaled to ints by dn
+        dn, bi = 1, bt
+        if not ints:
+            dn = lcm(*{c.denominator for c in bt.values()})
+            bi = {k: c.numerator * (dn // c.denominator) for k, c in bt.items()}
+    else:
+        b, db = _coords(bt, mb, vb, size, False)
+        pb, cj = euler_phi(mb), None
         for t in range(2, mb):
             if gcd(t, mb) == 1:
-                conj = _apply(_galois(mb, mb, t), rb)
+                conj = _apply(_galois(mb, mb, t), b, pb)
                 cj = conj if cj is None else _cmul(cj, conj, mb, size)
-        div, dn = _cmul(rb, cj, mb, size)[0], db ** pb
-        ra, den = _cmul(ra, _apply(_galois(mb, m, 1), cj), m, size), den * db ** (pb - 1)
-    # at / bt = (ra / den) / (div / dn) = (ra * f / (div / g)) / (den * |g|),
-    # g the content signed like div[0] and f = +-dn the same way
-    g = gcd(*div)
-    g, f = (g, dn) if div[0] > 0 else (-g, -dn)
-    step = [(k, -(c // g)) for k, c in enumerate(div) if c and k]
-    b0inv = 1 if div[0] == g else Rat(g, div[0])
-    for row in ra:
-        if f != 1:
-            row[:] = map(mul, row, repeat(f))
-        long_division(row, step, b0inv)
-    dens = {x.denominator for row in ra for x in row if type(x) is Rat}
-    if dens:  # a leading coefficient other than +-g: one denominator for all
-        d = lcm(*dens)
+        norm = _cmul(b, cj, mb, size)[::pb]
+        bi, dn = dict(compress(enumerate(norm, vb), norm)), db ** pb
+        a, den = _cmul(a, _apply(_galois(mb, m, 1), cj, pb), m, size), den * db ** (pb - 1)
+    # at / bt = (a / den) / (bi / dn) = (a * f / (bi / g)) / (den * |g|),
+    # g the content signed like b0 = bi[vb] and f = +-dn the same way
+    b0, g = bi[vb], gcd(*bi.values())
+    g, f = (g, dn) if b0 > 0 else (-g, -dn)
+    phi = euler_phi(m)
+    step = sorted(((k - vb) * phi, -(c // g)) for k, c in bi.items() if k != vb)
+    b0inv = 1 if b0 == g else Rat(g, b0)
+    if f != 1:
+        a = _scaled(a, f)
+    long_division(a, step, b0inv)
+    if b0 != g:  # Rat quotients: one denominator for all
+        d = lcm(*{x.denominator for x in a if type(x) is Rat})
         den *= d
-        ra = [[x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row]
-              for row in ra]
-    return _join(ra, den * abs(g), m, va - vb)
+        a = [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in a]
+    return dict(_join(a, den * abs(g), m, va - vb))
 
 
-def long_division(rem: list, step, b0inv, lo: int = 0) -> dict:
-    """Divide in place: rem holds a dividend's coefficients (None or 0 where
-    it has none) over consecutive quotient exponents and becomes the
-    quotient by a divisor with leading coefficient 1/b0inv, whose other
-    terms are ``step``: (offset, minus its coefficient) pairs by offset.
-    q_i = rem_i * b0inv, then q_i * f is added to the entry k above it
-    for each (k, f).  A unit b0 (b0inv == 1) skips a multiply a term.
-    Returns {lo + i: q_i} for every nonzero q_i."""
-    unit, size, out = b0inv == 1, len(rem), {}
-    for i in range(size):
+def long_division(rem: list, step, b0inv) -> None:
+    """Divide in place: rem holds a dividend's rows over consecutive
+    quotient exponents and becomes the quotient by a rational divisor with
+    leading coefficient 1/b0inv, whose other terms are ``step``: (offset in
+    entries, minus its coefficient) pairs by offset.  q_i = rem_i * b0inv,
+    then q_i * f is added to the entry k above it for each (k, f).  A unit
+    b0 (b0inv == 1) skips a multiply a term."""
+    unit, size = b0inv == 1, len(rem)
+    # compress reads rem[i] only when the loop reaches i, after every
+    # update to it, and skips the zero slots at C speed
+    for i in compress(range(size), rem):
         c = rem[i]
-        if not c:
-            continue
         if not unit:
             c = rem[i] = c * b0inv
-        out[lo + i] = c
         for k, f in step:
             j = i + k
             if j >= size:
                 break
-            p = f * c
-            cur = rem[j]
-            rem[j] = p if cur is None else cur + p
-    return out
+            rem[j] += f * c
 
 
 #: a dense Eulerian sum divides by (1 - c*q^d) by strided prefix sums when
@@ -274,7 +266,9 @@ def times_one_minus(a: list, c, d: int) -> None:
 def over_one_minus(a: list, c, d: int) -> None:
     """a /= (1 - c*q^d) in place, a a dense list below its length, d > 0:
     a prefix sum over each residue class mod d when d <= len(a)/STRIDED,
-    else the product of (1 + c^(2^i) q^(2^i d)) over 2^i d < len(a)."""
+    else the product of (1 + c^(2^i) q^(2^i d)) over 2^i d < len(a).  A
+    Rat c = p/e takes the prefix sum only, each step adding p*t // e: that
+    is exact once a is scaled by e^((len(a) - 1) // d), one e a step."""
     n = len(a)
     if d * STRIDED > n:
         while d < n:
@@ -282,58 +276,28 @@ def over_one_minus(a: list, c, d: int) -> None:
             c, d = c * c, 2 * d
         return
     step = (None if c == 1 else (lambda t, x: x - t) if c == -1
-            else lambda t, x: x + c * t)
+            else (lambda t, x: x + c * t) if type(c) is int
+            else lambda t, x, p=c.numerator, e=c.denominator: x + p * t // e)
     for r in range(d):
         a[r::d] = accumulate(a[r::d], step)
 
 
-class ListSum:
-    """The running product and the total of an Eulerian sum (``eulerian``)
-    as dense lists of int or Rat coefficients, one a slot.  ``times(c, d)``
-    and ``over(c, d)`` are ``times_one_minus`` and ``over_one_minus`` bound
-    to prod, which changes only in place: one call a binomial step."""
+class RowSum:
+    """The running product and the total of an Eulerian sum as rows (see
+    ``_coords``) over one positive denominator.  An int coefficient acts
+    on every row at once, by ``times_one_minus``, ``over_one_minus`` or a
+    slice ``map``, and so does a Rat divisor (``over``); any other
+    coefficient acts through the integer matrix of its numerator
+    (``_matrix``).  A denominator e of a coefficient multiplies den, and
+    every list is rescaled to keep one den.  The conductor grows when a
+    coefficient needs it."""
 
-    __slots__ = ("prod", "total", "times", "over")
-
-    def __init__(self, size: int):
-        self.prod, self.total = [1] + [0] * (size - 1), [0] * size
-        self.times = partial(times_one_minus, self.prod)
-        self.over = partial(over_one_minus, self.prod)
-
-    def scale(self, f) -> None:
-        """prod *= f."""
-        self.prod[:] = map(mul, self.prod, repeat(f))
-
-    def add(self, i: int, c) -> None:
-        """total += c * q^i * prod."""
-        total, prod = self.total, self.prod
-        t = total[i:]
-        total[i:] = (map(add, t, prod) if c == 1 else map(sub, t, prod) if c == -1
-                     else map(add, t, map(mul, prod, repeat(c))))
-
-    def add_const(self, i: int, c) -> None:
-        self.total[i] += c
-
-    def items(self):
-        """(slot, coefficient) for each nonzero slot of the total."""
-        return filter(itemgetter(1), enumerate(self.total))
-
-
-class CycSum:
-    """The running product and the total of an Eulerian sum over Q(zeta_m)
-    as coordinate rows (see ``_coords``) of dense int lists, all over one
-    positive denominator.  A coefficient acts on the rows through the
-    integer matrix of its numerator (``_matrix``); its denominator
-    multiplies den, and every list is rescaled to keep one den.  The
-    conductor grows when a coefficient needs it."""
-
-    __slots__ = ("m", "prod", "total", "den")
+    __slots__ = ("m", "phi", "prod", "total", "den")
 
     def __init__(self, m: int, size: int):
-        phi = euler_phi(m)
-        self.m, self.den = m, 1
-        self.prod = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(phi - 1)]
-        self.total = [[0] * size for _ in range(phi)]
+        self.m, self.phi, self.den = m, euler_phi(m), 1
+        self.total = [0] * (max(size, 0) * self.phi)
+        self.prod = [1] + self.total[1:] if self.total else []
 
     def _matrix(self, c):
         """c's numerator matrix and denominator e; den and the total take e
@@ -341,7 +305,8 @@ class CycSum:
         if type(c) is CycRat and self.m % c.n:
             m = lcm(self.m, c.n)
             lift = _galois(self.m, m, 1)
-            self.m, self.prod, self.total = m, _apply(lift, self.prod), _apply(lift, self.total)
+            self.prod, self.total = (_apply(lift, a, self.phi) for a in (self.prod, self.total))
+            self.m, self.phi = m, euler_phi(m)
         e, mat = _matrix(c, self.m)
         if e != 1:
             self.den *= e
@@ -350,65 +315,92 @@ class CycSum:
 
     def scale(self, f) -> None:
         """prod *= f."""
-        self.prod = _apply(self._matrix(f)[0], self.prod)
+        self.prod = _apply(self._matrix(f)[0], self.prod, self.phi)
 
     def times(self, c, d: int) -> None:
         """prod *= 1 - c*q^d."""
+        if type(c) is int:
+            return times_one_minus(self.prod, c, d * self.phi)
         mat, e = self._matrix(c)
-        t = _apply(mat, [r[:-d] for r in self.prod])
+        d *= self.phi
+        t = _apply(mat, self.prod[:-d], self.phi)
         if e != 1:
             self.prod = _scaled(self.prod, e)
-        for r, x in zip(self.prod, t):
-            r[d:] = map(sub, r[d:], x)
+        self.prod[d:] = map(sub, self.prod[d:], t)
 
     def over(self, c, d: int) -> None:
-        """prod /= 1 - c*q^d: for c a root of unity of order k with k*d at
-        most 1/STRIDED of the slots, prod times 1 + c q^d + ... +
-        c^(k-1) q^((k-1)d), then each row over 1 - q^(kd) by prefix sums;
-        else by doubling, prod times (1 + c^(2^i) q^(2^i d))."""
-        n, k = len(self.prod[0]), _root_order(c)
+        """prod /= 1 - c*q^d: an int c by ``over_one_minus``, and a Rat c
+        with d at most 1/STRIDED of the slots by its prefix sums (prod, the
+        total and den scaled first, and divided after by their gcd: with
+        the scale of doubling, a sum's ints grow several times over); for c
+        a root of unity of order k with k*d at most 1/STRIDED of the slots,
+        prod times 1 + c q^d + ... + c^(k-1) q^((k-1)d), then over
+        1 - q^(kd) by prefix sums; else by doubling, prod times
+        (1 + c^(2^i) q^(2^i d))."""
+        phi = self.phi
+        if type(c) is int:
+            return over_one_minus(self.prod, c, d * phi)
+        n = len(self.prod) // phi
+        if type(c) is Rat and d * STRIDED <= n:
+            f = c.denominator ** ((n - 1) // d)
+            self.den *= f
+            self.total, self.prod = _scaled(self.total, f), _scaled(self.prod, f)
+            over_one_minus(self.prod, c, d * phi)
+            return self._reduce()
+        k = _root_order(c)
         if k is None or k * d * STRIDED > n:
             while d < n:
                 self.times(-c, d)
                 c, d = c * c, 2 * d
             return
         mat, _ = self._matrix(c)
+        d *= phi
         prod = s = self.prod
         for _ in range(k - 1):
-            t = _apply(mat, [r[:-d] for r in s])
-            s = [r[:d] + list(map(add, r[d:], x)) for r, x in zip(prod, t)]
-        for r in s:
-            over_one_minus(r, 1, k * d)
+            s = prod[:d] + list(map(add, prod[d:], _apply(mat, s[:-d], phi)))
+        over_one_minus(s, 1, k * d)
         self.prod = s
+
+    def _reduce(self) -> None:
+        """Divide den, prod and the total by their gcd."""
+        g = gcd(self.den, *self.prod, *self.total)
+        if g > 1:
+            self.den //= g
+            self.prod = [x // g for x in self.prod]
+            self.total = [x // g for x in self.total]
 
     def add(self, i: int, c) -> None:
         """total += c * q^i * prod."""
-        if type(c) is int and (c == 1 or c == -1):
-            op, t = add if c == 1 else sub, self.prod
-        else:
-            mat, e = self._matrix(c)
-            op, t = add, _apply(mat, [r[:len(r) - i] for r in self.prod])
-            if e != 1:
-                self.prod = _scaled(self.prod, e)
-        for r, x in zip(self.total, t):
-            r[i:] = map(op, r[i:], x)
+        if type(c) is int:
+            i *= self.phi
+            total, prod = self.total, self.prod
+            t = total[i:]
+            total[i:] = (map(add, t, prod) if c == 1 else map(sub, t, prod) if c == -1
+                         else map(add, t, map(mul, prod, repeat(c))))
+            return
+        mat, e = self._matrix(c)
+        i *= self.phi
+        t = _apply(mat, self.prod[:len(self.prod) - i], self.phi)
+        if e != 1:
+            self.prod = _scaled(self.prod, e)
+        self.total[i:] = map(add, self.total[i:], t)
 
     def add_const(self, i: int, c) -> None:
         """total += c * q^i."""
         mat, e = self._matrix(c)
         if e != 1:
             self.prod = _scaled(self.prod, e)
-        f = self.den // e  # c = (numerator * f) / den
-        for r, x in zip(self.total, mat):
-            r[i] += x[0] * f
+        f, i = self.den // e, i * self.phi  # c = (numerator * f) / den
+        for j, x in enumerate(mat):
+            self.total[i + j] += x[0] * f
 
     def items(self):
         """(slot, coefficient) for each nonzero slot of the total."""
-        return _join(self.total, self.den, self.m, 0).items()
+        return _join(self.total, self.den, self.m, 0)
 
 
-def _scaled(rows: list, e: int) -> list:
-    return [list(map(mul, r, repeat(e))) for r in rows]
+def _scaled(a: list, e: int) -> list:
+    return list(map(mul, a, repeat(e)))
 
 
 def _transpose(cols) -> list:
@@ -441,15 +433,17 @@ def _root_order(c):
     return None if log is None else log[1]
 
 
-def _apply(mat, rows) -> list:
-    """The rows mapped by the integer matrix mat, in new lists: row j is the
-    sum over i of mat[j][i] * rows[i]."""
-    out = []
-    for mj in mat:
+def _apply(mat, a: list, phi: int) -> list:
+    """Rows a (phi of them) mapped by the integer matrix mat, into new rows:
+    row j is the sum over i of mat[j][i] times row i."""
+    rows, k = [a[i::phi] for i in range(phi)], len(mat)
+    out = [0] * (len(rows[0]) * k)
+    for j, mj in enumerate(mat):
         acc = None
         for f, r in zip(mj, rows):
             if f:
                 t = r if f == 1 else map(neg, r) if f == -1 else map(mul, r, repeat(f))
                 acc = t if acc is None else map(add, acc, t)
-        out.append([0] * len(rows[0]) if acc is None else list(acc))
+        if acc is not None:
+            out[j::k] = acc
     return out

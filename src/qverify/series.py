@@ -20,29 +20,29 @@ A coefficient inside a series is an ``int`` or a ``Rat`` or ``CycRat`` (a
 ``QMonomial`` coefficient is always a ``Rat`` or ``CycRat``).  The one
 helper :func:`_int` turns an integral Rat into an int where a coefficient
 enters a series: ``from_coeff``, ``from_monomial``, each accumulator
-operation, the walkers' step factors, the inverse leading coefficient of a
-division, the coefficient of a substituted monomial, and every coefficient
-of a product.  Sums and products of ints stay ints, so integral series
-(theta functions, Eulerian and Hecke sums with +-1 coefficients) are summed
-and convolved on Python ints; any other coefficient turns the terms it
-touches into ``Rat | CycRat`` by the usual arithmetic, and a sum of Rats
-(1/2 + 1/2) may leave an integral Rat.  No coefficient in a series meets
-``/`` or a negative ``**`` (an int would become a float): inverses go
-through ``cinv``.
+operation, the walkers' step factors, the coefficient of a substituted
+monomial, and every coefficient of a product by the term loop; the dense
+kernels hand an integral coefficient out as an int.  Sums and products of
+ints stay ints, so integral series (theta functions, Eulerian and Hecke
+sums with +-1 coefficients) are summed and convolved on Python ints; any
+other coefficient turns the terms it touches into ``Rat | CycRat`` by the
+usual arithmetic, and a sum of Rats (1/2 + 1/2) in the accumulator may
+leave an integral Rat.  No coefficient in a series meets ``/`` or a
+negative ``**`` (an int would become a float): inverses go through
+``cinv``.
 
 A QSeries has two coefficient kernels, the product (``__mul__``) and long
-division (``divide``).  A product with more than ``kernels.KRON_PAIRS``
-term pairs per output slot and no CycRat, or ``kernels.CYC_PAIRS`` with
-one, is one multiply of two Python ints by Kronecker substitution
-(``kernels.kronecker``): each side is scaled to ints by the lcm of its
-denominators and packed one exponent a digit, and a side with a CycRat is
-split at the common conductor M into phi(M) integer coordinates, packed
-inside each digit.  Any other product loops over the term pairs.  Division
-loops over its quotient exponents with the remainder in a list over them
-(``kernels.long_division``); when a side holds a CycRat, a CycRat divisor
-is made rational by its Galois conjugates and each integer coordinate row
-of the dividend is divided (``kernels.cyc_quotient``).  On coordinates, a
-coefficient is made canonical once, where it leaves the kernel.
+division (``divide``), both on the integer rows of ``kernels``: each side
+is split at the common conductor M into phi(M) rows of integer
+coordinates over one denominator (one row at M = 1, a rational series),
+interleaved slot by slot in one list.
+A product with more than ``kernels.KRON_PAIRS`` term pairs per output slot
+and no CycRat, or ``kernels.CYC_PAIRS`` with one, is one multiply of two
+Python ints by Kronecker substitution (``kernels.kronecker``); any other
+product loops over the term pairs.  Division (``kernels.quotient``) makes
+a CycRat divisor rational by its Galois conjugates and long-divides the
+dividend's rows.  On rows, a coefficient is made canonical once, where
+it leaves the kernel, and an integral one is an int.
 
 Every other coefficient operation is one call of the accumulator ``_Acc``:
 sums and differences, negation, products by a scalar or a monomial, and
@@ -377,20 +377,17 @@ class QSeries:
     def divide(self, other: "QSeries", window_hint=None) -> "QSeries":
         """self / other by long division against other's leading term b_0:
         q_n = (a_{n+v_b} - sum_{k>0} b_k q_{n-k}) / b_0, in
-        O(window * nnz(other)) with no second product.  When every
-        coefficient of other is an int, other is divided by its content
-        (the gcd of its coefficients, signed like b_0) and the quotient is
-        scaled back once at the end, so a leading coefficient of -1, or of
-        +-content, takes the unit path and keeps int coefficients ints;
-        only another leading coefficient costs a multiply per quotient
-        term.
+        O(window * nnz(other)) with no second product, on integer rows
+        (``kernels.quotient``): other, made rational, is divided by its
+        content (the gcd of its scaled coefficients, signed like b_0) and
+        the quotient is scaled back once at the end, so a leading
+        coefficient of -1, or of +-content, takes the unit path; only
+        another leading coefficient costs a multiply per quotient term.
 
-        When a side holds a CycRat, ``kernels.cyc_quotient`` divides on
-        integer coordinates, with the same window and the same content and
-        unit path.  The window is the module's quotient window; an exact
-        divisor with one term gives an exact shift.  window_hint (scaled
-        units, on the common grid) is read only when both sides are exact
-        and the divisor has several terms, and is then required.
+        The window is the module's quotient window; an exact divisor with
+        one term gives an exact shift.  window_hint (scaled units, on the
+        common grid) is read only when both sides are exact and the divisor
+        has several terms, and is then required.
         """
         a, b = QSeries.unify(self, other)
         if not b.terms:
@@ -412,29 +409,7 @@ class QSeries:
             window = b.order - 2 * vb + va
         else:
             window = min(a.order - vb, b.order - 2 * vb + va)
-        m = kernels.conductor(a.terms.values(), b.terms.values())
-        if m > 1:
-            out = kernels.cyc_quotient(a.terms, b.terms, window, m) if a.terms else {}
-            return QSeries(a.scale, window, out)
-        # a / b = (a / (b / g)) / g, with rem the remainder over the
-        # quotient exponents lo, lo + 1, ...; a unit b_0 (the common case)
-        # skips a multiply per term
-        bt, g = b.terms, 1
-        if all(type(c) is int for c in bt.values()):
-            g = gcd(*bt.values())
-            g = g if bt[vb] > 0 else -g
-            if g != 1:
-                bt = {k: c // g for k, c in bt.items()}
-        step = sorted((k - vb, -c) for k, c in bt.items() if k != vb)
-        lo, size = va - vb, window - va + vb
-        rem = [None] * size
-        for k, c in a.terms.items():
-            if k - vb < window:
-                rem[k - va] = c
-        out = kernels.long_division(rem, step, _int(cinv(bt[vb])), lo)
-        if g != 1:
-            f = _int(cinv(g))
-            out = {n: _int(c * f) for n, c in out.items()}
+        out = kernels.quotient(a.terms, b.terms, window) if a.terms else {}
         return QSeries(a.scale, window, out)
 
     def __pow__(self, k: int) -> "QSeries":

@@ -298,3 +298,13 @@ def test_eulerian_results_keep_integral_coefficients_as_ints():
             s = f(T)
             assert s.terms and has_coeff_types(s), name
         assert all(type(c) is int for c in f3(T).terms.values())
+
+
+def test_eulerian_results_hold_no_integral_rats():
+    """No definition hands out an integral Rat: the Eulerian engine makes
+    every integral coefficient an int, also where Rat monomials and a Rat
+    constant sum to integers (mu_6th: +-1/2 and 1/2)."""
+    clear_memos()
+    for name, f in _definitions():
+        s = f(60)
+        assert not [c for c in s.terms.values() if type(c) is Fraction and c.denominator == 1], name

@@ -177,6 +177,22 @@ def test_long_flat_chains_evaluate_and_print_back(lhs, rhs):
     assert _same_ast(parse_identities(pretty_identity(record))[0].lhs, record.lhs)
 
 
+def test_long_power_chains_evaluate_and_print():
+    """A chain of 1500 powers, (1 + q)^1^1...^1, parses into left-nested
+    powers that evaluate and pretty-print in loops: the identity passes at
+    order 5 and prints with each inner power parenthesised, as a short
+    chain does.  A chain evaluates innermost first: (q + q^2)^(-1)^2 is
+    the square of the inverse, known below q^9, where the inverse of the
+    square is known below q^10."""
+    (record,) = parse_identities("identity chain { lhs = (1+q)" + "^1" * 1500 + "; rhs = 1+q; }")
+    assert verify_identity(record, 5).status == "pass"
+    assert pretty(record.lhs) == "(" * 1499 + "(1 + q)^1" + ")^1" * 1499
+    chain = parse_expression("(q+q^2)^(-1)^2")
+    assert pretty(chain) == "((q + q^2)^(-1))^2"
+    got, other = eval_expr(chain, 10), eval_expr(parse_expression("1/(q+q^2)^2"), 10)
+    assert (got.order, other.order) == (9, 10) and got.terms == other.truncate(9).terms
+
+
 # ---------------------------------------------------------------------------
 # pretty-printing fixpoint
 # ---------------------------------------------------------------------------

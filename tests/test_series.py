@@ -522,7 +522,8 @@ def test_divide_matches_oracle_on_long_windows_randomized():
     dividends of 1 to 400 terms, divisors of 1 to 30 with a unit, content
     or Rat leading term, ints up to 2^80, Rats over mixed denominators,
     CycRats, negative valuations, grids 1, 2 and 8, exact sides with a
-    hint."""
+    hint.  No integral coefficient of a quotient by anything but an exact
+    monomial is a Rat."""
     rng = random.Random(2012)
     for i in range(120):
         kind = ("small", "big", "rat", "cyc")[i % 4]
@@ -531,8 +532,10 @@ def test_divide_matches_oracle_on_long_windows_randomized():
         b = _wide_side(rng, rng.choice(("small", kind)), i % 3 == 0, 30)
         b.terms[min(b.terms)] = rng.choice((1, -1, 2, -3, rat(1, 2), b.terms[min(b.terms)]))
         hint = rng.randint(1, 120) if a.order is None and b.order is None else None
-        got = a.divide(b, hint)
-        _assert_same_series(got, divide_oracle(a, b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}")
+        got, case = a.divide(b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}"
+        _assert_same_series(got, divide_oracle(a, b, hint), case)
+        if b.order is not None or len(b.terms) > 1:
+            assert _no_integral_rat(got), case
 
 
 def _assert_canonical(s, case):

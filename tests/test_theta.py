@@ -173,29 +173,27 @@ def test_dense_euler_sum_matches_product_oracle(monkeypatch):
     binomials: x = +-q^a at orders 150 and 400 (a base of -q^b gives
     binomials -1 * q^d), x = q/2 and zeta_3 q, and bases q/2, zeta_3 q^3
     and (with x = q/2) zeta_3 q^3 again, whose binomials have Rat, CycRat
-    and non-integral CycRat coefficients.  On int and Rat lists, both ways
-    of dividing by a binomial run for c = 1, -1 and a Rat (strided prefix
-    sums for d up to 1/STRIDED of the window, doubling above); on
-    coordinates, both run for a CycRat (a root of unity of order k with
-    k*d up to 1/STRIDED of the window, else doubling)."""
-    ways = set()
-    list_over, cyc_over = kernels.over_one_minus, kernels.CycSum.over
+    and non-integral CycRat coefficients.  On the row accumulator, both
+    ways of dividing by a binomial run for c = 1, -1, a Rat and a
+    root-of-unity CycRat (strided prefix sums for d, or k*d for a root of
+    unity of order k, up to 1/STRIDED of the window; doubling above)."""
+    ways, strided = set(), []
+    list_over, row_over = kernels.over_one_minus, kernels.RowSum.over
 
     def kind(c):
         return c if c in (1, -1) else type(c)
 
     def spy_list(a, c, d):
-        ways.add(("list", d * kernels.STRIDED <= len(a), kind(c)))
+        strided.append(d * kernels.STRIDED <= len(a))
         list_over(a, c, d)
 
-    def spy_cyc(acc, c, d):
-        k = kernels._root_order(c)
-        ways.add(("coords", k is not None and k * d * kernels.STRIDED <= len(acc.prod[0]),
-                  kind(c)))
-        cyc_over(acc, c, d)
+    def spy_row(acc, c, d):
+        strided.clear()
+        row_over(acc, c, d)
+        ways.add((any(strided), kind(c)))
 
     monkeypatch.setattr(kernels, "over_one_minus", spy_list)
-    monkeypatch.setattr(kernels.CycSum, "over", spy_cyc)
+    monkeypatch.setattr(kernels.RowSum, "over", spy_row)
     clear_memos()
     cases = [(qmono(c, a), qmono(cb, b), order)
              for order, a, b in ((150, 1, 1), (150, 0, 2), (150, 3, rat(1, 2)),
@@ -209,9 +207,7 @@ def test_dense_euler_sum_matches_product_oracle(monkeypatch):
         assert (got.scale, got.order, got.terms) == (want.scale, want.order, want.terms), \
             (x, base, order)
         assert has_coeff_types(got)
-    lists = {w[1:] for w in ways if w[0] == "list"}
-    assert lists == {(strided, c) for strided in (True, False) for c in (1, -1, Rat)}
-    assert {(True, CycRat), (False, CycRat)} <= {w[1:] for w in ways if w[0] == "coords"}
+    assert ways == {(way, c) for way in (True, False) for c in (1, -1, Rat, CycRat)}
 
 
 def test_poch_fin_small_products():
