@@ -2,7 +2,8 @@
 
 Each entry pairs the defining Eulerian q-series (the ground-truth side,
 summed exactly by the series module's Eulerian engine, memoized per order
-for one run by ``series.memo``) with closed-form
+for one run by ``series.memo``, which hands every call the kept, read-only
+series) with closed-form
 representations in terms of Appell-Lerch sums ``m(x,q,z)``, the universal
 functions ``g``/``h``/``k``, and theta quotients.  Representations are stored
 as identity-DSL source strings so that the same data drives the test suite
@@ -78,7 +79,7 @@ class CatalogEntry:
     coefficients where they are integral and Rat | CycRat ones otherwise;
     it is one ``eulerian_sum`` over its ``spec``, memoized by
     ``series.memo``, so each order is summed once per run and every call
-    gets its own copy.  ``representations`` holds identity-DSL
+    gets the kept, read-only series.  ``representations`` holds identity-DSL
     expression sources, each equal to the Eulerian series.
     """
 

@@ -73,7 +73,8 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
              for over, specs in ((False, num), (True, den)) for x, b, cf in specs]
     for n in count(start):
         monos = monos_fn(n)
-        if min(m.expo for m in monos) >= order:
+        # on ints: W is integral, so floor(e * scale) >= W exactly when e >= order
+        if min(m.expo.numerator * scale // m.expo.denominator for m in monos) >= W:
             break
         for step in steps:
             over, cf, k, e, c, be, bc = step

@@ -14,7 +14,7 @@ Products.  ``kronecker`` puts both sides on rows at their common conductor
 and ``_cmul`` multiplies them by Kronecker substitution, one multiply of
 two Python ints: each digit is an exponent slot holding 2*phi(M) - 1
 sub-digits of its zeta-degree, and each output slot is reduced mod Phi_M.
-``series`` chooses it over its term loop by the thresholds here.
+``series`` chooses it over its sparse product by the thresholds here.
 
 Quotients.  ``quotient`` makes a CycRat divisor rational by multiplying
 both sides by its other Galois conjugates, divides the rational divisor by
@@ -66,7 +66,7 @@ def kronecker(at: dict, bt: dict, window):
     """The product of two term dicts below window (None: all of it), on
     rows at their common conductor (``_coords``, ``_cmul``, ``_join``);
     None when it has at most KRON_PAIRS term pairs per output slot with no
-    CycRat, or CYC_PAIRS with one: the term loop is then the faster."""
+    CycRat, or CYC_PAIRS with one: the sparse product is then the faster."""
     # a side of k terms gives at most k pairs a slot (untruncated), so at
     # most CYC_PAIRS <= KRON_PAIRS takes the loop without a type scan
     small = min(len(at), len(bt))

@@ -21,7 +21,7 @@ A coefficient inside a series is an ``int`` or a ``Rat`` or ``CycRat`` (a
 helper :func:`_int` turns an integral Rat into an int where a coefficient
 enters a series: ``from_coeff``, ``from_monomial``, each accumulator
 operation, the walkers' step factors, the coefficient of a substituted
-monomial, and every coefficient of a product by the term loop; the dense
+monomial, and every coefficient of a sparse product; the dense
 kernels hand an integral coefficient out as an int.  Sums and products of
 ints stay ints, so integral series (theta functions, Eulerian and Hecke
 sums with +-1 coefficients) are summed and convolved on Python ints; any
@@ -39,7 +39,8 @@ interleaved slot by slot in one list.
 A product with more than ``kernels.KRON_PAIRS`` term pairs per output slot
 and no CycRat, or ``kernels.CYC_PAIRS`` with one, is one multiply of two
 Python ints by Kronecker substitution (``kernels.kronecker``); any other
-product loops over the term pairs.  Division (``kernels.quotient``) makes
+product is a sum in the accumulator ``_Acc``, the larger side times each
+term of the smaller.  Division (``kernels.quotient``) makes
 a CycRat divisor rational by its Galois conjugates and long-divides the
 dividend's rows.  On rows, a coefficient is made canonical once, where
 it leaves the kernel, and an integral one is an int.
@@ -56,17 +57,19 @@ neighbour times a monomial: the walker ``_walk`` steps such a sequence and
 stops past the window once its exponents rise, and ``_walk2`` runs one
 ``_walk`` per row of a double sum (f_{a,b,c}, the Appell-Lerch sums).
 
+A QSeries is immutable: its ``terms`` are a read-only ``MappingProxyType``.
 Every cached series evaluator (``theta.jtheta``, ``theta.poch_inf``, the
 Appell-Lerch heads and each catalog definition) is decorated with
 :func:`memo`, one cache per evaluator keyed on all its arguments, the order
-included; each call gets its own copy of the kept series, and
-:func:`clear_memos` empties every such cache at the start of a run.
+included; every call with the same arguments gets the kept series itself,
+and :func:`clear_memos` empties every such cache at the start of a run.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import gcd, inf, lcm
+from types import MappingProxyType
 
 from . import kernels
 
@@ -197,13 +200,13 @@ class QSeries:
     __slots__ = ("scale", "order", "terms")
 
     def __init__(self, scale: int, order, terms: dict):
-        """Keys at or past a finite order are dropped; the dict is copied
-        only when it holds such a key, and otherwise kept as given."""
+        """Takes ownership of the dict ``terms`` and shows it read-only; keys
+        at or past a finite order are dropped, copying the dict only then."""
         self.scale = scale
         self.order = order
         if order is not None and terms and max(terms) >= order:
             terms = {k: c for k, c in terms.items() if k < order}
-        self.terms = terms
+        self.terms = MappingProxyType(terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -315,8 +318,9 @@ class QSeries:
     def __mul__(self, other):
         """Product with a series, monomial or coefficient.  Two series are
         convolved below the module's product window, by ``kernels.kronecker``
-        when that takes them, else by a loop over the term pairs; an
-        integral coefficient of the product is an int."""
+        when that takes them, else in one ``_Acc`` that adds the larger side
+        times each term of the smaller; an integral coefficient of the
+        product is an int."""
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
@@ -345,26 +349,14 @@ class QSeries:
         out = kernels.kronecker(a.terms, b.terms, window)
         if out is not None:
             return QSeries(a.scale, window, out)
-        out: dict = {}
-        bitems = sorted(b.terms.items())
-        for ka, ca in sorted(a.terms.items()):
-            for kb, cb in bitems:
-                k = ka + kb
-                if window is not None and k >= window:
-                    break
-                prod = ca * cb
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = prod
-                else:
-                    s = cur + prod
-                    if not s:
-                        del out[k]
-                    else:
-                        out[k] = s
-        if set(map(type, out.values())) - {int}:
-            out = {k: _int(c) for k, c in out.items()}
-        return QSeries(a.scale, window, out)
+        if len(a.terms) > len(b.terms):
+            a, b = b, a
+        acc = _Acc(a.scale, window)
+        for k, c in a.terms.items():
+            acc.add_terms(b.terms, 1, k, c)
+        if set(map(type, acc.terms.values())) - {int}:
+            acc.terms = {k: _int(c) for k, c in acc.terms.items()}
+        return acc.freeze()
 
     __rmul__ = __mul__
 
@@ -470,19 +462,13 @@ _MEMOS = []
 
 def memo(fn):
     """Cache the series-valued ``fn`` on all its arguments, the order
-    included, and hand every call its own QSeries over a copy of the kept
-    terms, so that no caller can change what a later call returns.  The
-    wrapper keeps ``cache_info``; :func:`clear_memos` empties the cache."""
+    included: ``functools.lru_cache``, so every call with the same
+    arguments gets the kept series itself (a QSeries is read-only) and
+    ``cache_info`` counts the hits; :func:`clear_memos` empties the
+    cache."""
     cached = lru_cache(maxsize=None)(fn)
     _MEMOS.append(cached)
-
-    @wraps(fn)
-    def call(*args):
-        s = cached(*args)
-        return QSeries(s.scale, s.order, dict(s.terms))
-
-    call.cache_info = cached.cache_info
-    return call
+    return cached
 
 
 def clear_memos() -> None:
@@ -555,11 +541,12 @@ class _Acc:
     refined as the parts need, below a window (scaled units; None while
     every part is exact) that only falls; frozen once into a QSeries.
     It starts empty or from a copy of given terms, and series added to it
-    are read, never changed, so ``QSeries`` sums and monomial products are
-    each one accumulator.  add_series reads only scale, order and terms, so
-    one accumulator can be added into another; the walkers add into its
-    terms directly.  Every coefficient it adds or multiplies by goes through
-    ``_int``, and a multiplier of +-1 only adds or negates."""
+    are read, never changed, so ``QSeries`` sums, monomial products and
+    sparse products are each one accumulator.  add_series reads only scale,
+    order and terms, so one accumulator can be added into another; the
+    walkers add into its terms directly.  Every coefficient it adds or
+    multiplies by goes through ``_int``, and a multiplier of +-1 only adds
+    or negates."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -590,18 +577,22 @@ class _Acc:
 
     def add_series(self, m: QMonomial, s: QSeries) -> None:
         """Add m*s; the window falls to s's window shifted by m when that is
-        lower (the grid is refined first, so the shift is on the new grid).
-        The add into the dict is written out in the loop: every QSeries sum
-        and monomial product runs it once per term."""
+        lower (the grid is refined first, so the shift is on the new grid)."""
         self.refine(lcm(s.scale, rat_den(m.expo)))
         f = self.scale // s.scale
         shift = int(m.expo * self.scale)
         if s.order is not None and (self.order is None or s.order * f + shift < self.order):
             self.order = s.order * f + shift
+        self.add_terms(s.terms, f, shift, _int(m.coeff))
+
+    def add_terms(self, terms, f: int, shift: int, c0) -> None:
+        """Add c0 * terms[k] at exponent k*f + shift below the window.  The
+        add into the dict is written out: every QSeries sum, monomial
+        product and sparse product runs this loop once per term."""
         window = inf if self.order is None else self.order
-        terms, c0 = self.terms, _int(m.coeff)
-        get, unit, neg = terms.get, c0 == 1, c0 == -1
-        for k, c in s.terms.items():
+        acc = self.terms
+        get, unit, neg = acc.get, c0 == 1, c0 == -1
+        for k, c in terms.items():
             k = k * f + shift
             if k < window:
                 if not unit:
@@ -610,9 +601,9 @@ class _Acc:
                 if cur is not None:
                     c = cur + c
                     if not c:
-                        del terms[k]
+                        del acc[k]
                         continue
-                terms[k] = c
+                acc[k] = c
 
     def freeze(self) -> QSeries:
         """The sum as a QSeries, truncated below the window; the accumulator

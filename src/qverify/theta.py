@@ -30,7 +30,7 @@ below the requested order, with no second round.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from .cyclotomic import cinv, rat
@@ -81,9 +81,11 @@ def poch_fin(x: QMonomial, base: QMonomial, n: int) -> QSeries:
     return p
 
 
+@lru_cache(maxsize=1024)
 def jtheta_shift(x: QMonomial, base: QMonomial):
     """Normalization (n, x', prefactor) with j(x;B) = prefactor * j(x';B),
-    0 < expo(x') <= expo(B).  prefactor is a QMonomial."""
+    0 < expo(x') <= expo(B).  prefactor is a QMonomial.  Cached: both
+    :func:`jtheta_val` and :func:`jtheta` normalise every theta factor."""
     _check_base(base)
     E = base.expo
     n = ceil_rat(x.expo / E) - 1

@@ -278,11 +278,15 @@ def _definitions():
 
 
 def test_memo_results_are_fresh_copies():
+    """A memo hit hands out the kept series itself, which cannot be written
+    into; each order is still the right truncation of the sum."""
     f = catalog_lookup("chi0_5th").eulerian
     clear_memos()
     first = f(40)
     kept = dict(first.terms)
-    first.terms[0] = rat(99)
+    with pytest.raises(TypeError):
+        first.terms[0] = rat(99)
+    assert f(40) is first
     for T in (40, 25):
         assert f(T).terms == {k: c for k, c in kept.items() if k < T}
 

@@ -12,6 +12,7 @@ from qverify.cyclotomic import rat, zeta
 from qverify.cli import builtin_records, catalog_records, main
 from qverify.dsl import parse_identities
 from qverify.errors import ParseError
+from qverify.eulerian import eulerian_sum
 from qverify.runner import (VerificationReport, check_unique_names,
                             effective_order, reports_to_json, run_suite,
                             suite_exit_code, verify_identity)
@@ -269,17 +270,25 @@ MEMO_CASES = [
 
 
 def test_memo_results_are_not_shared():
-    """Each call of a memoized evaluator gets its own series: changing the
-    terms of one leaves the next call with the same arguments unchanged."""
+    """A memoized evaluator hands every call with the same arguments the
+    kept series itself, and no series can be changed: writing into the
+    terms of one raises TypeError, whether a memo, a product (sparse or
+    Kronecker), a quotient, an accumulator sum or the Eulerian engine made
+    it."""
     for case in MEMO_CASES:
-        first = case()
-        kept = dict(first.terms)
-        first.terms[0] = rat(99)
-        assert case().terms == kept
+        assert case() is case()
+    j, p = theta.jtheta(Q, qmono(1, 3), 10), theta.poch_inf(Q, Q, 10)
+    parts = theta.poch_inf(Q, Q, 40).inverse()
+    made = [j * p, parts * parts, p.divide(j), j - p,
+            eulerian_sum(20, lambda n: (qmono(1, n * n),), den=((Q, Q, lambda n: n),))]
+    for s in [case() for case in MEMO_CASES] + made:
+        with pytest.raises(TypeError):
+            s.terms[0] = rat(99)
 
 
 def test_run_suite_is_not_fooled_by_a_changed_result():
-    theta.jtheta(Q, qmono(1, 3), 10).terms[0] = rat(7)
+    with pytest.raises(TypeError):
+        theta.jtheta(Q, qmono(1, 3), 10).terms[0] = rat(7)
     rec = _rec("identity a order 10 { lhs = Jm[1]; rhs = poch(q; q; inf); }")
     assert run_suite([rec])[0].status == "pass"
 
