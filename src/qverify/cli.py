@@ -7,7 +7,8 @@ builtin function catalog (`--catalog`); with no source flags the shipped
 builtin identity suite is run.
 
 Exit status: 0 if every selected identity passes, 1 if any fails,
-2 on a parse or evaluation error.
+2 on a parse or evaluation error or when the ``--json`` file cannot be
+written.
 """
 
 from __future__ import annotations
@@ -157,8 +158,12 @@ def main(argv=None) -> int:
     print(summary)
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(reports_to_json(reports))
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(reports_to_json(reports))
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
 
     return suite_exit_code(reports)
 

@@ -345,23 +345,8 @@ def zeta(k: int, n: int):
     """The root of unity zeta_n^k = exp(2*pi*i*k/n), canonical Rat | CycRat."""
     if n <= 0:
         raise ValueError("conductor must be positive")
-    k %= n
-    g = gcd(k, n)
-    if g:
-        k, n = k // g, n // g
-    if n == 1:
-        return ONE
-    if n == 2:
-        return -ONE
-    if n % 4 == 2:
-        # Q(zeta_{2m}) = Q(zeta_m) for odd m: zeta_{2m}^k = (-1)^k zeta_m^k...
-        # precisely zeta_{2m}^k = zeta_m^{k/2} if k even, else -zeta_m^{(k+m)/2 mod m}
-        m = n // 2
-        if k % 2 == 0:
-            return zeta(k // 2, m)
-        return -zeta(((k + m) // 2) % m, m)
-    vec = [0] * (k + 1)
-    vec[k] = 1
+    vec = [0] * (k % n + 1)
+    vec[-1] = 1
     return _canonical(n, (1, *_reduce_mod_cyclo(vec, n)))
 
 

@@ -16,16 +16,19 @@ two Python ints: each digit is an exponent slot holding 2*phi(M) - 1
 sub-digits of its zeta-degree, and each output slot is reduced mod Phi_M.
 ``series`` chooses it over its sparse product by the thresholds here.
 
-Quotients.  ``quotient`` makes a CycRat divisor rational by multiplying
-both sides by its other Galois conjugates, divides the rational divisor by
-its content and long-divides the dividend's rows by it at once
-(``long_division``).
+Quotients.  ``quotient`` puts the divisor on one row, made rational (by
+multiplying both sides by its other Galois conjugates) when it holds a
+CycRat, and divides it by its content.  The dividend's rows, scaled once
+by a power of the leading coefficient, are then long-divided by it at once
+with an exact integer division a term (``long_division``): no slot is a
+Rat before ``_join``.
 
 Eulerian sums.  ``RowSum`` holds the running product and the total of the
 Eulerian engine (``eulerian``) on rows.  A binomial (1 - c*q^d) acts on
 them by slice ``map`` and strided prefix sums when c is an int
-(``times_one_minus``, ``over_one_minus``), a Rat divisor by the prefix
-sums too, and anything else through the integer matrix of c's numerator.
+(``times_one_minus``, ``over_one_minus``), a Rat divisor p/e as the
+integer divisor e - p*q^d by ``long_division``, and anything else through
+the integer matrix of c's numerator.
 
 They are a module of their own because each module is compiled when it is
 imported without a bytecode cache, and the peak memory of that compile
@@ -181,15 +184,15 @@ def quotient(at: dict, bt: dict, window: int) -> dict:
     """at / bt at exponents below window (scaled units, the quotient window
     of ``QSeries.divide``); at nonempty.
 
-    A divisor holding a CycRat, at conductor mb, is made rational first:
-    the dividend and divisor are multiplied by C, the product of the
-    divisor's images under zeta -> zeta^t (t prime to mb, t != 1), so the
-    divisor becomes its norm, an integer series.  Every list has the
-    quotient's slot count, size = window - va + vb: that is the window
-    each side is known to, by the product and quotient windows.  A
-    rational divisor keeps the step list of its own terms.  The divisor is
-    divided by its content, signed like its leading coefficient, and the
-    dividend's rows are long-divided by it at once (``long_division``)."""
+    Both sides go on rows (``_coords``) with the quotient's slot count,
+    size = window - va + vb: that is the window each side is known to, by
+    the product and quotient windows.  A divisor holding a CycRat, at
+    conductor mb, is made rational first: the dividend and divisor are
+    multiplied by C, the product of the divisor's images under
+    zeta -> zeta^t (t prime to mb, t != 1), so the divisor becomes its
+    norm, one integer row.  The divisor row is divided by its content,
+    signed like its leading coefficient, and the dividend's rows are
+    long-divided by it at once (``long_division``)."""
     va, vb = min(at), min(bt)
     size = window - va + vb
     if size < 1:
@@ -197,52 +200,48 @@ def quotient(at: dict, bt: dict, window: int) -> dict:
     m, ints = conductor(at.values(), bt.values())
     mb = 1 if m == 1 else conductor(bt.values())[0]
     a, den = _coords(at, m, va, size, ints)
-    if mb == 1:  # bi: bt's terms scaled to ints by dn
-        dn, bi = 1, bt
-        if not ints:
-            dn = lcm(*{c.denominator for c in bt.values()})
-            bi = {k: c.numerator * (dn // c.denominator) for k, c in bt.items()}
-    else:
-        b, db = _coords(bt, mb, vb, size, False)
+    b, dn = _coords(bt, mb, vb, size, ints)
+    if mb > 1:
         pb, cj = euler_phi(mb), None
         for t in range(2, mb):
             if gcd(t, mb) == 1:
                 conj = _apply(_galois(mb, mb, t), b, pb)
                 cj = conj if cj is None else _cmul(cj, conj, mb, size)
-        norm = _cmul(b, cj, mb, size)[::pb]
-        bi, dn = dict(compress(enumerate(norm, vb), norm)), db ** pb
-        a, den = _cmul(a, _apply(_galois(mb, m, 1), cj, pb), m, size), den * db ** (pb - 1)
-    # at / bt = (a / den) / (bi / dn) = (a * f / (bi / g)) / (den * |g|),
-    # g the content signed like b0 = bi[vb] and f = +-dn the same way
-    b0, g = bi[vb], gcd(*bi.values())
-    g, f = (g, dn) if b0 > 0 else (-g, -dn)
-    phi = euler_phi(m)
-    step = sorted(((k - vb) * phi, -(c // g)) for k, c in bi.items() if k != vb)
-    b0inv = 1 if b0 == g else Rat(g, b0)
+        a, den = _cmul(a, _apply(_galois(mb, m, 1), cj, pb), m, size), den * dn ** (pb - 1)
+        b, dn = _cmul(b, cj, mb, size)[::pb], dn ** pb
+    # at / bt = (a / den) / (b / dn) = (a * f / (b / g)) / (den * |g|), g the
+    # content signed like b[0] and f = +-dn the same way; b / g has the
+    # leading coefficient lead > 0, and quotient slot s a denominator
+    # dividing lead^(s // d + 1), d the least step in slots: a scaled by
+    # that power at the last slot long-divides exactly
+    ks = list(compress(range(len(b)), b))  # the divisor's slots, ks[0] = 0
+    g = gcd(*map(b.__getitem__, ks))
+    g, f = (g, dn) if b[0] > 0 else (-g, -dn)
+    lead, phi = b[0] // g, euler_phi(m)
+    step = [(k * phi, -(b[k] // g)) for k in ks[1:]]
+    if lead != 1:
+        e = lead ** ((size - 1) // (ks[1] if step else size) + 1)
+        f, den = f * e, den * e
     if f != 1:
         a = _scaled(a, f)
-    long_division(a, step, b0inv)
-    if b0 != g:  # Rat quotients: one denominator for all
-        d = lcm(*{x.denominator for x in a if type(x) is Rat})
-        den *= d
-        a = [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in a]
+    long_division(a, step, lead)
     return dict(_join(a, den * abs(g), m, va - vb))
 
 
-def long_division(rem: list, step, b0inv) -> None:
+def long_division(rem: list, step, lead: int) -> None:
     """Divide in place: rem holds a dividend's rows over consecutive
-    quotient exponents and becomes the quotient by a rational divisor with
-    leading coefficient 1/b0inv, whose other terms are ``step``: (offset in
-    entries, minus its coefficient) pairs by offset.  q_i = rem_i * b0inv,
-    then q_i * f is added to the entry k above it for each (k, f).  A unit
-    b0 (b0inv == 1) skips a multiply a term."""
-    unit, size = b0inv == 1, len(rem)
+    quotient exponents and becomes the quotient by an integer divisor with
+    leading coefficient lead > 0, whose other terms are ``step``: (offset in
+    entries, minus its coefficient) pairs by offset.  q_i = rem_i // lead,
+    then q_i * f is added to the entry k above it for each (k, f).  The
+    caller scales rem so that every division is exact; lead 1 skips it."""
+    unit, size = lead == 1, len(rem)
     # compress reads rem[i] only when the loop reaches i, after every
     # update to it, and skips the zero slots at C speed
     for i in compress(range(size), rem):
         c = rem[i]
         if not unit:
-            c = rem[i] = c * b0inv
+            rem[i] = c = c // lead
         for k, f in step:
             j = i + k
             if j >= size:
@@ -263,12 +262,10 @@ def times_one_minus(a: list, c, d: int) -> None:
              else map(sub, a[d:], map(mul, t, repeat(c))))
 
 
-def over_one_minus(a: list, c, d: int) -> None:
+def over_one_minus(a: list, c: int, d: int) -> None:
     """a /= (1 - c*q^d) in place, a a dense list below its length, d > 0:
     a prefix sum over each residue class mod d when d <= len(a)/STRIDED,
-    else the product of (1 + c^(2^i) q^(2^i d)) over 2^i d < len(a).  A
-    Rat c = p/e takes the prefix sum only, each step adding p*t // e: that
-    is exact once a is scaled by e^((len(a) - 1) // d), one e a step."""
+    else the product of (1 + c^(2^i) q^(2^i d)) over 2^i d < len(a)."""
     n = len(a)
     if d * STRIDED > n:
         while d < n:
@@ -276,8 +273,7 @@ def over_one_minus(a: list, c, d: int) -> None:
             c, d = c * c, 2 * d
         return
     step = (None if c == 1 else (lambda t, x: x - t) if c == -1
-            else (lambda t, x: x + c * t) if type(c) is int
-            else lambda t, x, p=c.numerator, e=c.denominator: x + p * t // e)
+            else lambda t, x: x + c * t)
     for r in range(d):
         a[r::d] = accumulate(a[r::d], step)
 
@@ -329,23 +325,25 @@ class RowSum:
         self.prod[d:] = map(sub, self.prod[d:], t)
 
     def over(self, c, d: int) -> None:
-        """prod /= 1 - c*q^d: an int c by ``over_one_minus``, and a Rat c
-        with d at most 1/STRIDED of the slots by its prefix sums (prod, the
-        total and den scaled first, and divided after by their gcd: with
-        the scale of doubling, a sum's ints grow several times over); for c
-        a root of unity of order k with k*d at most 1/STRIDED of the slots,
-        prod times 1 + c q^d + ... + c^(k-1) q^((k-1)d), then over
-        1 - q^(kd) by prefix sums; else by doubling, prod times
-        (1 + c^(2^i) q^(2^i d))."""
+        """prod /= 1 - c*q^d: an int c by ``over_one_minus``, and a Rat
+        c = p/e with d at most 1/STRIDED of the slots as e*prod over
+        e - p*q^d by ``long_division`` (prod, the total and den scaled
+        first by e^((slots - 1) // d), so that it is exact, and divided
+        after by their gcd: with the scale of doubling, a sum's ints grow
+        several times over); for c a root of unity of order k with k*d at
+        most 1/STRIDED of the slots, prod times 1 + c q^d + ... +
+        c^(k-1) q^((k-1)d), then over 1 - q^(kd) by prefix sums; else by
+        doubling, prod times (1 + c^(2^i) q^(2^i d))."""
         phi = self.phi
         if type(c) is int:
             return over_one_minus(self.prod, c, d * phi)
         n = len(self.prod) // phi
         if type(c) is Rat and d * STRIDED <= n:
-            f = c.denominator ** ((n - 1) // d)
+            e = c.denominator
+            f = e ** ((n - 1) // d)
             self.den *= f
-            self.total, self.prod = _scaled(self.total, f), _scaled(self.prod, f)
-            over_one_minus(self.prod, c, d * phi)
+            self.total, self.prod = _scaled(self.total, f), _scaled(self.prod, f * e)
+            long_division(self.prod, [(d * phi, c.numerator)], e)
             return self._reduce()
         k = _root_order(c)
         if k is None or k * d * STRIDED > n:

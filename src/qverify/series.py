@@ -373,8 +373,9 @@ class QSeries:
         (``kernels.quotient``): other, made rational, is divided by its
         content (the gcd of its scaled coefficients, signed like b_0) and
         the quotient is scaled back once at the end, so a leading
-        coefficient of -1, or of +-content, takes the unit path; only
-        another leading coefficient costs a multiply per quotient term.
+        coefficient of -1, or of +-content, takes the unit path; any other
+        leading coefficient costs one exact integer division per quotient
+        term, the dividend scaled once by a power of it.
 
         The window is the module's quotient window; an exact divisor with
         one term gives an exact shift.  window_hint (scaled units, on the

@@ -14,6 +14,7 @@ from oracles import (
     cyc_mul,
     cyc_of,
     cyc_pow,
+    cyc_reduce,
     cyc_solve,
     cyc_sub,
 )
@@ -78,6 +79,16 @@ def test_zeta_even_twice_odd_normalizes():
     assert zeta(5, 6) == -w
     assert zeta(1, 6) ** 6 == 1
     assert zeta(1, 6) ** 3 == -1
+
+
+def test_zeta_matches_canonical_oracle():
+    """zeta(k, n) is the reference canonical value of z^k mod Phi_n, in its
+    least field and a Rat when rational, for n <= 60 and k in [-n, 2n)."""
+    for n in range(1, 61):
+        for r in range(n):
+            want = cyc_canonical(n, cyc_reduce([0] * r + [1], n))
+            for k in (r - n, r, r + n):
+                assert cyc_of(zeta(k, n)) == want, (k, n)
 
 
 def test_omega_arithmetic():

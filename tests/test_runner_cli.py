@@ -334,6 +334,17 @@ def test_cli_pass_run(capsys, tmp_path):
     assert all(r["status"] == "pass" for r in reps)
 
 
+def test_cli_unwritable_json_exit_code(capsys, tmp_path):
+    """A --json path that cannot be written exits 2 with an error naming
+    it, not a traceback and 1 ("an identity failed")."""
+    json_path = tmp_path / "missing" / "out.json"
+    assert main(["--name", "f0_hecke", "--json", str(json_path)]) == 2
+    captured = capsys.readouterr()
+    assert "1 identities: 1 pass" in captured.out
+    assert captured.err.startswith(f"error: cannot write {json_path}: ")
+    assert not json_path.parent.exists()
+
+
 def test_cli_fail_and_error_exit_codes(tmp_path, capsys):
     p = tmp_path / "ids.qid"
     p.write_text(BAD + "\n")

@@ -517,27 +517,52 @@ def test_integral_product_coefficients_are_ints():
     assert _no_integral_rat(got) and any(type(c) is int for c in got.terms.values())
 
 
-def test_divide_matches_oracle_on_long_windows_randomized():
+def _int_long_divisions(monkeypatch):
+    """Spy on kernels.long_division: its lead is a positive int, its steps
+    are ints, and every entry of its rows is an int on entry and on exit
+    (no row holds a Fraction).  Returns the list of leads it was given."""
+    leads = []
+    long_division = kernels.long_division
+
+    def spy(rem, step, lead):
+        assert type(lead) is int and lead > 0, lead
+        assert all(type(f) is int for _, f in step), step
+        assert set(map(type, rem)) <= {int}, set(map(type, rem))
+        long_division(rem, step, lead)
+        assert set(map(type, rem)) <= {int}, set(map(type, rem))
+        leads.append(lead)
+
+    monkeypatch.setattr(kernels, "long_division", spy)
+    return leads
+
+
+def test_divide_matches_oracle_on_long_windows_randomized(monkeypatch):
     """Long division into a remainder list against ``divide_oracle``:
     dividends of 1 to 400 terms, divisors of 1 to 30 with a unit, content
-    or Rat leading term, ints up to 2^80, Rats over mixed denominators,
-    CycRats, negative valuations, grids 1, 2 and 8, exact sides with a
-    hint.  No integral coefficient of a quotient by anything but an exact
-    monomial is a Rat."""
+    or non-unit leading term (+-2, 3, -3, 1/2, 3/2), ints up to 2^80, Rats
+    over mixed denominators, CycRats, negative valuations, grids 1, 2 and
+    8, exact sides with a hint.  No integral coefficient of a quotient by
+    anything but an exact monomial is a Rat, and every long division runs
+    on ints."""
+    leads = _int_long_divisions(monkeypatch)
     rng = random.Random(2012)
+    non_unit = 0
     for i in range(120):
         kind = ("small", "big", "rat", "cyc")[i % 4]
         most = 400 if kind == "small" else 60
         a = _wide_side(rng, kind, i % 4 == 1, most)
         b = _wide_side(rng, rng.choice(("small", kind)), i % 3 == 0, 30)
         vb = min(b.terms)
-        lead = rng.choice((1, -1, 2, -3, rat(1, 2), b.terms[vb]))
+        lead = rng.choice((1, -1, 2, -2, 3, -3, rat(1, 2), rat(3, 2), b.terms[vb]))
         b = QSeries(b.scale, b.order, {**b.terms, vb: lead})
         hint = rng.randint(1, 120) if a.order is None and b.order is None else None
+        leads.clear()
         got, case = a.divide(b, hint), f"draw {i}: {a!r} / {b!r}, hint {hint}"
         _assert_same_series(got, divide_oracle(a, b, hint), case)
         if b.order is not None or len(b.terms) > 1:
             assert _no_integral_rat(got), case
+        non_unit += any(x != 1 for x in leads)
+    assert non_unit >= 20, non_unit
 
 
 def _assert_canonical(s, case):
@@ -645,22 +670,27 @@ def test_cyc_products_match_oracle_randomized(monkeypatch, forced):
     assert seen["coords"] >= 50 and (forced or seen["loop"] >= 50), seen
 
 
-def test_cyc_quotients_match_oracle_randomized():
+def test_cyc_quotients_match_oracle_randomized(monkeypatch):
     """CycRat quotients against ``divide_oracle`` at conductors 3, 4, 5, 12
-    and 3 with 4 mixed: rational and CycRat divisors of 1 to 12 terms (one
-    term, exact or finite, included), dividends of 1 to 40 terms, exact
-    sides with a window_hint; each window and term equals the oracle's and
-    each coefficient is canonical."""
+    and 3 with 4 mixed: rational divisors (leading terms +-1, +-2, 3, 1/2,
+    3/2) and CycRat divisors, whose Galois norm may have a non-unit leading
+    term, of 1 to 12 terms (one term, exact or finite, included), dividends
+    of 1 to 40 terms, exact sides with a window_hint; each window and term
+    equals the oracle's, each coefficient is canonical, and every long
+    division runs on ints."""
+    leads = _int_long_divisions(monkeypatch)
     rng = random.Random(20121)
     seen = {"cyc divisor": 0, "rational divisor": 0, "one-term divisor": 0, "hint": 0}
+    non_unit = {"rational lead": 0, "norm lead": 0}
     for i in range(250):
         conds = _CONDUCTORS[i % len(_CONDUCTORS)]
         a = _cyc_side(rng, conds, (i // 5) % 2 == 0, False)
         b = _cyc_side(rng, conds, (i // 10) % 3 == 0, True, rng.choice((1, 2, 12)))
         if i % 3 == 0:
-            b = QSeries(b.scale, b.order, {k: rng.choice((1, -1, 2, rat(1, 2)))
+            b = QSeries(b.scale, b.order, {k: rng.choice((1, -1, 2, -2, 3, rat(1, 2), rat(3, 2)))
                                            for k in b.terms})
         hint = rng.randint(1, 40) if a.order is None and b.order is None else None
+        leads.clear()
         got = a.divide(b, hint)
         case = f"draw {i}: {a!r} / {b!r}, hint {hint}"
         _assert_same_series(got, divide_oracle(a, b, hint), case)
@@ -669,7 +699,9 @@ def test_cyc_quotients_match_oracle_randomized():
         seen["cyc divisor" if cyc else "rational divisor"] += 1
         seen["one-term divisor"] += len(b.terms) == 1
         seen["hint"] += hint is not None
+        non_unit["norm lead" if cyc else "rational lead"] += any(x != 1 for x in leads)
     assert min(seen.values()) >= 20, seen
+    assert min(non_unit.values()) >= 10, non_unit
 
 
 def test_dense_eulerian_sum_matches_accumulators_randomized():

@@ -176,9 +176,11 @@ def test_dense_euler_sum_matches_product_oracle(monkeypatch):
     and non-integral CycRat coefficients.  On the row accumulator, both
     ways of dividing by a binomial run for c = 1, -1, a Rat and a
     root-of-unity CycRat (strided prefix sums for d, or k*d for a root of
-    unity of order k, up to 1/STRIDED of the window; doubling above)."""
+    unity of order k, up to 1/STRIDED of the window, and for a Rat a long
+    division by its one step d; doubling above)."""
     ways, strided = set(), []
     list_over, row_over = kernels.over_one_minus, kernels.RowSum.over
+    long_division = kernels.long_division
 
     def kind(c):
         return c if c in (1, -1) else type(c)
@@ -187,12 +189,17 @@ def test_dense_euler_sum_matches_product_oracle(monkeypatch):
         strided.append(d * kernels.STRIDED <= len(a))
         list_over(a, c, d)
 
+    def spy_long(rem, step, lead):
+        strided.append(step[0][0] * kernels.STRIDED <= len(rem))
+        long_division(rem, step, lead)
+
     def spy_row(acc, c, d):
         strided.clear()
         row_over(acc, c, d)
         ways.add((any(strided), kind(c)))
 
     monkeypatch.setattr(kernels, "over_one_minus", spy_list)
+    monkeypatch.setattr(kernels, "long_division", spy_long)
     monkeypatch.setattr(kernels.RowSum, "over", spy_row)
     clear_memos()
     cases = [(qmono(c, a), qmono(cb, b), order)
