@@ -8,13 +8,16 @@ builtin identity suite is run.
 
 Exit status: 0 if every selected identity passes, 1 if any fails,
 2 on a parse or evaluation error or when the ``--json`` file cannot be
-written.
+written; a ``--json`` path that cannot be written is refused before any
+identity runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import fnmatch
+import os
 import sys
 from importlib import resources
 
@@ -122,6 +125,27 @@ def _print_report(rep, width):
     print(line, flush=True)
 
 
+def _unwritable(path):
+    """The OSError that opening path for writing would raise, as far as
+    that can be told without creating it; None when it looks writable."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path)
+                                             and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
+
+
+def _cannot_write(path, exc) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -138,6 +162,11 @@ def main(argv=None) -> int:
     if not records:
         print("warning: no identities selected", file=sys.stderr)
         return 0
+
+    if args.json:
+        exc = _unwritable(args.json)
+        if exc is not None:
+            return _cannot_write(args.json, exc)
 
     width = max(len(r.name) for r in records)
     try:
@@ -162,8 +191,7 @@ def main(argv=None) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(reports_to_json(reports))
         except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.json, exc)
 
     return suite_exit_code(reports)
 

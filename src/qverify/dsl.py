@@ -41,7 +41,6 @@ the evaluator names a non-monomial argument by them) and its evaluator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -66,66 +65,99 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: object  # nonnegative integer literal as Rat
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class QPow:
-    expo: object  # Rat
+class Immutable:
+    """An immutable record whose fields are its ``__slots__``, given by
+    position or keyword (the class's ``_defaults`` fill the rest).  It
+    equals only a record of its own type with equal fields, hashes and
+    pickles by its fields, and prints as ``Type(field=value, ...)``."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            fields = dict(self._defaults, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or fields.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} has the fields {names}, "
+                                f"not {len(args)} positional and {tuple(kwargs)}")
+            args = map(fields.__getitem__, names)
+        for name, value in zip(names, args):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Zeta:
-    k: int
-    n: int
+class Num(Immutable):
+    __slots__ = ("value",)  # nonnegative integer literal as Rat
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class QPow(Immutable):
+    __slots__ = ("expo",)  # Rat
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: object
-    right: object
+class Zeta(Immutable):
+    __slots__ = ("k", "n")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    k: int
+class Neg(Immutable):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class PochInf:
+class BinOp(Immutable):
+    __slots__ = ("op", "left", "right")  # op one of + - * /
+
+
+class Pow(Immutable):
+    __slots__ = ("base", "k")
+
+
+class PochInf(Immutable):
     """Marker for the 'inf' count of poch(x; q; inf)."""
 
-
-@dataclass(frozen=True)
-class Call:
-    head: str
-    params: tuple  # bracket integers
-    groups: tuple  # tuple of tuples of expressions
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CatalogRef:
-    name: str
-    index: object = None  # None for the Eulerian form, int for .repr[i]
-    subst: object = None  # expression for MONO in catalog("name", MONO)
+class Call(Immutable):
+    # params: the bracket integers; groups: a tuple of tuples of expressions
+    __slots__ = ("head", "params", "groups")
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
-    name: str
-    order_override: object  # None or int
-    lhs: object
-    rhs: object
-    tags: tuple = ()
+class CatalogRef(Immutable):
+    # index: None for the Eulerian form, an int for .repr[i]; subst: the
+    # expression for MONO in catalog("name", MONO), or None
+    __slots__ = ("name", "index", "subst")
+    _defaults = {"index": None, "subst": None}
+
+
+class IdentityRecord(Immutable):
+    __slots__ = ("name", "order_override", "lhs", "rhs", "tags")  # order_override: None or int
+    _defaults = {"tags": ()}
 
 
 # --------------------------------------------------------------------------

@@ -18,10 +18,14 @@ sub-digits of its zeta-degree, and each output slot is reduced mod Phi_M.
 
 Quotients.  ``quotient`` puts the divisor on one row, made rational (by
 multiplying both sides by its other Galois conjugates) when it holds a
-CycRat, and divides it by its content.  The dividend's rows, scaled once
-by a power of the leading coefficient, are then long-divided by it at once
-with an exact integer division a term (``long_division``): no slot is a
-Rat before ``_join``.
+CycRat, and divides it by its content.  A divisor with leading
+coefficient 1 and more than NEWTON_STEPS other terms is inverted by Newton
+iteration, a doubling of the precision per two Kronecker products
+(``newton_inverse``), and the dividend's rows are multiplied by that
+inverse once.  Any other divisor long-divides the dividend's rows, scaled
+once by a power of the leading coefficient, at once with an exact integer
+division a term (``long_division``).  Either way no slot is a Rat before
+``_join``.
 
 Eulerian sums.  ``RowSum`` holds the running product and the total of the
 Eulerian engine (``eulerian``) on rows.  A binomial (1 - c*q^d) acts on
@@ -53,6 +57,11 @@ from .cyclotomic import (CycRat, Rat, _canonical, _lift, _lift_power, _reduce_mo
 #: product with at most CYC_PAIRS pairs a slot takes the loop either way.
 KRON_PAIRS = 12
 CYC_PAIRS = 2
+
+#: a quotient whose divisor has lead 1 after its content and more than
+#: NEWTON_STEPS other terms multiplies by the divisor's inverse
+#: (``newton_inverse``); any other long-divides (measured; see CHANGES.md)
+NEWTON_STEPS = 100
 
 
 def conductor(*coeffs):
@@ -89,12 +98,15 @@ def kronecker(at: dict, bt: dict, window):
     return dict(_join(_cmul(a, b, m, slots), da * db, m, va + vb))
 
 
-def _kmul(ca: list, cb: list, bound: int, count: int) -> list:
+def _kmul(ca: list, cb: list, count: int) -> list:
     """The first count coefficients of the product of the int polynomials
-    ca and cb, whose coefficients are below bound in size: one multiply of
-    two ints with a digit of nb bytes each, bound plus a sign bit.  Digits
-    are packed and unpacked offset by half their range, so that negative
-    ones need no borrow."""
+    ca and cb: one multiply of two ints with a digit of nb bytes each, the
+    bound on a product coefficient plus a sign bit.  Digits are packed and
+    unpacked offset by half their range, so that negative ones need no
+    borrow."""
+    # a digit sums at most min(nonzero entries) products of two entries
+    pairs = min(len(ca) - ca.count(0), len(cb) - cb.count(0))
+    bound = max(map(abs, ca)) * max(map(abs, cb)) * pairs
     nb = bound.bit_length() // 8 + 1
     half, unit, fb = 1 << (8 * nb - 1), bytes(nb - 1) + b"\x80", int.from_bytes
 
@@ -145,10 +157,7 @@ def _cmul(a: list, b: list, m: int, slots: int) -> list:
         xa, xb = [0] * (la * s), [0] * (lb * s)
         for i in range(phi):
             xa[i::s], xb[i::s] = a[i::phi], b[i::phi]
-    # a digit sums at most min(nonzero entries) products of two entries
-    pairs = min(len(xa) - xa.count(0), len(xb) - xb.count(0))
-    bound = max(map(abs, xa)) * max(map(abs, xb)) * pairs
-    digits = _kmul(xa, xb, bound, slots * s)
+    digits = _kmul(xa, xb, slots * s)
     if phi == 1:
         return digits
     cyc = cyclotomic_coeffs(m)
@@ -191,8 +200,11 @@ def quotient(at: dict, bt: dict, window: int) -> dict:
     multiplied by C, the product of the divisor's images under
     zeta -> zeta^t (t prime to mb, t != 1), so the divisor becomes its
     norm, one integer row.  The divisor row is divided by its content,
-    signed like its leading coefficient, and the dividend's rows are
-    long-divided by it at once (``long_division``)."""
+    signed like its leading coefficient.  With leading coefficient 1 and
+    more than NEWTON_STEPS other terms it is inverted to size slots
+    (``newton_inverse``) and the dividend's rows are multiplied by the
+    inverse, put on row 0, in one ``_kmul``; else they are long-divided by
+    it at once (``long_division``)."""
     va, vb = min(at), min(bt)
     size = window - va + vb
     if size < 1:
@@ -218,14 +230,37 @@ def quotient(at: dict, bt: dict, window: int) -> dict:
     g = gcd(*map(b.__getitem__, ks))
     g, f = (g, dn) if b[0] > 0 else (-g, -dn)
     lead, phi = b[0] // g, euler_phi(m)
-    step = [(k * phi, -(b[k] // g)) for k in ks[1:]]
     if lead != 1:
-        e = lead ** ((size - 1) // (ks[1] if step else size) + 1)
+        e = lead ** ((size - 1) // (ks[1] if len(ks) > 1 else size) + 1)
         f, den = f * e, den * e
     if f != 1:
         a = _scaled(a, f)
-    long_division(a, step, lead)
+    if lead == 1 and len(ks) > NEWTON_STEPS + 1:
+        x = newton_inverse([c // g for c in b])
+        if phi > 1:  # x on row 0 of rows at m: no slot needs reducing
+            xs, x = x, [0] * len(a)
+            x[::phi] = xs
+        a = _kmul(a, x, len(a))
+    else:
+        long_division(a, [(k * phi, -(b[k] // g)) for k in ks[1:]], lead)
     return dict(_join(a, den * abs(g), m, va - vb))
+
+
+def newton_inverse(b: list) -> list:
+    """The inverse of the int polynomial b with b[0] = 1, to len(b)
+    coefficients, by Newton iteration: from x = b^-1 to p coefficients,
+    x + x*(1 - b*x) is it to 2p, and 1 - b*x is 0 below p, so each step
+    takes slots [p, 2p) of b*x and one more product (``_kmul``)."""
+    n, sizes = len(b), []
+    while n > 1:
+        sizes.append(n)
+        n = (n + 1) // 2
+    x = [1]
+    for n in reversed(sizes):
+        p = len(x)
+        r = _kmul(b[:n], x, n)[p:]
+        x += map(neg, _kmul(x[:n - p], r, n - p))
+    return x
 
 
 def long_division(rem: list, step, lead: int) -> None:

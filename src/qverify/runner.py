@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from .appell import eval_padded
 from .cyclotomic import coeff_str
 from .errors import ParseError
 from .series import QSeries, clear_memos
-from .dsl import IdentityRecord, eval_expr
+from .dsl import IdentityRecord, Immutable, eval_expr
 
 __all__ = ["VerificationReport", "verify_identity", "run_suite",
            "reports_to_json", "DEFAULT_ORDER"]
@@ -39,16 +38,15 @@ __all__ = ["VerificationReport", "verify_identity", "run_suite",
 DEFAULT_ORDER = 100
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    status: str  # "pass" | "fail" | "error"
-    order: int  # requested comparison order (q-units)
-    first_mismatch: object = None  # Rat or None
-    lhs_coeff: object = None  # int | Rat | CycRat or None
-    rhs_coeff: object = None  # int | Rat | CycRat or None
-    ms: int = 0
-    message: object = None  # str or None (errors only)
+class VerificationReport(Immutable):
+    # status: "pass" | "fail" | "error"; order: the requested comparison
+    # order (q-units); first_mismatch: a Rat or None; lhs_coeff and
+    # rhs_coeff: an int, Rat or CycRat, or None; message: a str for an
+    # error, else None
+    __slots__ = ("name", "status", "order", "first_mismatch", "lhs_coeff", "rhs_coeff",
+                 "ms", "message")
+    _defaults = {"first_mismatch": None, "lhs_coeff": None, "rhs_coeff": None,
+                 "ms": 0, "message": None}
 
     def to_dict(self):
         d = {
@@ -84,9 +82,10 @@ def verify_identity(record: IdentityRecord, default_order=DEFAULT_ORDER,
     order = effective_order(record, default_order, force_order)
     t0 = time.perf_counter()
 
-    def done(**kw):
+    def done(status, first_mismatch=None, lhs_coeff=None, rhs_coeff=None, message=None):
         ms = int(round((time.perf_counter() - t0) * 1000))
-        return VerificationReport(name=record.name, order=order, ms=ms, **kw)
+        return VerificationReport(record.name, status, order, first_mismatch, lhs_coeff,
+                                  rhs_coeff, ms, message)
 
     try:
         # each side is guarded on its own; both come back truncated to order

@@ -1,6 +1,7 @@
 """Expression-language tests: tokenizer, parser, printer, evaluator."""
 
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from qverify.dsl import (_HEADS, BinOp, Call, CatalogRef, IdentityRecord, Neg,
                          parse_identities, pretty, pretty_identity, tokenize)
 from qverify.errors import (GenericityError, ParseError, UnknownCatalogName,
                             UnsupportedArgument, UnsupportedSubstitution)
-from qverify.runner import verify_identity
+from qverify.runner import VerificationReport, verify_identity
 from qverify.series import QSeries, clear_memos, qmono, series_equal
 from qverify.theta import Jm, jtheta
 
@@ -240,6 +241,29 @@ def test_identity_parse_and_override():
     assert recs[1].order_override is None
     with pytest.raises(ParseError):
         parse_identities("identity a { lhs = 1; }")
+
+
+def test_ast_nodes_and_reports_are_immutable_typed_values():
+    """AST nodes and reports compare equal only to their own type with
+    equal fields, hash and pickle by their fields, take keywords with
+    defaults, refuse a wrong field, and cannot be changed."""
+    assert Num(2) == Num(value=2) and hash(Num(2)) == hash(Num(2))
+    assert Num(2) != QPow(2) and Num(2) != Num(3) and Num(2) != (2,)
+    ref = CatalogRef("f0_5th", subst=QPow(rat(1, 2)))
+    assert (ref.index, repr(ref)) == (None, f"CatalogRef(name='f0_5th', index=None, subst={ref.subst!r})")
+    rec = IdentityRecord("a", None, Num(1), ref)
+    report = VerificationReport(name="a", status="fail", order=5, first_mismatch=rat(1, 2))
+    assert rec.tags == () and (report.ms, report.message) == (0, None)
+    for value in (ref, rec, report, parse_expression("-q^(1/2)*j(q; q^2) + 2^3")):
+        assert pickle.loads(pickle.dumps(value)) == value
+    for bad in (lambda: Num(), lambda: Num(1, 2), lambda: Num(1, value=1), lambda: Num(valu=1)):
+        with pytest.raises(TypeError):
+            bad()
+    for value, name in ((rec, "name"), (report, "ms"), (Num(2), "value")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
 
 
 # ---------------------------------------------------------------------------

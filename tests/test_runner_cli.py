@@ -336,13 +336,20 @@ def test_cli_pass_run(capsys, tmp_path):
 
 def test_cli_unwritable_json_exit_code(capsys, tmp_path):
     """A --json path that cannot be written exits 2 with an error naming
-    it, not a traceback and 1 ("an identity failed")."""
-    json_path = tmp_path / "missing" / "out.json"
-    assert main(["--name", "f0_hecke", "--json", str(json_path)]) == 2
-    captured = capsys.readouterr()
-    assert "1 identities: 1 pass" in captured.out
-    assert captured.err.startswith(f"error: cannot write {json_path}: ")
-    assert not json_path.parent.exists()
+    it, not a traceback and 1 ("an identity failed"), before any identity
+    runs and without creating a file: a missing directory, a directory, a
+    file in place of the directory."""
+    (tmp_path / "file").write_text("")
+    for json_path, what in [(tmp_path / "missing" / "out.json", "No such file or directory"),
+                            (tmp_path, "Is a directory"),
+                            (tmp_path / "file" / "out.json", "Not a directory")]:
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--name", "f0_hecke", "--json", str(json_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", captured.out  # no identity ran
+        assert captured.err.startswith(f"error: cannot write {json_path}: "), captured.err
+        assert what in captured.err, captured.err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_fail_and_error_exit_codes(tmp_path, capsys):

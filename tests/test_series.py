@@ -7,6 +7,7 @@ kept here as ``mul_oracle``; division against the earlier two-step kernel
 
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from qverify.errors import (
 )
 from qverify import kernels
 from qverify.eulerian import eulerian_sum
-from qverify.kernels import CYC_PAIRS, KRON_PAIRS
+from qverify.cli import builtin_records
+from qverify.kernels import CYC_PAIRS, KRON_PAIRS, NEWTON_STEPS
+from qverify.runner import verify_identity
 from qverify.series import (
     MONO_ONE,
     MONO_Q,
@@ -30,6 +33,7 @@ from qverify.series import (
     QSeries,
     _Acc,
     ceil_rat,
+    clear_memos,
     common_scale,
     compose_monomial,
     operand_orders,
@@ -702,6 +706,116 @@ def test_cyc_quotients_match_oracle_randomized(monkeypatch):
         non_unit["norm lead" if cyc else "rational lead"] += any(x != 1 for x in leads)
     assert min(seen.values()) >= 20, seen
     assert min(non_unit.values()) >= 10, non_unit
+
+
+def _quotient_paths(monkeypatch):
+    """Spy on both quotient paths and check the rule between them: each
+    ``newton_inverse`` is given an int row with leading coefficient 1 and
+    more than NEWTON_STEPS other terms, and returns its inverse to as many
+    slots; no ``long_division`` with lead 1 has more than NEWTON_STEPS
+    steps.  Returns the lists of Newton step counts and of long divisions'
+    (lead, steps)."""
+    newton, longs = [], []
+    inverse, long_division = kernels.newton_inverse, kernels.long_division
+
+    def newton_spy(b):
+        x = inverse(b)
+        steps = len(b) - b.count(0) - 1
+        assert b[0] == 1 and steps > NEWTON_STEPS, (b[0], steps)
+        assert set(map(type, b + x)) <= {int} and len(x) == len(b)
+        dense = lambda c: dict(compress(enumerate(c), c))
+        assert brute_convolution(dense(b), dense(x), len(b)) == {0: 1}
+        newton.append(steps)
+        return x
+
+    def long_spy(rem, step, lead):
+        assert lead != 1 or len(step) <= NEWTON_STEPS, len(step)
+        long_division(rem, step, lead)
+        longs.append((lead, len(step)))
+
+    monkeypatch.setattr(kernels, "newton_inverse", newton_spy)
+    monkeypatch.setattr(kernels, "long_division", long_spy)
+    return newton, longs
+
+
+def _long_divisor(rng, steps, lead, n):
+    """An exact divisor of 1 + ``steps`` terms at exponents 0 .. span - 1,
+    span up to 1.5x that: leading coefficient lead, the others small ints
+    (one of them +-1, so that the content is 1) and, at conductor n > 1,
+    about one in four an integral CycRat c +- zeta_n^k, whose Galois norm
+    keeps a leading coefficient 1 with lead +-1 or zeta_n; on grid 1 or
+    2."""
+    span = steps + 1 + rng.randint(0, steps // 2)
+    keys = rng.sample(range(1, span), steps)
+    terms = {k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in keys}
+    terms[keys[0]] = rng.choice((1, -1))
+    if n > 1:
+        for k in keys[1:]:
+            if rng.random() < 0.25:
+                terms[k] = rng.randint(-2, 2) + rng.choice((1, -1)) * zeta(rng.randrange(1, n), n)
+    return QSeries(rng.choice((1, 2)), None, {0: lead, **terms})
+
+
+def test_quotients_straddle_the_newton_threshold_randomized(monkeypatch):
+    """Quotients by divisors of NEWTON_STEPS - 30 to NEWTON_STEPS + 30
+    other terms against ``divide_oracle``: leading coefficient +-1 or
+    zeta_n, which stays +-1 after a content of 1, 2 or 3/2 is divided out,
+    or 2, which is no unit (those have more than NEWTON_STEPS other terms
+    and still long-divide); rational dividends and CycRat ones at
+    conductors 3, 4 and 5 (multiplied by the inverse on row 0 of their
+    rows), CycRat divisors at conductors 3 and 4 through their Galois
+    norm.  ``_quotient_paths`` checks the rule on every call; each window
+    and term equals the oracle's, and each coefficient is canonical."""
+    newton, longs = _quotient_paths(monkeypatch)
+    rng = random.Random(19781201)
+    seen = {"newton": 0, "newton, dividend at phi > 1": 0, "newton through a norm": 0,
+            "long division, lead 1": 0, "long division above the threshold": 0}
+    for i in range(64):
+        kind = ("rat", "rat", "cyc dividend", "cyc divisor")[i % 4]
+        n = rng.choice((3, 4, 5) if kind == "cyc dividend" else (3, 4))
+        unit = i % 3 != 2
+        steps = rng.randint(NEWTON_STEPS - 30 if unit else NEWTON_STEPS + 1, NEWTON_STEPS + 30)
+        units = (1, -1, zeta(1, n)) if kind == "cyc divisor" else (1, -1)
+        lead = rng.choice(units) if unit else 2
+        b = _long_divisor(rng, steps, lead, n if kind == "cyc divisor" else 1)
+        b = b * QSeries(b.scale, None, {0: rng.choice((1, 2, -2, rat(3, 2)))})
+        coeff = (lambda: _cyc_element(rng, n)) if kind != "rat" else \
+            (lambda: rng.choice((1, -1, 5, rat(-7, 3), 2**70)))
+        va = rng.randint(-5, 5)
+        span = max(b.terms) + 1 + rng.randint(0, 20)
+        a = QSeries(b.scale, va + span,
+                    {k: coeff() for k in rng.sample(range(va, va + span), rng.randint(1, 12))})
+        newton.clear()
+        longs.clear()
+        got, case = a.divide(b), f"draw {i}: {a!r} / {b!r}"
+        _assert_same_series(got, divide_oracle(a, b), case)
+        _assert_canonical(got, case)
+        if newton:
+            seen["newton"] += 1
+            seen["newton, dividend at phi > 1"] += kind != "rat"
+            seen["newton through a norm"] += kind == "cyc divisor"
+        for lead_, steps_ in longs:
+            seen["long division, lead 1"] += lead_ == 1
+            seen["long division above the threshold"] += lead_ != 1 and steps_ > NEWTON_STEPS
+    assert min(seen.values()) >= 5, seen
+
+
+def test_high_order_takes_newton_for_the_two_f0_conjecture_quotients(monkeypatch):
+    """The builtin suite at order 200 without master_expansion_11 (the
+    ``high_order`` benchmark workload, whose seeds only add a monomial to
+    some right-hand sides): exactly the two f0_conjecture identities divide
+    by a row that takes ``newton_inverse``, once each, (q; q^5)_inf
+    (q^4; q^5)_inf with 195 other terms; every identity passes."""
+    newton, _ = _quotient_paths(monkeypatch)
+    took = {}
+    clear_memos()
+    for r in builtin_records():
+        if r.name != "master_expansion_11":
+            newton.clear()
+            assert verify_identity(r, force_order=200).status == "pass", r.name
+            if newton:
+                took[r.name] = newton[:]
+    assert took == {"f0_conjecture_g": [195], "f0_conjecture_m": [195]}, took
 
 
 def test_dense_eulerian_sum_matches_accumulators_randomized():
