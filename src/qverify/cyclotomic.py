@@ -42,11 +42,15 @@ ONE = Rat(1)
 
 def rat(p, q=1):
     """Exact rational from integers, strings like '5/8', or Fractions; a Rat
-    (immutable) is returned as it is."""
-    if type(p) is Fraction and q == 1:
-        return p
-    if type(p) is int and type(q) is int:
-        return Rat(p, q)
+    (immutable) is returned as it is.  A float raises TypeError: it is
+    inexact, and a Fraction made from one would hide that."""
+    if type(q) is int:
+        if type(p) is int:
+            return Rat(p, q)
+        if type(p) is Fraction and q == 1:
+            return p
+    if type(p) is float or type(q) is float:
+        raise TypeError(f"rat({p!r}, {q!r}): a float is not an exact rational")
     if q != 1:
         return Rat(p) / Rat(q)
     if isinstance(p, str):

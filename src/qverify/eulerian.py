@@ -69,7 +69,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     add_term = acc.add
     # per spec: [over, count_fn, count k, scaled exponent and coefficient
     # of its next binomial x*b^k, and those of b]
-    steps = [[over, cf, 0, int(x.expo * scale), _int(x.coeff), int(b.expo * scale), _int(b.coeff)]
+    steps = [[over, cf, 0, int(x.expo * scale), x.coeff, int(b.expo * scale), b.coeff]
              for over, specs in ((False, num), (True, den)) for x, b, cf in specs]
     for n in count(start):
         monos = monos_fn(n)
@@ -97,7 +97,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 k, e, c = k + 1, e + be, c * bc
             step[2:5] = k, e, c
         for mono in monos:
-            q, c = mono.expo.denominator, _int(mono.coeff)
+            q, c = mono.expo.denominator, mono.coeff
             e = mono.expo.numerator * (scale // q)
             if scale % q or e % g:
                 raise ValueError(f"eulerian_sum: term {n} has exponent {mono.expo}, off the "
@@ -110,7 +110,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 used = lcm(used, q)
             add_term((e - base) // g, c)
     if const is not None and top > 0:
-        acc.add_const(-base // g, _int(const.coeff))
+        acc.add_const(-base // g, const.coeff)
     f = scale // used
     terms = {(base + g * i) // f: c for i, c in acc.items()}
     return QSeries(used, top // f, terms)

@@ -1,6 +1,6 @@
 """Truncated q-series with exact cyclotomic-rational coefficients.
 
-A :class:`QMonomial` is c*q^e with c a nonzero Rat | CycRat and e an exact
+A :class:`QMonomial` is c*q^e with c a nonzero coefficient and e an exact
 rational.  A :class:`QSeries` stores finitely many terms on the exponent grid
 (1/scale)*Z together with a truncation *order*: all coefficients of exponents
 strictly below order/scale are exactly known (order None means the series is
@@ -16,20 +16,22 @@ where val is the smallest stored exponent (or the window itself when the
 known part is empty).  An exact monomial divisor gives an exact shift; two
 exact sides need a window hint.
 
-A coefficient inside a series is an ``int`` or a ``Rat`` or ``CycRat`` (a
-``QMonomial`` coefficient is always a ``Rat`` or ``CycRat``).  The one
-helper :func:`_int` turns an integral Rat into an int where a coefficient
-enters a series: ``from_coeff``, ``from_monomial``, each accumulator
-operation, the walkers' step factors, the coefficient of a substituted
-monomial, and every coefficient of a sparse product; the dense
+A coefficient, in a series or a ``QMonomial``, is an ``int`` when it is
+integral and otherwise a ``Rat`` or ``CycRat``, and a monomial's exponent
+is an ``int`` or a fractional ``Rat``.  The one helper :func:`_int` turns
+an integral Rat into an int: ``QMonomial`` applies it to every argument
+that is not an int, and a series where a coefficient enters it
+(``from_coeff``, the walkers' step factors, every coefficient of a sparse
+product); a monomial's coefficient enters a series as it is, and the dense
 kernels hand an integral coefficient out as an int.  Sums and products of
 ints stay ints, so integral series (theta functions, Eulerian and Hecke
-sums with +-1 coefficients) are summed and convolved on Python ints; any
-other coefficient turns the terms it touches into ``Rat | CycRat`` by the
-usual arithmetic, and a sum of Rats (1/2 + 1/2) in the accumulator may
-leave an integral Rat.  No coefficient in a series meets ``/`` or a
-negative ``**`` (an int would become a float): inverses go through
-``cinv``.
+sums with +-1 coefficients) are summed and convolved on Python ints, and
+monomials such as q^2 build no Fraction; any other coefficient turns the
+terms it touches into ``Rat | CycRat`` by the usual arithmetic, and a sum
+of Rats (1/2 + 1/2) in the accumulator may leave an integral Rat.  No
+coefficient or exponent meets ``/`` or a negative ``**`` (an int would
+become a float): inverses go through ``cinv``/``cpow``, and a quotient of
+exponents through ``rat``, which refuses a float.
 
 A QSeries has two coefficient kernels, the product (``__mul__``) and long
 division (``divide``), both on the integer rows of ``kernels``: each side
@@ -113,17 +115,32 @@ def common_scale(*exponents) -> int:
     return s
 
 
+def _int(c):
+    """A series coefficient from c: an integral Rat becomes an int; an int,
+    another Rat or a CycRat is returned as it is."""
+    if type(c) is Rat and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class QMonomial:
-    """c * q^e with exact coefficient and exponent; immutable and hashable."""
+    """c * q^e with exact coefficient and exponent; immutable and hashable.
+
+    An integral coefficient or exponent is stored as an int (see the module
+    docstring), so c*q^e built from ints or from Rats is one monomial,
+    equal and hashed alike, and q^2 builds no Fraction."""
 
     __slots__ = ("coeff", "expo")
 
     def __init__(self, coeff, expo=0):
-        coeff = as_coeff(coeff)
+        if type(coeff) is not int:
+            coeff = _int(as_coeff(coeff))
         if not coeff:
             raise ValueError("QMonomial coefficient must be nonzero")
+        if type(expo) is not int:
+            expo = _int(rat(expo))
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "expo", rat(expo))
+        object.__setattr__(self, "expo", expo)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("QMonomial is immutable")
@@ -186,14 +203,6 @@ def qmono(coeff=1, expo=0) -> QMonomial:
     return QMonomial(coeff, expo)
 
 
-def _int(c):
-    """A series coefficient from c: an integral Rat becomes an int; an int,
-    another Rat or a CycRat is returned as it is."""
-    if type(c) is Rat and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class QSeries:
     """Sparse truncated series over the exponent grid (1/scale)*Z."""
 
@@ -217,7 +226,7 @@ class QSeries:
     @classmethod
     def from_monomial(cls, m: QMonomial, scale=None) -> "QSeries":
         s = common_scale(m.expo) if scale is None else lcm(scale, common_scale(m.expo))
-        return cls(s, None, {int(m.expo * s): _int(m.coeff)})
+        return cls(s, None, {int(m.expo * s): m.coeff})
 
     @classmethod
     def from_coeff(cls, c) -> "QSeries":
@@ -324,10 +333,9 @@ class QSeries:
         if isinstance(other, QMonomial):
             return self.mul_monomial(other)
         if isinstance(other, RAT_TYPES) or isinstance(other, CycRat):
-            c = as_coeff(other)
-            if not c:
+            if not other:
                 return QSeries.zero(self.scale, None)
-            return self.mul_monomial(QMonomial(c))
+            return self.mul_monomial(QMonomial(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         a, b = QSeries.unify(self, other)
@@ -546,8 +554,9 @@ class _Acc:
     sparse products are each one accumulator.  add_series reads only scale,
     order and terms, so one accumulator can be added into another; the
     walkers add into its terms directly.  Every coefficient it adds or
-    multiplies by goes through ``_int``, and a multiplier of +-1 only adds
-    or negates."""
+    multiplies by is an int when integral (a monomial's coefficient by
+    construction, a walker's through ``_int``), and a multiplier of +-1
+    only adds or negates."""
 
     __slots__ = ("scale", "order", "terms")
 
@@ -574,7 +583,7 @@ class _Acc:
 
     def add_mono(self, m: QMonomial) -> None:
         self.refine(rat_den(m.expo))
-        _add(self.terms, int(m.expo * self.scale), _int(m.coeff))
+        _add(self.terms, int(m.expo * self.scale), m.coeff)
 
     def add_series(self, m: QMonomial, s: QSeries) -> None:
         """Add m*s; the window falls to s's window shifted by m when that is
@@ -584,7 +593,7 @@ class _Acc:
         shift = int(m.expo * self.scale)
         if s.order is not None and (self.order is None or s.order * f + shift < self.order):
             self.order = s.order * f + shift
-        self.add_terms(s.terms, f, shift, _int(m.coeff))
+        self.add_terms(s.terms, f, shift, m.coeff)
 
     def add_terms(self, terms, f: int, shift: int, c0) -> None:
         """Add c0 * terms[k] at exponent k*f + shift below the window.  The
@@ -626,7 +635,7 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
     for k, c in s.terms.items():
         # q^(k/scale) -> m^(k/scale)
         mk = m ** rat(k, s.scale)
-        new_expos[k] = (mk.expo, c * _int(mk.coeff))
+        new_expos[k] = (mk.expo, c * mk.coeff)
     new_scale = common_scale(*(e for e, _ in new_expos.values())) if new_expos else rat_den(m.expo)
     terms: dict = {}
     for e, c in new_expos.values():

@@ -88,7 +88,7 @@ def jtheta_shift(x: QMonomial, base: QMonomial):
     :func:`jtheta_val` and :func:`jtheta` normalise every theta factor."""
     _check_base(base)
     E = base.expo
-    n = ceil_rat(x.expo / E) - 1
+    n = ceil_rat(rat(x.expo, E)) - 1  # two int exponents: no float
     xp = x * (base ** (-n))
     pref = QMonomial(-1 if n % 2 else 1, 0) * (base ** (-binom2(n))) * (xp ** (-n))
     return n, xp, pref
@@ -136,18 +136,18 @@ def jtheta(x: QMonomial, base: QMonomial, order) -> QSeries:
 
 def J(a, m, order) -> QSeries:
     """J_{a,m} = j(q^a; q^m)."""
-    return jtheta(qmono(1, rat(a)), qmono(1, rat(m)), order)
+    return jtheta(qmono(1, a), qmono(1, m), order)
 
 
 def Jbar(a, m, order) -> QSeries:
     """Jbar_{a,m} = j(-q^a; q^m)."""
-    return jtheta(qmono(-1, rat(a)), qmono(1, rat(m)), order)
+    return jtheta(qmono(-1, a), qmono(1, m), order)
 
 
 def Jm(m, order) -> QSeries:
     """J_m = (q^m; q^m)_inf, evaluated as J_{m,3m} = j(q^m; q^(3m)): by the
     triple product (B; B)_inf = j(B; B^3), the pentagonal-number sum."""
-    return jtheta(qmono(1, rat(m)), qmono(1, 3 * rat(m)), order)
+    return jtheta(qmono(1, m), qmono(1, 3 * m), order)
 
 
 def _jproduct(pairs, vals, K) -> QSeries:

@@ -24,7 +24,7 @@ from itertools import count
 from math import lcm
 
 from qverify.appell import eval_padded
-from qverify.cyclotomic import CycRat, cinv, cyclotomic_coeffs, rat, rat_den
+from qverify.cyclotomic import CycRat, cinv, cpow, cyclotomic_coeffs, rat, rat_den
 from qverify.errors import GenericityError, ParseError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
@@ -157,7 +157,7 @@ def jtheta_sum_oracle(x: QMonomial, base: QMonomial, order) -> QSeries:
         expo = binom2(n) * E + n * e
         if expo >= W:
             return False
-        coeff = base.coeff ** binom2(n) * x.coeff ** n
+        coeff = base.coeff ** binom2(n) * cpow(x.coeff, n)
         add_term(terms, expo, -coeff if n % 2 else coeff)
         return True
 

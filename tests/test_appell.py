@@ -194,7 +194,7 @@ def test_bilateral_sum_matches_oracle_randomized():
             r = rng.randint(-4, 4)
             w0 = (t**r).inverse() if i % 3 == 2 else qmono(rng.choice(coeffs), -r * t.expo)
         case = f"draw {i}: u={u!r}, v={v!r}, w0={w0!r}, t={t!r}, T={T}"
-        rz = -w0.expo / t.expo
+        rz = rat(-w0.expo, t.expo)
         if rz.denominator == 1 and (w0 * t ** int(rz)).is_one:
             seen["pole"] += 1
             with pytest.raises(GenericityError):

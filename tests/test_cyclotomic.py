@@ -31,6 +31,7 @@ from qverify.cyclotomic import (
     zeta,
 )
 from qverify.errors import UnsupportedSubstitution
+from qverify.series import QMonomial
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,22 @@ def test_cyclotomic_polynomials_match_sympy():
     for n in range(1, 401):
         poly = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
         assert cyclotomic_coeffs(n) == tuple(int(c) for c in reversed(poly.all_coeffs())), n
+
+
+def test_rat_refuses_floats():
+    """A float is inexact: an int / int slip must raise, not become the
+    exponent Fraction(0.333...)."""
+    for args in ((1 / 3,), (0.5,), (1, 2.0), (2.0, 3), (Fraction(1, 2), 1.0)):
+        with pytest.raises(TypeError):
+            rat(*args)
+    with pytest.raises(TypeError):
+        QMonomial(1, 4 / 2)
+    with pytest.raises(TypeError):
+        QMonomial(0.5, 1)
+    with pytest.raises(TypeError):
+        QMonomial(-1, 1) ** 0.5
+    assert type(rat(4, 2)) is Fraction and rat(4, 2) == 2
+    assert rat(Fraction(1, 2), 3) == Fraction(1, 6) and rat("5/8") == Fraction(5, 8)
 
 
 def test_euler_phi():

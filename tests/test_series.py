@@ -40,6 +40,7 @@ from qverify.series import (
     qmono,
     series_equal,
 )
+from qverify.theta import jtheta
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,65 @@ def test_monomial_immutable_and_hashable():
     assert qmono(zeta(1, 3), 1) == qmono(zeta(4, 12), 1)
     with pytest.raises(ValueError):
         qmono(0, 1)
+
+
+def test_monomial_fields_are_ints_when_integral():
+    m = QMonomial(Fraction(-6, 2), Fraction(4, 2))
+    assert (type(m.coeff), type(m.expo)) == (int, int)
+    assert (m.coeff, m.expo) == (-3, 2)
+    f = QMonomial(Fraction(1, 2), Fraction(3, 4))
+    assert (type(f.coeff), type(f.expo)) == (Fraction, Fraction)
+    mixed = QMonomial(Fraction(5), Fraction(-1, 3))
+    assert (type(mixed.coeff), type(mixed.expo)) == (int, Fraction)
+    assert type(QMonomial(zeta(1, 3), rat(2)).coeff) is CycRat
+    assert type(QMonomial(zeta(2, 4), rat(2)).coeff) is int  # zeta(2, 4) = -1
+    # ints and Rats build equal monomials that hash alike
+    for c, e in ((1, 0), (-2, 5), (7, -3)):
+        a, b = QMonomial(c, e), QMonomial(Fraction(c), Fraction(e))
+        assert (type(b.coeff), type(b.expo)) == (int, int)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_int_and_rat_monomials_share_one_memo_entry():
+    clear_memos()
+    first = jtheta(QMonomial(-1, 1), QMonomial(1, 3), 20)
+    hits = jtheta.cache_info().hits
+    again = jtheta(QMonomial(Fraction(-1), Fraction(1)), QMonomial(Fraction(1), Fraction(3)),
+                   rat(20))
+    assert again is first
+    assert jtheta.cache_info().hits == hits + 1
+
+
+def test_monomial_arithmetic_never_yields_a_float_randomized():
+    """*, /, ** (fractional powers of roots of unity included) and inverse
+    keep every field an int, a fractional Rat or a CycRat: never a float,
+    and never an integral Rat."""
+    rng = random.Random(25)
+    roots = [1, -1, zeta(1, 3), zeta(1, 4), zeta(3, 8), zeta(5, 12)]
+    coeffs = roots + [2, -3, Fraction(1, 2), Fraction(-4, 3), zeta(1, 4) + 2]
+
+    def draw(pool):
+        return QMonomial(rng.choice(pool), rat(rng.randint(-12, 12), rng.choice((1, 1, 2, 3))))
+
+    def check(m):
+        for v in (m.coeff, m.expo):
+            assert type(v) is int or type(v) is CycRat or (
+                type(v) is Fraction and v.denominator != 1), (m, type(v))
+        return m
+
+    for _ in range(300):
+        a, b = draw(coeffs), draw(coeffs)
+        assert check(a * b).expo == Fraction(a.expo) + Fraction(b.expo)
+        assert check(a / b) * b == a
+        assert check(a.inverse()) * a == MONO_ONE
+        check(-a)
+        k = rng.randint(-4, 4)
+        assert check(a ** k) * check(a ** -k) == MONO_ONE
+        r, e = draw(roots), rat(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+        p = check(r ** e)
+        assert p.expo == r.expo * e
+        if e:  # (r^e)^(1/e) = r up to a root of unity: the exponent is exact
+            assert check(p ** (1 / e)).expo == r.expo
 
 
 def test_rounding_helpers():
