@@ -30,8 +30,8 @@ arithmetic operations, integer powers ``^k``, and calls into the engine:
 Numbers are ASCII digits ``[0-9]+``; a poch count is an integer literal or
 ``inf``.  ``#`` starts a comment running to the end of the line.  Arguments
 of the engine calls must evaluate to exact monomials c*q^e.  Malformed text,
-nesting deeper than the parser's stack included, raises ``ParseError`` with
-a line and column.
+nesting deeper than the parser's stack and an identity name repeated within
+one text included, raises ``ParseError`` with a line and column.
 
 The table ``_HEADS`` drives every call head: its bracket-parameter count,
 its argument names by group (the parser reads the group sizes from them,
@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .cyclotomic import rat, zeta as zeta_root
+from .cyclotomic import ONE as _ONE, Rat, rat, zeta as zeta_root
 from .errors import ParseError, UnsupportedArgument, UnsupportedSubstitution
 from .series import QMonomial, QSeries, compose_monomial, qmono, ceil_rat, operand_orders
 from . import theta as _theta
@@ -172,37 +172,61 @@ class _Tok(NamedTuple):
     col: int
 
 
-# One alternative per token kind, tried in order at each position; ERROR
-# takes any character that starts no token.  A NAME starts with a letter or
-# '_', so a \w run that starts with another character (a non-ASCII digit) is
-# an error too.
+# One match per token: the blanks and comments before it, then the token
+# text, the pattern's one group.  At the end of the text the group matches
+# empty, so '' is the end-of-input token.  A token's kind follows from its
+# first character (see _kind).  The token alternatives take any character,
+# so a match never backtracks into the blanks and comments before it.  The
+# parser reads the token texts of one findall; lines and columns are only
+# computed when it raises a ParseError, by tokenize scanning the text again.
 _TOKEN = re.compile(
-    r'(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<INT>[0-9]+)|(?P<NAME>\w+)'
-    r'|"(?P<STRING>[^"\n]*)"|(?P<PUNCT>[][(){},;=+\-*/^.])|(?P<ERROR>.)',
-    re.DOTALL,
-)
+    r'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*([0-9]+|\w+|"[^"\n]*"|.|\Z)', re.DOTALL)
+
+
+def _kind(tok: str) -> str:
+    """The kind of a token text.  An ASCII digit starts an INT, a letter or
+    '_' a NAME, '"' a STRING and a punctuation character a one-character
+    PUNCT.  Any other character is an ERROR: a lone '"' (an unterminated
+    string), and a \\w run that starts with a non-ASCII digit too."""
+    c = tok[:1]
+    if not c:
+        return "EOF"
+    if "0" <= c <= "9":
+        return "INT"
+    if c.isalpha() or c == "_":
+        return "NAME"
+    if c == '"' and len(tok) > 1:
+        return "STRING"
+    return "PUNCT" if c in "()[]{},;=+-*/^." else "ERROR"
+
+
+def _value(tok: str) -> str:
+    """The value of a token text: a STRING without its quotes."""
+    return tok[1:-1] if tok[:1] == '"' and len(tok) > 1 else tok
 
 
 def tokenize(text: str):
+    """The tokens of text with their lines and columns, EOF last, by one
+    pass of _TOKEN; a character that starts no token raises ParseError.
+    Tokens hold no newline, so lines are counted between token starts."""
     toks = []
-    line, line_start = 1, 0
+    line, line_start, seen = 1, 0, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind == "SKIP":
-            continue
-        value = m.group(kind)
-        col = m.start() - line_start + 1
-        if kind == "ERROR" or (kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
-            if value == '"':
+        start = m.start(1)
+        nl = text.rfind("\n", seen, start)
+        if nl >= 0:
+            line += text.count("\n", seen, nl + 1)
+            line_start = nl + 1
+        seen = start
+        tok, col = m.group(1), start - line_start + 1
+        kind = _kind(tok)
+        if kind == "ERROR":
+            if tok == '"':
                 raise ParseError("unterminated string", line, col)
-            raise ParseError(f"unexpected character {value[0]!r}", line, col)
-        toks.append(_Tok(kind, value, line, col))
-    toks.append(_Tok("EOF", "", line, len(text) - line_start + 1))
-    return toks
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        toks.append(_Tok(kind, _value(tok), line, col))
+        if not tok:
+            return toks
 
 
 # --------------------------------------------------------------------------
@@ -210,271 +234,299 @@ def tokenize(text: str):
 # --------------------------------------------------------------------------
 
 
+class _Stop(Exception):
+    """A syntax error: (message, token index).  _Parser.parse raises it as
+    a ParseError with the token's line and column."""
+
+
 class _Parser:
+    """Recursive descent over the token texts of _TOKEN.findall, compared
+    as strings.  A token is only consumed once its text is checked, so no
+    ERROR token and nothing past the first EOF ('') is ever consumed.  The
+    rules expression, term, unary, power and primary take one Python frame
+    each per level of parentheses."""
+
+    __slots__ = ("text", "toks", "pos")
+
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
         self.pos = 0
 
     def parse(self, rule):
-        """Run a grammar rule; nesting deeper than the Python stack allows
-        is a ParseError at the token reached."""
+        """Run a grammar rule; a syntax error, nesting deeper than the
+        Python stack allows included, is a ParseError at the token reached."""
         try:
             return rule()
+        except _Stop as stop:
+            message, at = stop.args
         except RecursionError:
-            t = self.peek()
-        raise ParseError("expression nested too deeply", t.line, t.col)
+            message, at = "expression nested too deeply", self.pos
+        # tokenize raises first for a character that starts no token
+        # anywhere in the text: that error wins
+        t = tokenize(self.text)[at]
+        raise ParseError(message, t.line, t.col)
+
+    def fail(self, message: str, at=None):
+        raise _Stop(message, self.pos if at is None else at)
 
     # -- token plumbing --
 
-    def peek(self, ahead=0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
+    def expect(self, value: str):
         t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
+        if t != value:
+            self.fail(f"expected {value!r}, found {_value(t)!r}")
+        self.pos += 1
+
+    def expect_kind(self, kind: str) -> str:
+        t = self.toks[self.pos]
+        if _kind(t) != kind:
+            self.fail(f"expected {kind}, found {_value(t)!r}")
+        self.pos += 1
         return t
-
-    def at(self, value: str) -> bool:
-        t = self.peek()
-        return t.kind == "PUNCT" and t.value == value
-
-    def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, value: str) -> _Tok:
-        t = self.peek()
-        if t.kind == "PUNCT" and t.value == value:
-            return self.next()
-        raise ParseError(f"expected {value!r}, found {t.value!r}", t.line, t.col)
-
-    def expect_kind(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.value!r}", t.line, t.col)
-        return self.next()
-
-    def error(self, message: str, tok=None):
-        t = tok or self.peek()
-        raise ParseError(message, t.line, t.col)
 
     # -- small literals --
 
-    def parse_int(self) -> int:
-        neg = self.accept("-")
-        t = self.expect_kind("INT")
-        v = int(t.value)
-        return -v if neg else v
+    def digits(self) -> int:
+        t = self.toks[self.pos]
+        if not "0" <= t < ":":  # an INT token
+            self.fail(f"expected INT, found {_value(t)!r}")
+        self.pos += 1
+        return int(t)
 
-    def parse_rational(self):
+    def integer(self) -> int:
+        if self.toks[self.pos] == "-":
+            self.pos += 1
+            return -self.digits()
+        return self.digits()
+
+    def rational(self):
         """Signed p or p/q (used inside parenthesized exponents)."""
-        neg = self.accept("-")
-        t = self.expect_kind("INT")
-        num = int(t.value)
+        neg = self.toks[self.pos] == "-"
+        if neg:
+            self.pos += 1
+        at = self.pos
+        num = self.digits()
         den = 1
-        if self.accept("/"):
-            den = int(self.expect_kind("INT").value)
+        if self.toks[self.pos] == "/":
+            self.pos += 1
+            den = self.digits()
             if den == 0:
-                self.error("zero denominator in exponent", t)
+                self.fail("zero denominator in exponent", at)
         v = rat(num, den)
         return -v if neg else v
 
-    def parse_q_exponent(self):
+    def q_exponent(self):
         """Exponent after 'q^': INT, -INT, or (signed rational)."""
-        if self.accept("("):
-            v = self.parse_rational()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
+            v = self.rational()
             self.expect(")")
             return v
-        return rat(self.parse_int())
+        return Rat(self.integer())
 
-    def parse_power_exponent(self) -> int:
+    def power_exponent(self) -> int:
         """Integer exponent after '^' on a non-monomial factor."""
-        if self.accept("("):
-            v = self.parse_int()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
+            v = self.integer()
             self.expect(")")
             return v
-        return self.parse_int()
+        return self.integer()
 
     # -- expression grammar --
 
-    def parse_expression(self):
-        node = self.parse_term()
-        while True:
-            if self.accept("+"):
-                node = BinOp("+", node, self.parse_term())
-            elif self.accept("-"):
-                node = BinOp("-", node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            if self.accept("*"):
-                node = BinOp("*", node, self.parse_unary())
-            elif self.accept("/"):
-                node = BinOp("/", node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self):
-        if self.accept("-"):
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
-        node = self.parse_primary()
-        while self.at("^"):
-            self.next()
-            node = Pow(node, self.parse_power_exponent())
+    def sole_expression(self):
+        node = self.expression()
+        t = self.toks[self.pos]
+        if t:
+            self.fail(f"unexpected trailing input {_value(t)!r}")
         return node
 
-    def parse_primary(self):
-        t = self.peek()
-        if self.accept("("):
-            node = self.parse_expression()
+    def expression(self):
+        node = self.term()
+        toks = self.toks
+        op = toks[self.pos]
+        while op == "+" or op == "-":
+            self.pos += 1
+            node = BinOp(op, node, self.term())
+            op = toks[self.pos]
+        return node
+
+    def term(self):
+        node = self.unary()
+        toks = self.toks
+        op = toks[self.pos]
+        while op == "*" or op == "/":
+            self.pos += 1
+            node = BinOp(op, node, self.unary())
+            op = toks[self.pos]
+        return node
+
+    def unary(self):
+        # a chain of minuses in a loop, so that a long one does not recurse
+        # once per minus
+        toks, pos = self.toks, self.pos
+        while toks[pos] == "-":
+            pos += 1
+        negs, self.pos = pos - self.pos, pos
+        node = self.power()
+        for _ in range(negs):
+            node = Neg(node)
+        return node
+
+    def power(self):
+        node = self.primary()
+        toks = self.toks
+        while toks[self.pos] == "^":
+            self.pos += 1
+            node = Pow(node, self.power_exponent())
+        return node
+
+    def primary(self):
+        toks, pos = self.toks, self.pos
+        t = toks[pos]
+        self.pos = pos + 1
+        if t == "(":
+            node = self.expression()
             self.expect(")")
             return node
-        if t.kind == "INT":
-            self.next()
-            return Num(rat(int(t.value)))
-        if t.kind == "NAME":
-            if t.value == "q":
-                self.next()
-                if self.at("^"):
-                    self.next()
-                    return QPow(self.parse_q_exponent())
-                return QPow(rat(1))
-            if t.value == "zeta":
-                self.next()
-                self.expect("(")
-                k = self.parse_int()
-                self.expect(",")
-                n = self.parse_int()
-                self.expect(")")
-                if n <= 0:
-                    self.error("zeta(k,N) needs N >= 1", t)
-                return Zeta(k, n)
-            if t.value == "catalog":
-                return self.parse_catalog_ref()
-            if t.value in _HEADS:
-                return self.parse_call()
-            self.error(f"unknown function or symbol {t.value!r}", t)
-        self.error(f"expected an expression, found {t.value!r}", t)
+        if "0" <= t < ":":  # an INT token
+            return Num(Rat(int(t)))
+        if t == "q":
+            if toks[pos + 1] != "^":
+                return QPow(_ONE)
+            self.pos = pos + 2
+            return QPow(self.q_exponent())
+        if t in _HEADS:
+            return self.call(t, pos)
+        if t == "zeta":
+            self.expect("(")
+            k = self.integer()
+            self.expect(",")
+            n = self.integer()
+            self.expect(")")
+            if n <= 0:
+                self.fail("zeta(k,N) needs N >= 1", pos)
+            return Zeta(k, n)
+        if t == "catalog":
+            return self.catalog_ref()
+        if _kind(t) == "NAME":
+            self.fail(f"unknown function or symbol {t!r}", pos)
+        self.fail(f"expected an expression, found {_value(t)!r}", pos)
 
-    def parse_catalog_ref(self):
-        t = self.expect_kind("NAME")  # 'catalog'
+    def catalog_ref(self):
+        """catalog("name") after its 'catalog', with .repr[i] or a MONO."""
         self.expect("(")
-        name = self.expect_kind("STRING").value
-        subst = self.parse_expression() if self.accept(",") else None
+        name = _value(self.expect_kind("STRING"))
+        subst = None
+        if self.toks[self.pos] == ",":
+            self.pos += 1
+            subst = self.expression()
         self.expect(")")
         index = None
-        if subst is None and self.accept("."):
-            field = self.expect_kind("NAME")
-            if field.value != "repr":
-                self.error("only '.repr[i]' can follow catalog(...)", field)
+        if subst is None and self.toks[self.pos] == ".":
+            self.pos += 1
+            field = self.pos
+            if self.expect_kind("NAME") != "repr":
+                self.fail("only '.repr[i]' can follow catalog(...)", field)
             self.expect("[")
-            index = self.parse_int()
+            index = self.integer()
             self.expect("]")
             if index < 0:
-                self.error("representation index must be >= 0", field)
+                self.fail("representation index must be >= 0", field)
         return CatalogRef(name, index, subst)
 
-    def parse_call(self):
-        head_tok = self.expect_kind("NAME")
-        head = head_tok.value
+    def call(self, head: str, at: int):
+        """The rest of a call whose head, head, is token number at."""
         n_params, groups, _ = _HEADS[head]
+        toks = self.toks
         params = ()
         if n_params:
             self.expect("[")
-            vals = [self.parse_int()]
-            while self.accept(","):
-                vals.append(self.parse_int())
+            vals = [self.integer()]
+            while toks[self.pos] == ",":
+                self.pos += 1
+                vals.append(self.integer())
             self.expect("]")
             if len(vals) != n_params:
-                self.error(
-                    f"{head} expects {n_params} bracket parameters, got {len(vals)}",
-                    head_tok,
-                )
+                self.fail(f"{head} expects {n_params} bracket parameters, got {len(vals)}", at)
             params = tuple(vals)
         if not groups:
-            if self.at("("):
-                self.error(f"{head}[...] takes no call arguments", head_tok)
+            if toks[self.pos] == "(":
+                self.fail(f"{head}[...] takes no call arguments", at)
             return Call(head, params, ())
         self.expect("(")
         parsed = []
         for gi, names in enumerate(groups):
-            parse_arg = self.parse_count if names == ("count",) else self.parse_expression
+            parse_arg = self.count if names == ("count",) else self.expression
             args = [parse_arg()]
-            while self.accept(","):
+            while toks[self.pos] == ",":
+                self.pos += 1
                 args.append(parse_arg())
             if len(args) != len(names):
-                self.error(
-                    f"{head} expects {len(names)} argument(s) in group {gi + 1}, "
-                    f"got {len(args)}",
-                    head_tok,
-                )
+                self.fail(f"{head} expects {len(names)} argument(s) in group {gi + 1}, "
+                          f"got {len(args)}", at)
             parsed.append(tuple(args))
             if gi + 1 < len(groups):
                 self.expect(";")
         self.expect(")")
         return Call(head, params, tuple(parsed))
 
-    def parse_count(self):
+    def count(self):
         """The count of poch(x; q; n|inf): an integer literal or 'inf'."""
-        t = self.peek()
-        if t.kind == "NAME" and t.value == "inf":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "inf":
+            self.pos += 1
             return PochInf()
-        if t.kind == "INT":
-            return Num(rat(int(self.next().value)))
-        self.error("poch count must be a nonnegative integer or 'inf'", t)
+        if "0" <= t < ":":  # an INT token
+            self.pos += 1
+            return Num(Rat(int(t)))
+        self.fail("poch count must be a nonnegative integer or 'inf'")
 
     # -- identity files --
 
-    def parse_identities(self):
-        records = []
-        while self.peek().kind != "EOF":
-            t = self.expect_kind("NAME")
-            if t.value != "identity":
-                self.error("expected 'identity'", t)
-            name = self.expect_kind("NAME").value
+    def identities(self):
+        toks = self.toks
+        records, names = [], set()
+        while toks[self.pos]:
+            at = self.pos
+            if self.expect_kind("NAME") != "identity":
+                self.fail("expected 'identity'", at)
+            at = self.pos
+            name = self.expect_kind("NAME")
+            if name in names:
+                self.fail(f"duplicate identity name {name!r}", at)
+            names.add(name)
             order = None
-            nxt = self.peek()
-            if nxt.kind == "NAME" and nxt.value == "order":
-                self.next()
-                order = self.parse_int()
+            if toks[self.pos] == "order":
+                at = self.pos
+                self.pos += 1
+                order = self.integer()
                 if order <= 0:
-                    self.error("order must be positive", nxt)
+                    self.fail("order must be positive", at)
             self.expect("{")
-            sides = {}
+            sides = []
             for side in ("lhs", "rhs"):
-                st = self.expect_kind("NAME")
-                if st.value != side:
-                    self.error(f"expected '{side}'", st)
+                at = self.pos
+                if self.expect_kind("NAME") != side:
+                    self.fail(f"expected '{side}'", at)
                 self.expect("=")
-                sides[side] = self.parse_expression()
+                sides.append(self.expression())
                 self.expect(";")
             self.expect("}")
-            records.append(IdentityRecord(name, order, sides["lhs"], sides["rhs"]))
+            records.append(IdentityRecord(name, order, *sides))
         return records
 
 
 def parse_expression(text: str):
     p = _Parser(text)
-    node = p.parse(p.parse_expression)
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.value!r}", t.line, t.col)
-    return node
+    return p.parse(p.sole_expression)
 
 
 def parse_identities(text: str):
     p = _Parser(text)
-    return p.parse(p.parse_identities)
+    return p.parse(p.identities)
 
 
 # --------------------------------------------------------------------------
@@ -514,7 +566,13 @@ def pretty(node) -> str:
     if isinstance(node, PochInf):
         return "inf"
     if isinstance(node, Neg):
-        return "-" + _paren(node.arg, _PREC_UNARY)
+        # a chain of minuses in a loop, so that a long one does not recurse
+        # once per minus
+        negs = 0
+        while isinstance(node, Neg):
+            negs += 1
+            node = node.arg
+        return "-" * negs + _paren(node, _PREC_UNARY)
     if isinstance(node, BinOp):
         # a left-nested chain of one precedence level in a loop, so that a
         # long flat sum or product does not recurse once per operand
@@ -671,7 +729,14 @@ def eval_expr(node, order) -> QSeries:
     if isinstance(node, Zeta):
         return QSeries.from_coeff(zeta_root(node.k, node.n))
     if isinstance(node, Neg):
-        return -eval_expr(node.arg, order)
+        # a chain of minuses in a loop, so that a long one does not recurse
+        # once per minus
+        negs = 0
+        while isinstance(node, Neg):
+            negs += 1
+            node = node.arg
+        a = eval_expr(node, order)
+        return -a if negs % 2 else a
     if isinstance(node, BinOp):
         # the left operands of a left-nested chain in a loop, so that a long
         # flat sum or product does not recurse once per operand

@@ -9,7 +9,8 @@ walker, or the ``QSeries`` sums and monomial products built on them.
 series, the way the engine did before its dense lists.
 ``has_coeff_types`` checks the coefficient layout of a series.
 ``tokenize_oracle`` is the DSL's per-character tokenizer, the reference for
-``qverify.dsl.tokenize``.
+``qverify.dsl.tokenize``, and ``parse_oracle`` its parser before the one-scan
+front end, the reference for ``parse_expression`` and ``parse_identities``.
 
 The ``cyc_*`` functions are a reference for ``qverify.cyclotomic``: an
 element of Q(zeta_n) is a tuple of ``Fraction`` coordinates over the power
@@ -19,12 +20,16 @@ conductor by Gaussian elimination over Q in every subfield, and inverted by
 the extended Euclidean algorithm against Phi_n.
 """
 
+import re
 from fractions import Fraction
 from itertools import count
 from math import lcm
+from typing import NamedTuple
 
 from qverify.appell import eval_padded
 from qverify.cyclotomic import CycRat, cinv, cpow, cyclotomic_coeffs, rat, rat_den
+from qverify.dsl import (_HEADS, BinOp, Call, CatalogRef, IdentityRecord, Neg, Num,
+                         PochInf, Pow, QPow, Zeta)
 from qverify.errors import GenericityError, ParseError, UnsupportedArgument
 from qverify.series import QMonomial, QSeries, ceil_rat, common_scale, qmono
 from qverify.theta import _check_base, binom2, jtheta, jtheta_val
@@ -612,3 +617,320 @@ def tokenize_oracle(text: str) -> list:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     toks.append(("EOF", "", line, col))
     return toks
+
+
+class _OracleTok(NamedTuple):
+    kind: str  # NAME INT STRING PUNCT EOF
+    value: str
+    line: int
+    col: int
+
+
+# One alternative per token kind, tried in order at each position; ERROR
+# takes any character that starts no token.  A NAME starts with a letter or
+# '_', so a \w run that starts with another character (a non-ASCII digit) is
+# an error too.
+_ORACLE_TOKEN = re.compile(
+    r'(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<INT>[0-9]+)|(?P<NAME>\w+)'
+    r'|"(?P<STRING>[^"\n]*)"|(?P<PUNCT>[][(){},;=+\-*/^.])|(?P<ERROR>.)',
+    re.DOTALL,
+)
+
+
+def _pattern_tokens(text: str):
+    toks = []
+    line, line_start = 1, 0
+    for m in _ORACLE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = m.end()
+            continue
+        if kind == "SKIP":
+            continue
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "ERROR" or (kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
+            if value == '"':
+                raise ParseError("unterminated string", line, col)
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        toks.append(_OracleTok(kind, value, line, col))
+    toks.append(_OracleTok("EOF", "", line, len(text) - line_start + 1))
+    return toks
+
+
+class _OracleParser:
+    """The DSL's parser before its one-scan front end: every token a
+    _OracleTok with its line and column, read through peek/at/accept."""
+
+    def __init__(self, text: str):
+        self.toks = _pattern_tokens(text)
+        self.pos = 0
+
+    def parse(self, rule):
+        """Run a grammar rule; nesting deeper than the Python stack allows
+        is a ParseError at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            t = self.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col)
+
+    # -- token plumbing --
+
+    def peek(self, ahead=0) -> _OracleTok:
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def next(self) -> _OracleTok:
+        t = self.toks[self.pos]
+        if t.kind != "EOF":
+            self.pos += 1
+        return t
+
+    def at(self, value: str) -> bool:
+        t = self.peek()
+        return t.kind == "PUNCT" and t.value == value
+
+    def accept(self, value: str) -> bool:
+        if self.at(value):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> _OracleTok:
+        t = self.peek()
+        if t.kind == "PUNCT" and t.value == value:
+            return self.next()
+        raise ParseError(f"expected {value!r}, found {t.value!r}", t.line, t.col)
+
+    def expect_kind(self, kind: str) -> _OracleTok:
+        t = self.peek()
+        if t.kind != kind:
+            raise ParseError(f"expected {kind}, found {t.value!r}", t.line, t.col)
+        return self.next()
+
+    def error(self, message: str, tok=None):
+        t = tok or self.peek()
+        raise ParseError(message, t.line, t.col)
+
+    # -- small literals --
+
+    def parse_int(self) -> int:
+        neg = self.accept("-")
+        t = self.expect_kind("INT")
+        v = int(t.value)
+        return -v if neg else v
+
+    def parse_rational(self):
+        """Signed p or p/q (used inside parenthesized exponents)."""
+        neg = self.accept("-")
+        t = self.expect_kind("INT")
+        num = int(t.value)
+        den = 1
+        if self.accept("/"):
+            den = int(self.expect_kind("INT").value)
+            if den == 0:
+                self.error("zero denominator in exponent", t)
+        v = rat(num, den)
+        return -v if neg else v
+
+    def parse_q_exponent(self):
+        """Exponent after 'q^': INT, -INT, or (signed rational)."""
+        if self.accept("("):
+            v = self.parse_rational()
+            self.expect(")")
+            return v
+        return rat(self.parse_int())
+
+    def parse_power_exponent(self) -> int:
+        """Integer exponent after '^' on a non-monomial factor."""
+        if self.accept("("):
+            v = self.parse_int()
+            self.expect(")")
+            return v
+        return self.parse_int()
+
+    # -- expression grammar --
+
+    def parse_expression(self):
+        node = self.parse_term()
+        while True:
+            if self.accept("+"):
+                node = BinOp("+", node, self.parse_term())
+            elif self.accept("-"):
+                node = BinOp("-", node, self.parse_term())
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_unary()
+        while True:
+            if self.accept("*"):
+                node = BinOp("*", node, self.parse_unary())
+            elif self.accept("/"):
+                node = BinOp("/", node, self.parse_unary())
+            else:
+                return node
+
+    def parse_unary(self):
+        if self.accept("-"):
+            return Neg(self.parse_unary())
+        return self.parse_power()
+
+    def parse_power(self):
+        node = self.parse_primary()
+        while self.at("^"):
+            self.next()
+            node = Pow(node, self.parse_power_exponent())
+        return node
+
+    def parse_primary(self):
+        t = self.peek()
+        if self.accept("("):
+            node = self.parse_expression()
+            self.expect(")")
+            return node
+        if t.kind == "INT":
+            self.next()
+            return Num(rat(int(t.value)))
+        if t.kind == "NAME":
+            if t.value == "q":
+                self.next()
+                if self.at("^"):
+                    self.next()
+                    return QPow(self.parse_q_exponent())
+                return QPow(rat(1))
+            if t.value == "zeta":
+                self.next()
+                self.expect("(")
+                k = self.parse_int()
+                self.expect(",")
+                n = self.parse_int()
+                self.expect(")")
+                if n <= 0:
+                    self.error("zeta(k,N) needs N >= 1", t)
+                return Zeta(k, n)
+            if t.value == "catalog":
+                return self.parse_catalog_ref()
+            if t.value in _HEADS:
+                return self.parse_call()
+            self.error(f"unknown function or symbol {t.value!r}", t)
+        self.error(f"expected an expression, found {t.value!r}", t)
+
+    def parse_catalog_ref(self):
+        t = self.expect_kind("NAME")  # 'catalog'
+        self.expect("(")
+        name = self.expect_kind("STRING").value
+        subst = self.parse_expression() if self.accept(",") else None
+        self.expect(")")
+        index = None
+        if subst is None and self.accept("."):
+            field = self.expect_kind("NAME")
+            if field.value != "repr":
+                self.error("only '.repr[i]' can follow catalog(...)", field)
+            self.expect("[")
+            index = self.parse_int()
+            self.expect("]")
+            if index < 0:
+                self.error("representation index must be >= 0", field)
+        return CatalogRef(name, index, subst)
+
+    def parse_call(self):
+        head_tok = self.expect_kind("NAME")
+        head = head_tok.value
+        n_params, groups, _ = _HEADS[head]
+        params = ()
+        if n_params:
+            self.expect("[")
+            vals = [self.parse_int()]
+            while self.accept(","):
+                vals.append(self.parse_int())
+            self.expect("]")
+            if len(vals) != n_params:
+                self.error(
+                    f"{head} expects {n_params} bracket parameters, got {len(vals)}",
+                    head_tok,
+                )
+            params = tuple(vals)
+        if not groups:
+            if self.at("("):
+                self.error(f"{head}[...] takes no call arguments", head_tok)
+            return Call(head, params, ())
+        self.expect("(")
+        parsed = []
+        for gi, names in enumerate(groups):
+            parse_arg = self.parse_count if names == ("count",) else self.parse_expression
+            args = [parse_arg()]
+            while self.accept(","):
+                args.append(parse_arg())
+            if len(args) != len(names):
+                self.error(
+                    f"{head} expects {len(names)} argument(s) in group {gi + 1}, "
+                    f"got {len(args)}",
+                    head_tok,
+                )
+            parsed.append(tuple(args))
+            if gi + 1 < len(groups):
+                self.expect(";")
+        self.expect(")")
+        return Call(head, params, tuple(parsed))
+
+    def parse_count(self):
+        """The count of poch(x; q; n|inf): an integer literal or 'inf'."""
+        t = self.peek()
+        if t.kind == "NAME" and t.value == "inf":
+            self.next()
+            return PochInf()
+        if t.kind == "INT":
+            return Num(rat(int(self.next().value)))
+        self.error("poch count must be a nonnegative integer or 'inf'", t)
+
+    # -- identity files --
+
+    def parse_identities(self):
+        records, names = [], set()
+        while self.peek().kind != "EOF":
+            t = self.expect_kind("NAME")
+            if t.value != "identity":
+                self.error("expected 'identity'", t)
+            t = self.expect_kind("NAME")
+            name = t.value
+            if name in names:
+                self.error(f"duplicate identity name {name!r}", t)
+            names.add(name)
+            order = None
+            nxt = self.peek()
+            if nxt.kind == "NAME" and nxt.value == "order":
+                self.next()
+                order = self.parse_int()
+                if order <= 0:
+                    self.error("order must be positive", nxt)
+            self.expect("{")
+            sides = {}
+            for side in ("lhs", "rhs"):
+                st = self.expect_kind("NAME")
+                if st.value != side:
+                    self.error(f"expected '{side}'", st)
+                self.expect("=")
+                sides[side] = self.parse_expression()
+                self.expect(";")
+            self.expect("}")
+            records.append(IdentityRecord(name, order, sides["lhs"], sides["rhs"]))
+        return records
+
+
+def parse_oracle(text: str, identities: bool = False):
+    """The AST of text as an expression (with identities, the list of
+    IdentityRecords of text as an identity file), or its ParseError, by the
+    DSL's parser before its one-scan front end: a pattern tokenizer that
+    gives every token its line and column, then recursive descent over the
+    tokens.  The reference for ``qverify.dsl.parse_expression`` and
+    ``parse_identities``."""
+    p = _OracleParser(text)
+    if identities:
+        return p.parse(p.parse_identities)
+    node = p.parse(p.parse_expression)
+    t = p.peek()
+    if t.kind != "EOF":
+        raise ParseError(f"unexpected trailing input {t.value!r}", t.line, t.col)
+    return node

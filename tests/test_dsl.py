@@ -3,10 +3,11 @@
 import pathlib
 import pickle
 import random
+import re
 
 import pytest
 
-from oracles import tokenize_oracle
+from oracles import parse_oracle, tokenize_oracle
 from qverify import appell, catalog, hecke, theta
 from qverify.appell import m_eval
 from qverify.catalog import CATALOG
@@ -115,7 +116,7 @@ def test_call_shapes():
     assert parse_expression('catalog("phi_6th")') == CatalogRef("phi_6th")
 
 
-@pytest.mark.parametrize("bad, fragment", [
+PARSE_ERRORS = [
     ("f[5,5](q)", "3 bracket parameters"),
     ("m(q, q^2)", "3 argument"),
     ("J[1,2](q)", "takes no call arguments"),
@@ -129,12 +130,89 @@ def test_call_shapes():
     ("(1", "expected ')'"),
     ("q^\u00b2", "unexpected character"),
     ("\u0661", "unexpected character"),
-])
+]
+
+
+@pytest.mark.parametrize("bad, fragment", PARSE_ERRORS)
 def test_parse_errors(bad, fragment):
     with pytest.raises(ParseError) as ei:
         parse_expression(bad)
     assert fragment in str(ei.value)
     assert "line" in str(ei.value)
+
+
+def _parsed_or_error(parse, text, identities):
+    try:
+        return parse(text, identities)
+    except ParseError as exc:
+        return exc
+
+
+def _parse(text, identities):
+    return parse_identities(text) if identities else parse_expression(text)
+
+
+# a token to mutate: a comment is matched only to be skipped
+_MUTABLE = re.compile(r'#[^\n]*|[0-9]+|\w+|"[^"\n]*"|\S')
+
+
+def test_parser_matches_oracle_randomized():
+    """The one-scan parser gives the oracle parser's AST, or its ParseError
+    with the same message, line and column, on the builtin suite, every
+    catalog representation, the cases of test_parse_errors and a few more,
+    and 4000 mutations: a token of a builtin identity (3000) or of a
+    catalog representation (1000) deleted, duplicated or swapped with the
+    next one, or a character that starts no token put before it.  Half the
+    texts get a trailing comment, a quarter \\r\\n line endings."""
+    rng = random.Random(26)
+    builtin = BUILTIN.read_text()
+    blocks = [b for b in builtin.split("\n\n") if "{" in b]  # comments, identities
+    reprs = [src for entry in CATALOG.values() for src in entry.representations]
+    cases = [(builtin, True)] + [(src, False) for src in reprs]
+    cases += [(bad, False) for bad, _ in PARSE_ERRORS]
+    cases += [(text, False) for text in (
+        'q "abc"', "catalog(f0_5th)", 'catalog("f0_5th").rep[0]',
+        'catalog("f0_5th").repr[-1]', "poch(q; q; -1)", "q^(1/-2)", "zeta(1, -2)")]
+    cases += [(text, True) for text in (
+        "identity a order 0 { lhs = q; rhs = q; }", "identity a order -2 { lhs = q; rhs = q; }",
+        "identity a order 5 { lhs = q; rhs = q; }\n# b\n identity a { lhs = 1; rhs = 1; }",
+        "identity a { rhs = q; lhs = q; }", "ident a { lhs = q; rhs = q; }", '"a" q')]
+    for i in range(4000):
+        text = rng.choice(blocks) if i < 3000 else rng.choice(reprs)
+        spans = [m.span() for m in _MUTABLE.finditer(text) if m.group()[0] != "#"]
+        # one in four at the last two tokens, so that many errors are at EOF
+        k = len(spans) - 1 - rng.randrange(2) if rng.random() < 0.25 else rng.randrange(len(spans))
+        (a, b), (c, d) = spans[k], spans[min(k + 1, len(spans) - 1)]
+        how = rng.choice(("delete", "duplicate", "swap", "bad"))
+        if how == "delete":
+            text = text[:a] + text[b:]
+        elif how == "duplicate":
+            text = text[:b] + " " + text[a:b] + text[b:]
+        elif how == "swap" and b <= c:
+            text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        elif how == "bad":
+            text = text[:a] + rng.choice(("?", "\u00b2", '"', "$")) + text[a:]
+        if rng.random() < 0.5:
+            text += "  # trailing comment"
+        if rng.random() < 0.25:
+            text = text.replace("\n", "\r\n")
+        cases.append((text, i < 3000))
+    counts = dict.fromkeys(("error", "at EOF", "EOF after comment", "CRLF error"), 0)
+    for text, identities in cases:
+        old = _parsed_or_error(parse_oracle, text, identities)
+        new = _parsed_or_error(_parse, text, identities)
+        if not isinstance(old, ParseError):
+            assert new == old, text
+            continue
+        assert isinstance(new, ParseError) and str(new) == str(old), (text, str(old))
+        counts["error"] += 1
+        last_line = text[text.rfind("\n") + 1:]
+        if (old.line, old.col) == (text.count("\n") + 1, len(last_line) + 1):
+            counts["at EOF"] += 1
+            counts["EOF after comment"] += "#" in last_line
+        counts["CRLF error"] += "\r\n" in text
+    assert counts["error"] >= 2500 and counts["at EOF"] >= 100, counts
+    assert counts["EOF after comment"] >= 50 and counts["CRLF error"] >= 500, counts
 
 
 def test_trailing_input_rejected():
@@ -176,6 +254,27 @@ def test_long_flat_chains_evaluate_and_print_back(lhs, rhs):
     assert verify_identity(record, 5).status == "pass"
     assert _same_ast(parse_expression(pretty(record.lhs)), record.lhs)
     assert _same_ast(parse_identities(pretty_identity(record))[0].lhs, record.lhs)
+
+
+def test_long_minus_chains_print_and_report_their_error():
+    """A chain of 900 unary minuses prints and parses in loops, and an
+    identity with one in a pole of m reports the GenericityError with the
+    call as its context."""
+    chain = "-" * 900 + "q"
+    node = QPow(rat(1))
+    for _ in range(900):
+        node = Neg(node)
+    assert pretty(node) == chain
+    parsed = parse_expression(chain)
+    for _ in range(900):
+        assert type(parsed) is Neg
+        parsed = parsed.arg
+    assert parsed == QPow(rat(1))
+    (record,) = parse_identities(f"identity pole {{ lhs = m({chain}, q, q); rhs = 1; }}")
+    report = verify_identity(record, 10)
+    assert report.status == "error"
+    assert report.message.startswith("GenericityError: theta denominator vanishes")
+    assert report.message.endswith(f"[while evaluating m({chain}, q, q)]")
 
 
 def test_long_power_chains_evaluate_and_print():

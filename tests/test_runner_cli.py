@@ -143,6 +143,24 @@ def test_duplicate_names_rejected():
         run_suite([_rec(GOOD), _rec(GOOD)])
 
 
+def test_duplicate_name_in_one_file_has_a_location(tmp_path, capsys):
+    """A name repeated within one file is a parse error at its second name
+    token, so `--file` reports the file, line and column; a name repeated
+    across files is still rejected by the suite, without a location."""
+    text = "identity a { lhs = 1; rhs = 1; }\n  identity a { lhs = q; rhs = q; }\n"
+    with pytest.raises(ParseError) as ei:
+        parse_identities(text)
+    assert (ei.value.line, ei.value.col) == (2, 12)
+    p = tmp_path / "dup.qid"
+    p.write_text(text)
+    assert main(["--file", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {p}: duplicate identity name 'a' (line 2, column 12)", err
+    p.write_text(text.split("\n")[0] + "\n")
+    assert main(["--file", str(p), "--file", str(p)]) == 2
+    assert "duplicate identity name 'a'" in capsys.readouterr().err
+
+
 def test_json_shape_and_determinism():
     records = [_rec(GOOD), _rec(BAD.replace("bad", "bad3"))]
     a = json.loads(reports_to_json(run_suite(records, force_order=25)))
