@@ -14,11 +14,13 @@ one grid, held by ``kernels.RowSum`` as rows of integer coordinates over
 Q(zeta_M) with one denominator (M = 1 for a rational sum), each output
 coefficient made once, an int when it is integral.  Summation stops at the
 first n whose least monomial exponent reaches the window.  That is sound
-when the least exponent does not decrease in n and every Pochhammer x has
+when no monomial's exponent decreases in n and every Pochhammer x has
 exponent >= 0: the product then has valuation >= 0, so no term from n on
-reaches below the window.  A term that breaks either rule raises
-ValueError.  The accumulator sum in the tests
-(``oracles.eulerian_sum_oracle``) is the engine's oracle.
+reaches below the window.  For exponents quadratic in n the first rule
+holds when it holds on the first three terms, which are checked before
+anything is summed; a term that breaks either rule raises ValueError.
+The accumulator sum in the tests (``oracles.eulerian_sum_oracle``) is the
+engine's oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
 
     ``monos_fn(n)`` returns the monomial part(s) of the n-th term, and
     ``num``/``den`` are Pochhammer specs ``(x, base, count_fn)`` multiplied
-    into / divided out of the term; ``const`` is added once.  Term
-    exponents must be quadratic in n and never below the first term's
-    least, and every x must have exponent >= 0; ValueError otherwise.
+    into / divided out of the term; ``const`` is added once.  Every term
+    has as many monomials, the exponent of each is quadratic in n and does
+    not decrease (it rises from term start to start + 1 and its second
+    difference over those and start + 2 is >= 0), and every x has
+    exponent >= 0; ValueError otherwise.
     Dividing by a constant binomial 1 - 1 raises GenericityError.
 
     The running product (below the window) and the total (from the first
@@ -54,9 +58,18 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     """
     order = rat(order)
     const = None if const is None else QMonomial(const)
-    first = monos_fn(start)
+    first, second, third = monos_fn(start), monos_fn(start + 1), monos_fn(start + 2)
+    if not len(first) == len(second) == len(third):
+        raise ValueError(f"eulerian_sum: terms {start} to {start + 2} have {len(first)}, "
+                         f"{len(second)} and {len(third)} monomials; every term needs as many")
+    for i, (m0, m1, m2) in enumerate(zip(first, second, third)):
+        e0, e1, e2 = m0.expo, m1.expo, m2.expo
+        if e1 < e0 or e2 - 2 * e1 + e0 < 0:
+            raise ValueError(f"eulerian_sum: monomial {i} has exponents {e0}, {e1}, {e2} in "
+                             f"terms {start} to {start + 2}, so it falls below the first "
+                             "term's; each monomial's exponent must not decrease in n")
     lattice = [m for x, b, _ in (*num, *den) for m in (x, b)]
-    lattice += [*first, *monos_fn(start + 1), *monos_fn(start + 2)]
+    lattice += [*first, *second, *third]
     expos = [m.expo for m in lattice]
     scale = common_scale(order, *expos)
     g = gcd(*(int(e * scale) for e in expos)) or 1
@@ -73,6 +86,9 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
              for over, specs in ((False, num), (True, den)) for x, b, cf in specs]
     for n in count(start):
         monos = monos_fn(n)
+        if len(monos) != len(first):
+            raise ValueError(f"eulerian_sum: term {n} has {len(monos)} monomials and term "
+                             f"{start} {len(first)}; every term needs as many")
         # on ints: W is integral, so floor(e * scale) >= W exactly when e >= order
         if min(m.expo.numerator * scale // m.expo.denominator for m in monos) >= W:
             break

@@ -14,7 +14,8 @@ Products.  ``kronecker`` puts both sides on rows at their common conductor
 and ``_cmul`` multiplies them by Kronecker substitution, one multiply of
 two Python ints: each digit is an exponent slot holding 2*phi(M) - 1
 sub-digits of its zeta-degree, and each output slot is reduced mod Phi_M.
-``series`` chooses it over its sparse product by the thresholds here.
+``series`` chooses it over its sparse product by the one threshold
+KRON_PAIRS, the same at every conductor.
 
 Quotients.  ``quotient`` puts the divisor on one row, made rational (by
 multiplying both sides by its other Galois conjugates) when it holds a
@@ -52,11 +53,8 @@ from .cyclotomic import (CycRat, Rat, _canonical, _lift, _lift_power, _reduce_mo
 
 
 #: a product of series takes ``kronecker`` when it has more than this many
-#: term pairs per output slot, KRON_PAIRS with no CycRat and CYC_PAIRS
-#: with one (measured; see CHANGES.md).  CYC_PAIRS <= KRON_PAIRS, so a
-#: product with at most CYC_PAIRS pairs a slot takes the loop either way.
-KRON_PAIRS = 12
-CYC_PAIRS = 2
+#: term pairs per output slot, at any conductor (measured; see CHANGES.md)
+KRON_PAIRS = 2
 
 #: a quotient whose divisor has lead 1 after its content and more than
 #: NEWTON_STEPS other terms multiplies by the divisor's inverse
@@ -77,23 +75,19 @@ def conductor(*coeffs):
 def kronecker(at: dict, bt: dict, window):
     """The product of two term dicts below window (None: all of it), on
     rows at their common conductor (``_coords``, ``_cmul``, ``_join``);
-    None when it has at most KRON_PAIRS term pairs per output slot with no
-    CycRat, or CYC_PAIRS with one: the sparse product is then the faster."""
-    # a side of k terms gives at most k pairs a slot (untruncated), so at
-    # most CYC_PAIRS <= KRON_PAIRS takes the loop without a type scan
-    small = min(len(at), len(bt))
-    if small <= CYC_PAIRS:
-        return None
-    m, ints = conductor(at.values(), bt.values())
-    pairs_max = KRON_PAIRS if m == 1 else CYC_PAIRS
-    if small <= pairs_max:
+    None when it has at most KRON_PAIRS term pairs per output slot: the
+    sparse product is then the faster.  The coefficients' types are
+    scanned (``conductor``) only once that size test has chosen this."""
+    # a side of k terms gives at most k pairs a slot (untruncated)
+    if min(len(at), len(bt)) <= KRON_PAIRS:
         return None
     va, vb = min(at), min(bt)
     la = (max(at) if window is None else min(max(at), window - vb - 1)) - va + 1
     lb = (max(bt) if window is None else min(max(bt), window - va - 1)) - vb + 1
     slots = la + lb - 1 if window is None else min(la + lb - 1, window - va - vb)
-    if slots < 1 or len(at) * len(bt) <= pairs_max * slots:
+    if slots < 1 or len(at) * len(bt) <= KRON_PAIRS * slots:
         return None
+    m, ints = conductor(at.values(), bt.values())
     (a, da), (b, db) = _coords(at, m, va, la, ints), _coords(bt, m, vb, lb, ints)
     return dict(_join(_cmul(a, b, m, slots), da * db, m, va + vb))
 

@@ -38,8 +38,8 @@ division (``divide``), both on the integer rows of ``kernels``: each side
 is split at the common conductor M into phi(M) rows of integer
 coordinates over one denominator (one row at M = 1, a rational series),
 interleaved slot by slot in one list.
-A product with more than ``kernels.KRON_PAIRS`` term pairs per output slot
-and no CycRat, or ``kernels.CYC_PAIRS`` with one, is one multiply of two
+A product with more than ``kernels.KRON_PAIRS`` term pairs per output slot,
+at any conductor, is one multiply of two
 Python ints by Kronecker substitution (``kernels.kronecker``); any other
 product is a sum in the accumulator ``_Acc``, the larger side times each
 term of the smaller.  Division (``kernels.quotient``) makes
@@ -628,7 +628,9 @@ def series_equal(a: QSeries, b: QSeries) -> bool:
 
 
 def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
-    """Substitute q -> m (monomial with positive exponent) into the series."""
+    """Substitute q -> m (monomial with positive exponent) into the series:
+    the result is on the grid of its terms' exponents and of its window,
+    the image order*expo(m) of the series' window."""
     if m.expo <= 0:
         raise UnsupportedSubstitution("substitution base must have positive exponent")
     new_expos = {}
@@ -636,12 +638,9 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
         # q^(k/scale) -> m^(k/scale)
         mk = m ** rat(k, s.scale)
         new_expos[k] = (mk.expo, c * mk.coeff)
-    new_scale = common_scale(*(e for e, _ in new_expos.values())) if new_expos else rat_den(m.expo)
+    window = () if s.order is None else (rat(s.order, s.scale) * m.expo,)
+    new_scale = common_scale(*([e for e, _ in new_expos.values()] or [m.expo]), *window)
     terms: dict = {}
     for e, c in new_expos.values():
         _add(terms, int(e * new_scale), c)
-    if s.order is None:
-        order = None
-    else:
-        order = ceil_rat(rat(s.order, s.scale) * m.expo * new_scale)
-    return QSeries(new_scale, order, terms)
+    return QSeries(new_scale, int(window[0] * new_scale) if window else None, terms)

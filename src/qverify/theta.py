@@ -174,15 +174,14 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
     operands' orders (``series.operand_orders``).  With T = order - expo(pre)
     and V_D the sum of the denominator's exact valuations (:func:`jtheta_val`),
     A is built once, below T + V_D, whatever its valuation.  val(A) is then
-    read from A's terms, and the denominator factors are divided out one at
-    a time, each built once below T + 2*V_D - val(A) (the order their
-    product needs) less the other factors' valuations; dividing by the
-    sparse factors in turn avoids forming their dense product.  An A with no
-    term below its window gives the zero series known below the order (the
-    exact zero when A is exact), with no division.  With pre one and the
-    quotient known below exactly the order, it is returned as it is.  A
-    vanishing denominator factor raises GenericityError naming it, before A
-    is built.
+    read from A's terms, and A is divided once by the denominator's
+    product, built as a numerator's is (:func:`_jproduct`) below
+    T + 2*V_D - val(A), the order the quotient needs; an empty denominator
+    divides nothing.  An A with no term below its window gives the zero
+    series known below the order (the exact zero when A is exact), with no
+    division.  With pre one and the quotient known below exactly the
+    order, it is returned as it is.  A vanishing denominator factor raises
+    GenericityError naming it, before A is built.
     """
     order = rat(order)
     vd = []
@@ -196,9 +195,8 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
     acc = _Acc.below(order)
     if not A.terms:  # no term below T + V_D, so none below T in the quotient
         return A if A.order is None else acc.freeze()
-    kd = operand_orders(T, rat(min(A.terms), A.scale), V, "/")[1]
-    for (y, d), v in zip(den, vd):
-        A = A.divide(jtheta(y, d, operand_orders(kd, v, V - v)[0]))
+    if den:
+        A = A.divide(_jproduct(den, vd, operand_orders(T, rat(min(A.terms), A.scale), V, "/")[1]))
     if pre.is_one and A.window_q() == order:  # already on the order's grid
         return A
     acc.add_series(pre, A)

@@ -24,7 +24,7 @@ from qverify.errors import (
 from qverify import kernels
 from qverify.eulerian import eulerian_sum
 from qverify.cli import builtin_records
-from qverify.kernels import CYC_PAIRS, KRON_PAIRS, NEWTON_STEPS
+from qverify.kernels import KRON_PAIRS, NEWTON_STEPS
 from qverify.runner import verify_identity
 from qverify.series import (
     MONO_ONE,
@@ -534,7 +534,7 @@ def test_product_kernels_match_loop_across_the_threshold_randomized(monkeypatch)
     """Products of 1 to 400 terms against ``mul_oracle``, on both sides of
     the Kronecker density threshold: small ints, ints up to 2^80 of both
     signs, Rats over mixed denominators, CycRats (on coordinates above
-    CYC_PAIRS); exact and finite sides (exact x exact included), negative
+    KRON_PAIRS); exact and finite sides (exact x exact included), negative
     valuations, grids 1, 2 and 8.  No integral coefficient of a product is
     a Rat."""
     took = []
@@ -567,6 +567,40 @@ def test_product_kernels_match_loop_across_the_threshold_randomized(monkeypatch)
         seen["kron_neg"] += min(got.terms, default=0) < 0
         seen["kron_exact"] += got.order is None
     assert min(seen.values()) >= 8, seen
+
+
+def test_kronecker_scans_types_only_for_its_own_products(monkeypatch):
+    """``kernels.kronecker`` calls ``conductor`` only once its size tests
+    have chosen Kronecker substitution: never for a product it leaves to
+    the loop, by the side test (a side of at most KRON_PAIRS terms) or by
+    the pairs-a-slot test, and once for each product it takes.  Int, Rat
+    and CycRat sides of 1 to 60 terms; every product equals
+    ``mul_oracle``'s."""
+    scans, took = [], []
+    conductor, kron = kernels.conductor, kernels.kronecker
+
+    def spy(at, bt, window):
+        scans.clear()
+        out = kron(at, bt, window)
+        took.append((out is not None, len(scans), min(len(at), len(bt)) > KRON_PAIRS))
+        return out
+
+    monkeypatch.setattr(kernels, "conductor", lambda *c: scans.append(c) or conductor(*c))
+    monkeypatch.setattr(kernels, "kronecker", spy)
+    rng = random.Random(2020)
+    seen = {"kronecker": 0, "loop by the side test": 0, "loop by the pairs test": 0}
+    for i in range(240):
+        kind = ("small", "rat", "cyc")[i % 3]
+        a = _wide_side(rng, kind, i % 2 == 0, 60)
+        b = _wide_side(rng, rng.choice(("small", kind)), (i // 2) % 2 == 0, 60)
+        took.clear()
+        case = f"draw {i}: {a!r} * {b!r}"
+        _assert_same_series(a * b, mul_oracle(a, b), case)
+        for taken, n, past_side_test in took:
+            assert n == taken, case
+            seen["kronecker" if taken else "loop by the pairs test" if past_side_test
+                 else "loop by the side test"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_integral_product_coefficients_are_ints():
@@ -642,8 +676,8 @@ def _assert_canonical(s, case):
 
 def _coordinate_products(monkeypatch, forced):
     """Spy on kernels.kronecker, recording whether each product took it;
-    forced sets CYC_PAIRS to 0, so that every CycRat product of two
-    nonempty sides does."""
+    forced sets KRON_PAIRS to 0, so that every product of two nonempty
+    sides does."""
     took = []
     kron = kernels.kronecker
 
@@ -653,7 +687,7 @@ def _coordinate_products(monkeypatch, forced):
         return out
 
     monkeypatch.setattr(kernels, "kronecker", spy)
-    monkeypatch.setattr(kernels, "CYC_PAIRS", 0 if forced else CYC_PAIRS)
+    monkeypatch.setattr(kernels, "KRON_PAIRS", 0 if forced else KRON_PAIRS)
     return took
 
 
@@ -716,7 +750,7 @@ def _cyc_side(rng, conds, exact, divisor, most=40):
 def test_cyc_products_match_oracle_randomized(monkeypatch, forced):
     """CycRat products against ``mul_oracle`` at conductors 3, 4, 5, 12 and
     3 with 4 mixed, exact and finite sides, 1 to 40 terms, on both sides of
-    the CYC_PAIRS rule (and, forced, every product on coordinates): each
+    the KRON_PAIRS rule (and, forced, every product on coordinates): each
     window and term equals the oracle's and each coefficient is
     canonical."""
     took = _coordinate_products(monkeypatch, forced)
@@ -863,9 +897,11 @@ def test_quotients_straddle_the_newton_threshold_randomized(monkeypatch):
 def test_high_order_takes_newton_for_the_two_f0_conjecture_quotients(monkeypatch):
     """The builtin suite at order 200 without master_expansion_11 (the
     ``high_order`` benchmark workload, whose seeds only add a monomial to
-    some right-hand sides): exactly the two f0_conjecture identities divide
-    by a row that takes ``newton_inverse``, once each, (q; q^5)_inf
-    (q^4; q^5)_inf with 195 other terms; every identity passes."""
+    some right-hand sides): exactly three identities divide by a row that
+    takes ``newton_inverse``, once each: the two f0_conjecture identities
+    by (q; q^5)_inf (q^4; q^5)_inf with 195 other terms, and
+    theta34_radial_collapse by its theta quotients' whole denominator, one
+    product with 191; every identity passes."""
     newton, _ = _quotient_paths(monkeypatch)
     took = {}
     clear_memos()
@@ -875,7 +911,8 @@ def test_high_order_takes_newton_for_the_two_f0_conjecture_quotients(monkeypatch
             assert verify_identity(r, force_order=200).status == "pass", r.name
             if newton:
                 took[r.name] = newton[:]
-    assert took == {"f0_conjecture_g": [195], "f0_conjecture_m": [195]}, took
+    assert took == {"f0_conjecture_g": [195], "f0_conjecture_m": [195],
+                    "theta34_radial_collapse": [191]}, took
 
 
 def test_dense_eulerian_sum_matches_accumulators_randomized():
@@ -979,6 +1016,23 @@ def test_eulerian_sum_preconditions():
                                       (0, 0, 1, (1, 0))):
         s = eulerian_sum(order, lambda n, e=first: (qmono(1, n * n + e),), (), den, const)
         assert (s.terms, (s.scale, s.order)) == ({}, want), (first, order, const)
+
+
+def test_eulerian_sum_rejects_a_monomial_that_falls():
+    """The stop rule needs every monomial's exponent to stay nondecreasing
+    in n, not only the least one to stay at or above the first term's:
+    here the second monomial runs 15, 5, 0, 0, 5 while the first passes
+    the window at term 1, so summing stopped after term 0 with the q^0
+    coefficient 1 where terms 2 and 3 add two more.  A fall from term 0 to
+    1, a negative second difference over terms 0 to 2, and a change in
+    the number of monomials are each refused."""
+    with pytest.raises(ValueError, match="below the first"):
+        eulerian_sum(3, lambda n: (qmono(1, 20 * n), qmono(1, (5 * n * n - 25 * n + 30) // 2)))
+    with pytest.raises(ValueError, match="below the first"):  # 0, 6, 7: second difference -5
+        eulerian_sum(3, lambda n: (qmono(1, 20 * n), qmono(1, 5 * n * (3 - n) // 2 + n)))
+    for n_at in (1, 3):
+        with pytest.raises(ValueError, match="as many"):
+            eulerian_sum(30, lambda n: (qmono(1, n * n),) * (1 + (n == n_at)))
 
 
 def _random_mono(rng, coeffs, lo, hi):
@@ -1110,6 +1164,17 @@ def test_compose_monomial_sign_twist():
     s = geom_inv(qmono(1, 1), 1, 6)
     t = compose_monomial(s, qmono(-1, 1))  # q -> -q
     assert [t.coeff_at(n) for n in range(6)] == [1, -1, 1, -1, 1, -1]
+
+
+def test_compose_monomial_window_on_its_grid():
+    """The window's image order*expo(m) is on the result's grid, whatever
+    the terms' exponents: 1 known below q^1, at q -> q^(3/2), is known
+    below exactly q^(3/2)."""
+    t = compose_monomial(QSeries(1, 1, {0: 1}), qmono(1, rat(3, 2)))
+    assert t.window_q() == rat(3, 2) and t.terms == {0: 1}
+    assert t.coeff_at(1) == 0
+    with pytest.raises(OrderExceeded):
+        t.coeff_at(rat(3, 2))
 
 
 def test_compose_monomial_cyclotomic_scale():

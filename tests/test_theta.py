@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import geom_inv, has_coeff_types, jtheta_sum_oracle, poch_inf_product_oracle
-from qverify.appell import bilateral_sum
+from qverify.appell import bilateral_sum, changing_z_delta
 from qverify.cyclotomic import CycRat, Rat, rat, zeta
 from qverify.errors import GenericityError, UnsupportedArgument
-from qverify.hecke import f_eval
+from qverify.hecke import f_eval, string_function
 from qverify import kernels
 from qverify.series import MONO_ONE, QSeries, clear_memos, qmono
 from qverify.theta import (
@@ -680,3 +680,40 @@ def test_quotient_matches_padded_division_randomized():
         seen["repeated"] += len(set(den)) < len(den)
         seen["empty"] += got.is_zero()
     assert all(seen.values()), seen
+
+
+def test_quotient_divides_once_by_the_whole_denominator(monkeypatch):
+    """``string_function`` (f_{1,2,1} over J_1^3) and ``changing_z_delta``
+    (a theta product over four factors) each make one ``QSeries.divide``
+    call, by the denominator's product, and give the quotient divided
+    factor by factor: the numerator and each factor built far past the
+    order, divided in turn, shifted and truncated."""
+    divide, divisors = QSeries.divide, []
+
+    def spy(self, other, window_hint=None):
+        divisors.append(len(other.terms))
+        return divide(self, other, window_hint)
+
+    monkeypatch.setattr(QSeries, "divide", spy)
+    J1, b2 = (Q, qmono(1, 3)), qmono(1, 2)
+    x, z1, z0 = qmono(W3, 1), qmono(I4, 0), Q
+    cases = (
+        ("strfn[1,0,0]", lambda o: string_function(1, 0, 0, Q, o), MONO_ONE,
+         lambda K: f_eval(1, 2, 1, Q, Q, Q, K), (J1,) * 3, 60),
+        ("changing_z", lambda o: changing_z_delta(x, b2, z1, z0, o), z0,
+         lambda K: (jtheta(b2, b2 ** 3, K) ** 3 * jtheta(z1 / z0, b2, K)
+                    * jtheta(x * z0 * z1, b2, K)),
+         tuple((y, b2) for y in (z0, z1, x * z0, x * z1)), 40),
+    )
+    for name, evaluate, pre, num_at, den, order in cases:
+        clear_memos()
+        divisors.clear()
+        got = evaluate(order)
+        assert len(divisors) == 1, (name, divisors)
+        pad = 2 * order + 30
+        ref = num_at(pad)
+        for y, d in den:
+            ref = divide(ref, jtheta(y, d, pad))
+        ref = ref.mul_monomial(pre)
+        assert ref.window_q() >= order and got.window_q() == order, name
+        assert QSeries.first_difference(got, ref.truncate_q(order)) is None, name
