@@ -21,10 +21,10 @@ around each side of an identity.
 
 from __future__ import annotations
 
-from .cyclotomic import cinv, rat
+from .cyclotomic import cinv
 from .errors import GenericityError, QVerifyError
 from .eulerian import eulerian_sum
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, memo
+from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, memo, qnum
 from .theta import _check_base, binom2, quotient, theta_quotient
 
 
@@ -40,10 +40,10 @@ def eval_padded(build, order) -> QSeries:
     `_PAD_TRIES` rounds short of `order`, raises QVerifyError naming the
     window reached, so no caller ever gets a shorter window back.
     """
-    order = rat(order)
-    pad = rat(0)
+    order = qnum(order)
+    pad = 0
     for _ in range(_PAD_TRIES):
-        res = build(order + pad)
+        res = build(qnum(order + pad))
         w = res.window_q()
         if w is None or w >= order:
             return res.truncate_q(order)
@@ -60,7 +60,7 @@ def bilateral_sum(u: QMonomial, v: QMonomial, w0: QMonomial, t: QMonomial, T) ->
     the same half-sum after r -> -r, with prefactor -1/w0, v t/u for u and
     1/w0 for w0.  An r with expo(w(r)) = 0 adds its summand as a constant,
     and raises GenericityError when w(r) == 1, wherever the summand lies."""
-    T = rat(T)
+    T = qnum(T)
     scale = common_scale(T, u.expo, v.expo, w0.expo, t.expo)
     acc = _Acc(scale, int(T * scale))
     ev, et = int(v.expo * scale), int(t.expo * scale)

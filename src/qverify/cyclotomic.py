@@ -365,6 +365,16 @@ def as_coeff(x):
 
 
 def cinv(x):
+    """1/x for a nonzero int, Rat or CycRat, with no ``/`` on an int: a unit
+    +-1 is returned as the int itself, any other int n as ``Rat(1, n)``, a
+    Rat as a Rat and a CycRat by its norm (:meth:`CycRat.inverse`).  Zero
+    raises DivisionByZero."""
+    if type(x) is int:
+        if x == 1 or x == -1:
+            return x
+        if not x:
+            raise DivisionByZero("division by zero coefficient")
+        return Rat(1, x)
     if isinstance(x, CycRat):
         return x.inverse()
     if x == 0:
@@ -373,12 +383,14 @@ def cinv(x):
 
 
 def cpow(x, k: int):
+    """x**k for an int k; a negative power is :func:`cinv` of the positive
+    one, so a unit int stays an int."""
     if isinstance(x, CycRat):
         return x ** k
     if k < 0:
         if x == 0:
             raise DivisionByZero("zero to a negative power")
-        return ONE / (x ** (-k))
+        return cinv(x ** (-k))
     return x ** k
 
 

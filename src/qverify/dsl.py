@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .cyclotomic import ONE as _ONE, Rat, rat, zeta as zeta_root
 from .errors import ParseError, UnsupportedArgument, UnsupportedSubstitution
-from .series import QMonomial, QSeries, compose_monomial, qmono, ceil_rat, operand_orders
+from .series import QMonomial, QSeries, compose_monomial, qmono, qnum, ceil_rat, operand_orders
 from . import theta as _theta
 from . import appell as _appell
 from . import hecke as _hecke
@@ -641,7 +641,7 @@ def _as_monomial(series: QSeries, what: str) -> QMonomial:
     if not s.terms:
         raise UnsupportedArgument(f"{what} must be nonzero")
     ((k, c),) = s.terms.items()
-    return QMonomial(c, rat(k, s.scale))
+    return QMonomial(c, qnum(k, s.scale))
 
 
 def _div(a: QSeries, b: QSeries, order) -> QSeries:
@@ -649,7 +649,7 @@ def _div(a: QSeries, b: QSeries, order) -> QSeries:
     hint = None
     if b2.order is None and len(b2.terms) > 1 and a2.order is None:
         # both sides exact: aim for the requested window
-        hint = ceil_rat(rat(order) * b2.scale) + max(0, -min(b2.terms))
+        hint = ceil_rat(qnum(order) * b2.scale) + max(0, -min(b2.terms))
     return a2.divide(b2, window_hint=hint)
 
 
@@ -749,7 +749,7 @@ def eval_expr(node, order) -> QSeries:
             if node.op in "*/" and a.terms:
                 # b is evaluated higher by a's negative valuation (b's own
                 # is not known yet: taken as 0), so a*b and a/b reach the window
-                va = min(0, rat(min(a.terms), a.scale))
+                va = min(0, qnum(min(a.terms), a.scale))
                 b = eval_expr(node.right, operand_orders(order, va, 0, node.op)[1])
             else:
                 b = eval_expr(node.right, order)

@@ -28,10 +28,10 @@ from __future__ import annotations
 from itertools import count
 from math import gcd, lcm
 
-from .cyclotomic import cinv, rat
+from .cyclotomic import cinv
 from .errors import GenericityError
 from .kernels import RowSum, conductor
-from .series import QMonomial, QSeries, _int, common_scale
+from .series import QMonomial, QSeries, _int, common_scale, qnum
 
 
 def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
@@ -56,7 +56,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     the grid the sum reaches: that of the order, the binomials applied and
     the monomials added.  Integral coefficients are ints, as in any series.
     """
-    order = rat(order)
+    order = qnum(order)
     const = None if const is None else QMonomial(const)
     first, second, third = monos_fn(start), monos_fn(start + 1), monos_fn(start + 2)
     if not len(first) == len(second) == len(third):
@@ -97,7 +97,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
             target = cf(n)
             while k < target:
                 if e < 0:
-                    raise ValueError(f"eulerian_sum: binomial 1 - ({c})q^({rat(e, scale)}) "
+                    raise ValueError(f"eulerian_sum: binomial 1 - ({c})q^({qnum(e, scale)}) "
                                      "has a negative exponent; every x needs exponent >= 0")
                 if used < scale:  # used divides scale: at scale, no lcm moves it
                     used = lcm(used, scale // gcd(e, scale))

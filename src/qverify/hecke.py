@@ -19,8 +19,9 @@ module as verification targets.
 from math import gcd
 
 from .appell import m_eval
-from .cyclotomic import cpow, rat
-from .series import MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, operand_orders
+from .cyclotomic import cpow
+from .series import (MONO_ONE, QMonomial, QSeries, _Acc, _walk2, common_scale, operand_orders,
+                     qnum)
 from .theta import _check_base, binom2, jtheta, jtheta_val, quotient, theta_quotient
 
 __all__ = [
@@ -47,7 +48,7 @@ def f_eval(a: int, b: int, c: int, x: QMonomial, y: QMonomial, base: QMonomial, 
     if min(a, b, c) < 1:
         raise ValueError("a, b, c must be positive integers")
     _check_base(base)
-    T = rat(order)
+    T = qnum(order)
     scale = common_scale(T, base.expo, x.expo, y.expo)
     acc = _Acc(scale, int(T * scale))
     E, ex, ey = (int(m.expo * scale) for m in (base, x, y))
@@ -75,9 +76,9 @@ def _add_jm(acc, pre, jx, jbase, mx, mbase, z, order) -> None:
     so that a pole of m raises GenericityError."""
     v = jtheta_val(jx, jbase)
     T = order - pre.expo
-    m = m_eval(mx, mbase, z, T - (v or 0))
+    m = m_eval(mx, mbase, z, qnum(T - (v or 0)))
     if v is not None and m.terms:
-        tj = operand_orders(T, v, rat(min(m.terms), m.scale))[0]
+        tj = operand_orders(T, v, qnum(min(m.terms), m.scale))[0]
         acc.add_series(pre, jtheta(jx, jbase, tj) * m)
 
 
@@ -127,7 +128,7 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
     half = 1 if n % 2 == 0 else 0  # twice the fractional shift {(n-1)/2}
     bigM = base ** (p * p * (2 * n + p))
     jm = (bigM, bigM**3)  # j(base^M; base^3M) = (base^M; base^M)_inf
-    eshift = rat(p * (n + p), 2)
+    eshift = qnum(p * (n + p), 2)
     acc = _Acc()
     for rstar in range(p):
         for sstar in range(p):
@@ -143,10 +144,10 @@ def theta_np_eval(n, p, x, y, base, order) -> QSeries:
                 (base ** (p * (2 * n + p) * (rstar + sstar + half) + p * (n + p))
                  * (x**p) * (y**p), bigM),
             )
-            d1 = base ** (p * (2 * n + p) * (rstar + rat(half, 2)) + eshift) * (
+            d1 = base ** (p * (2 * n + p) * (rstar + qnum(half, 2)) + eshift) * (
                 (-y) ** (n + p)
             ) * ((-x) ** (-n))
-            d2 = base ** (p * (2 * n + p) * (sstar + rat(half, 2)) + eshift) * (
+            d2 = base ** (p * (2 * n + p) * (sstar + qnum(half, 2)) + eshift) * (
                 (-x) ** (n + p)
             ) * ((-y) ** (-n))
             acc.add_series(MONO_ONE, theta_quotient(pre, num, ((d1, bigM), (d2, bigM)), order))
@@ -171,7 +172,7 @@ def theta_abc_eval(a, b, c, x, y, base, order) -> QSeries:
             for f in range(ba):
                 qexp = D1 * binom2(d + 1) + D2 * binom2(e + f + 1) + a * binom2(f)
                 pre = ((-x) ** f) * base**qexp
-                e2 = big * (e + f + 1) - D1 * (d + 1) + rat(b**3 * (b - a), 2 * a * a * c)
+                e2 = big * (e + f + 1) - D1 * (d + 1) + qnum(b**3 * (b - a), 2 * a * a * c)
                 e3 = D2 * (e + 1) + D1 * (d + 1) - c * binom2(bc) - a * binom2(ba)
                 num = (
                     (base ** (D1 * (d + 1) + b * f) * y, base ** (b * b // a)),
@@ -189,7 +190,7 @@ def big_theta_eval(n, p, x, y, base, order) -> QSeries:
     """Closed-form corrections Theta_{n,p} for p in {1,2,3,4}, paired with
     g_{n,n+p,n}(x, y, base, y^n/x^n, x^n/y^n).  Theta_{n,1} is zero."""
     if p == 1:
-        w = rat(order)
+        w = qnum(order)
         scale = w.denominator
         return QSeries(scale, int(w * scale), {})
     if p == 2:
@@ -204,7 +205,7 @@ def big_theta_eval(n, p, x, y, base, order) -> QSeries:
 def _big_theta_2(n, x, y, base, order) -> QSeries:
     if n % 2 == 0:
         raise ValueError("requires odd n")
-    pre = y ** ((n + 1) // 2) * base ** (-rat(n * n - 3, 2)) * x ** (-((n - 3) // 2))
+    pre = y ** ((n + 1) // 2) * base ** (-qnum(n * n - 3, 2)) * x ** (-((n - 3) // 2))
     B4, B8 = base ** (4 * (n + 1)), base ** (8 * (n + 1))
     num = (
         (base ** (2 * n), base ** (4 * n)),

@@ -40,9 +40,10 @@ DEFAULT_ORDER = 100
 
 class VerificationReport(Immutable):
     # status: "pass" | "fail" | "error"; order: the requested comparison
-    # order (q-units); first_mismatch: a Rat or None; lhs_coeff and
-    # rhs_coeff: an int, Rat or CycRat, or None; message: a str for an
-    # error, else None
+    # order (q-units); first_mismatch: the exponent in q-units, an int when
+    # integral and otherwise a Rat, or None; lhs_coeff and rhs_coeff: an
+    # int (0 for an absent term), Rat or CycRat, or None; message: a str
+    # for an error, else None
     __slots__ = ("name", "status", "order", "first_mismatch", "lhs_coeff", "rhs_coeff",
                  "ms", "message")
     _defaults = {"first_mismatch": None, "lhs_coeff": None, "rhs_coeff": None,

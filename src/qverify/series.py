@@ -28,10 +28,18 @@ ints stay ints, so integral series (theta functions, Eulerian and Hecke
 sums with +-1 coefficients) are summed and convolved on Python ints, and
 monomials such as q^2 build no Fraction; any other coefficient turns the
 terms it touches into ``Rat | CycRat`` by the usual arithmetic, and a sum
-of Rats (1/2 + 1/2) in the accumulator may leave an integral Rat.  No
-coefficient or exponent meets ``/`` or a negative ``**`` (an int would
-become a float): inverses go through ``cinv``/``cpow``, and a quotient of
-exponents through ``rat``, which refuses a float.
+of Rats (1/2 + 1/2) in the accumulator may leave an integral Rat.
+
+Every number in q-units follows the same rule, made by the one helper
+:func:`qnum`: an order or window where it enters an evaluator or leaves a
+series (``window_q``, ``first_difference``), and each order
+:func:`operand_orders` solves for, is an int when integral and a Rat
+otherwise.  So window arithmetic on an integral grid runs on ints, and a
+memo key holds an int (equal to, and hashed as, the Rat it replaces).  An
+absent coefficient is the int 0.  No coefficient, exponent or window meets
+``/`` or a negative ``**`` (an int would become a float): inverses go
+through ``cinv``/``cpow``, which keep a unit +-1 an int, and a quotient
+through ``rat`` or ``qnum``, which refuse a float.
 
 A QSeries has two coefficient kernels, the product (``__mul__``) and long
 division (``divide``), both on the integer rows of ``kernels``: each side
@@ -94,17 +102,18 @@ from .errors import (
 
 
 def ceil_rat(x) -> int:
-    """Ceiling of an exact rational as int."""
+    """Ceiling of an exact rational, an int or a Rat, as int."""
     return -((-x.numerator) // x.denominator)
 
 
 def operand_orders(order, va, vb, op="*"):
     """The orders below which A and B must be known for A*B (op "*") or A/B
     (op "/") to be known below ``order``, given val(A) = va and val(B) = vb:
-    the product and quotient windows above, solved for Ka and Kb."""
+    the product and quotient windows above, solved for Ka and Kb; each an
+    int when it is integral (:func:`qnum`)."""
     if op == "*":
-        return order - vb, order - va
-    return order + vb, order + 2 * vb - va
+        return qnum(order - vb), qnum(order - va)
+    return qnum(order + vb), qnum(order + 2 * vb - va)
 
 
 def common_scale(*exponents) -> int:
@@ -123,6 +132,19 @@ def _int(c):
     return c
 
 
+def qnum(p, q=1):
+    """The exact number p/q in q-units (an order, a window or an exponent)
+    from ints, Rats or a string like '5/8': an int when it is integral,
+    otherwise a Rat, so p/q from two ints builds no Fraction when q divides
+    p.  A float raises TypeError, as in ``rat``."""
+    if type(p) is int and type(q) is int:
+        if q == 1:
+            return p
+        if q and not p % q:
+            return p // q
+    return _int(rat(p, q))
+
+
 class QMonomial:
     """c * q^e with exact coefficient and exponent; immutable and hashable.
 
@@ -138,7 +160,7 @@ class QMonomial:
         if not coeff:
             raise ValueError("QMonomial coefficient must be nonzero")
         if type(expo) is not int:
-            expo = _int(rat(expo))
+            expo = qnum(expo)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "expo", expo)
 
@@ -272,25 +294,26 @@ class QSeries:
         return self.order  # None (exact zero) or the window (unknown beyond)
 
     def coeff_at(self, e):
-        """Exact coefficient of q^e (e in plain q-units); OrderExceeded beyond
-        the known window."""
-        e = rat(e)
+        """Exact coefficient of q^e (e in plain q-units), the int 0 where no
+        term is stored; OrderExceeded beyond the known window."""
+        e = qnum(e)
         n = e * self.scale
         if self.order is not None and n >= self.order:
             raise OrderExceeded(
-                f"coefficient of q^({e}) requested; series known below q^({rat(self.order, self.scale)})"
+                f"coefficient of q^({e}) requested; series known below q^({self.window_q()})"
             )
         if n.denominator != 1:
-            return rat(0)
-        return self.terms.get(int(n), rat(0))
+            return 0
+        return self.terms.get(int(n), 0)
 
     def window_q(self):
-        """Truncation order in plain q-units (Rat), or None if exact."""
-        return None if self.order is None else rat(self.order, self.scale)
+        """Truncation order in plain q-units (an int when integral, else a
+        Rat), or None if exact."""
+        return None if self.order is None else qnum(self.order, self.scale)
 
     def items_q(self):
         """Sorted (exponent in q-units, coefficient) pairs."""
-        return [(rat(k, self.scale), c) for k, c in sorted(self.terms.items())]
+        return [(qnum(k, self.scale), c) for k, c in sorted(self.terms.items())]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -397,7 +420,7 @@ class QSeries:
             return QSeries.zero(a.scale, None)
         vb = min(b.terms)
         if b.order is None and len(b.terms) == 1:
-            return a.mul_monomial(QMonomial(cinv(b.terms[vb]), rat(-vb, a.scale)))
+            return a.mul_monomial(QMonomial(cinv(b.terms[vb]), qnum(-vb, a.scale)))
         va = a.effval()
         if b.order is None:
             if a.order is None:
@@ -434,26 +457,25 @@ class QSeries:
 
     def truncate_q(self, order_q) -> "QSeries":
         """Truncate to a window given in plain q-units."""
-        return self.truncate(ceil_rat(rat(order_q) * self.scale))
+        return self.truncate(ceil_rat(qnum(order_q) * self.scale))
 
     # -- comparison ---------------------------------------------------------
 
     @staticmethod
     def first_difference(a: "QSeries", b: "QSeries"):
         """None if the series agree on the common known window; otherwise
-        (exponent as Rat in q-units, coeff of a, coeff of b) at the smallest
-        disagreement."""
+        (exponent in q-units, coeff of a, coeff of b) at the smallest
+        disagreement; an absent coefficient is the int 0."""
         a, b = QSeries.unify(a, b)
         window = min((o for o in (a.order, b.order) if o is not None), default=None)
         keys = set(a.terms) | set(b.terms)
         if window is not None:
             keys = {k for k in keys if k < window}
-        zero = rat(0)
         for k in sorted(keys):
-            ca = a.terms.get(k, zero)
-            cb = b.terms.get(k, zero)
+            ca = a.terms.get(k, 0)
+            cb = b.terms.get(k, 0)
             if ca != cb:
-                return (rat(k, a.scale), ca, cb)
+                return (qnum(k, a.scale), ca, cb)
         return None
 
     def __repr__(self):
@@ -636,9 +658,9 @@ def compose_monomial(s: QSeries, m: QMonomial) -> QSeries:
     new_expos = {}
     for k, c in s.terms.items():
         # q^(k/scale) -> m^(k/scale)
-        mk = m ** rat(k, s.scale)
+        mk = m ** qnum(k, s.scale)
         new_expos[k] = (mk.expo, c * mk.coeff)
-    window = () if s.order is None else (rat(s.order, s.scale) * m.expo,)
+    window = () if s.order is None else (qnum(s.order, s.scale) * m.expo,)
     new_scale = common_scale(*([e for e, _ in new_expos.values()] or [m.expo]), *window)
     terms: dict = {}
     for e, c in new_expos.values():

@@ -33,11 +33,11 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import mul
 
-from .cyclotomic import cinv, rat
+from .cyclotomic import cinv
 from .errors import GenericityError, UnsupportedArgument
 from .eulerian import eulerian_sum
 from .series import (QMonomial, QSeries, _Acc, _walk, ceil_rat, common_scale,
-                     memo, operand_orders, qmono)
+                     memo, operand_orders, qmono, qnum)
 
 
 def _check_base(base: QMonomial):
@@ -64,7 +64,7 @@ def poch_inf(x: QMonomial, base: QMonomial, order) -> QSeries:
     if x.is_one:
         return QSeries(1, None, {})
     scale = common_scale(x.expo, base.expo)
-    return eulerian_sum(rat(ceil_rat(order * scale), scale),
+    return eulerian_sum(qnum(ceil_rat(order * scale), scale),
                         lambda n: ((-x) ** n * base ** binom2(n),),
                         den=((base, base, lambda n: n),)).rescaled(scale)
 
@@ -88,7 +88,7 @@ def jtheta_shift(x: QMonomial, base: QMonomial):
     :func:`jtheta_val` and :func:`jtheta` normalise every theta factor."""
     _check_base(base)
     E = base.expo
-    n = ceil_rat(rat(x.expo, E)) - 1  # two int exponents: no float
+    n = ceil_rat(qnum(x.expo, E)) - 1  # two int exponents: no float
     xp = x * (base ** (-n))
     pref = QMonomial(-1 if n % 2 else 1, 0) * (base ** (-binom2(n))) * (xp ** (-n))
     return n, xp, pref
@@ -116,7 +116,7 @@ def jtheta(x: QMonomial, base: QMonomial, order) -> QSeries:
         c(n+1) = c(n) * (-x'.coeff * bc^n),  c(n-1) = c(n) * (-bc^(1-n) / x'.coeff),
     with bc = base.coeff, and each step factor is the previous one times bc.
     """
-    order = rat(order)
+    order = qnum(order)
     _, xp, pref = jtheta_shift(x, base)
     if xp == base:
         return QSeries(1, None, {})
@@ -183,7 +183,7 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
     order, it is returned as it is.  A vanishing denominator factor raises
     GenericityError naming it, before A is built.
     """
-    order = rat(order)
+    order = qnum(order)
     vd = []
     for y, d in den:
         v = jtheta_val(y, d)
@@ -191,12 +191,12 @@ def quotient(pre: QMonomial, num_at, den, order) -> QSeries:
             raise GenericityError(f"theta denominator vanishes: j({y!r}; {d!r})")
         vd.append(v)
     V, T = sum(vd), order - pre.expo
-    A = num_at(T + V)
+    A = num_at(qnum(T + V))
     acc = _Acc.below(order)
     if not A.terms:  # no term below T + V_D, so none below T in the quotient
         return A if A.order is None else acc.freeze()
     if den:
-        A = A.divide(_jproduct(den, vd, operand_orders(T, rat(min(A.terms), A.scale), V, "/")[1]))
+        A = A.divide(_jproduct(den, vd, operand_orders(T, qnum(min(A.terms), A.scale), V, "/")[1]))
     if pre.is_one and A.window_q() == order:  # already on the order's grid
         return A
     acc.add_series(pre, A)

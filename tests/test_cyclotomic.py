@@ -23,6 +23,7 @@ from qverify.cyclotomic import (
     Rat,
     cinv,
     coeff_root,
+    cpow,
     coeff_str,
     cyclotomic_coeffs,
     euler_phi,
@@ -30,8 +31,9 @@ from qverify.cyclotomic import (
     root_of_unity_log,
     zeta,
 )
-from qverify.errors import UnsupportedSubstitution
-from qverify.series import QMonomial
+from qverify import series
+from qverify.errors import DivisionByZero, UnsupportedSubstitution
+from qverify.series import QMonomial, qmono
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,42 @@ def test_pow_negative_and_zero():
     assert z**0 == rat(1)
     assert z**-3 == zeta(5, 8)
     assert (2 * z) ** -1 == cinv(z) * rat(1, 2)
+
+
+@pytest.mark.parametrize("x, want, kind", [
+    (1, 1, int), (-1, -1, int), (2, Rat(1, 2), Rat), (-3, Rat(-1, 3), Rat),
+    (Rat(7, 5), Rat(5, 7), Rat), (Rat(2), Rat(1, 2), Rat), (Rat(-1), Rat(-1), Rat),
+    (zeta(1, 3), zeta(2, 3), CycRat), (1 + zeta(1, 4), (1 - zeta(1, 4)) * Rat(1, 2), CycRat),
+])
+def test_cinv_keeps_a_unit_int_an_int(x, want, kind):
+    """cinv: +-1 as the int itself, an int n as Rat(1, n), a Rat as a Rat, a
+    CycRat as a CycRat; cpow with a negative power is cinv of the positive
+    one, so the same types come back."""
+    assert cinv(x) == want and type(cinv(x)) is kind
+    assert cpow(x, -1) == want and type(cpow(x, -1)) is kind
+    assert cpow(x, -2) == want ** 2 and type(cpow(x, -2)) is kind
+    assert cpow(x, 2) == x * x and type(cpow(x, 2)) is type(x)
+
+
+def test_cinv_and_cpow_refuse_zero():
+    for zero in (0, Rat(0)):
+        with pytest.raises(DivisionByZero):
+            cinv(zero)
+        with pytest.raises(DivisionByZero):
+            cpow(zero, -2)
+        assert cpow(zero, 3) == 0 and type(cpow(zero, 3)) is type(zero)
+
+
+def test_monomial_quotient_of_units_builds_no_fraction(monkeypatch):
+    """A monomial quotient, inverse or negative power of units hands
+    QMonomial an int coefficient, so ``as_coeff``, which only a non-int
+    coefficient reaches, is never called."""
+    a, b = qmono(1, 2), qmono(-1, 3)
+    calls = []
+    monkeypatch.setattr(series, "as_coeff", lambda c: calls.append(c) or c)
+    for m in (a / b, b.inverse(), a ** -2):
+        assert type(m.coeff) is int and type(m.expo) is int, m
+    assert not calls, calls
 
 
 def test_equality_is_structural_and_hashable():

@@ -1,13 +1,15 @@
 """Runner and CLI tests: statuses, ordering, JSON, exit codes."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qverify import appell, catalog, cyclotomic, hecke, runner, theta
+from qverify import appell, catalog, cyclotomic, hecke, runner, series, theta
 from qverify.cyclotomic import rat, zeta
 from qverify.cli import builtin_records, catalog_records, main
 from qverify.dsl import parse_identities
@@ -285,6 +287,52 @@ MEMO_CASES = [
     lambda: appell.k_eval(Q, qmono(1, 5), 20),
     lambda: catalog.catalog_lookup("f0_5th").eulerian(20),
 ]
+
+
+def test_every_evaluator_gets_an_int_order_unless_fractional(monkeypatch):
+    """On the builtin suite at order 100 and the catalog at 60, the order
+    reaching every memoized evaluator (the catalog definitions included),
+    ``eulerian_sum``, ``bilateral_sum``, ``f_eval`` and each build of
+    ``eval_padded`` is an int when it is integral: a Rat only on a
+    fractional window (nu_3rd's q^(1/2) representations), never an integral
+    Rat."""
+    seen = []
+
+    def spy(name, fn, at=-1):
+        def wrapped(*args, **kwargs):
+            seen.append((name, args[at]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def padded(build, order):
+        return real_padded(spy("build", build), order)
+
+    def lookup(name):
+        entry = real_lookup(name)
+        return dataclasses.replace(entry, eulerian=spy(name, entry.eulerian))
+
+    real_lookup, real_padded = catalog.catalog_lookup, appell.eval_padded
+    spies = {id(fn): spy for fn in series._MEMOS}
+    spies.update({id(appell.bilateral_sum): spy, id(hecke.f_eval): spy,
+                  id(catalog.eulerian_sum): lambda name, fn: spy(name, fn, at=0),
+                  id(real_padded): lambda name, fn: padded,
+                  id(real_lookup): lambda name, fn: lookup})
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qverify."):
+            for attr, fn in list(vars(mod).items()):
+                if id(fn) in spies:
+                    monkeypatch.setattr(mod, attr, spies[id(fn)](attr, fn))
+    reports = (run_suite(builtin_records(), force_order=100)
+               + run_suite(catalog_records(), force_order=60))
+    assert all(r.status == "pass" for r in reports), [r for r in reports if r.status != "pass"][:3]
+    names = {name for name, _ in seen}
+    assert {"jtheta", "poch_inf", "m_eval", "g_eval", "h_eval", "k_eval", "f0_5th",
+            "eulerian_sum", "bilateral_sum", "f_eval", "build"} <= names, names
+    bad = [(name, order) for name, order in seen
+           if type(order) is not int and not (type(order) is Fraction and order.denominator > 1)]
+    assert not bad, bad[:10]
+    fractional = {name for name, order in seen if type(order) is Fraction}
+    assert {"m_eval", "bilateral_sum", "eulerian_sum", "jtheta"} <= fractional, fractional
 
 
 def test_memo_results_are_not_shared():

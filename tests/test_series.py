@@ -38,6 +38,7 @@ from qverify.series import (
     compose_monomial,
     operand_orders,
     qmono,
+    qnum,
     series_equal,
 )
 from qverify.theta import jtheta
@@ -265,6 +266,45 @@ def test_rounding_helpers():
     assert ceil_rat(rat(7, 2)) == 4 and ceil_rat(rat(-7, 2)) == -3
     assert ceil_rat(rat(6)) == 6
     assert common_scale(rat(1, 2), rat(1, 3), 5) == 6
+
+
+def test_qnum_is_rat_and_an_int_when_integral_randomized():
+    """qnum(p, q) equals rat(p, q), negative values, Rat and string inputs
+    and non-unit q included, and is an int exactly when it is integral; a
+    float raises TypeError, as in rat."""
+    rng = random.Random(28)
+    for _ in range(2000):
+        n = rng.randint(-60, 60)
+        p = rng.choice((n, Fraction(n, rng.randint(1, 8)), f"{n}/{rng.randint(1, 8)}"))
+        q = rng.choice((1, rng.choice((-1, 1)) * rng.randint(1, 12),
+                        Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))))
+        got, want = qnum(p, q), rat(p, q)
+        assert got == want and hash(got) == hash(want), (p, q)
+        assert type(got) is (int if want.denominator == 1 else Fraction), (p, q, got)
+    for bad in ((0.5,), (1.0,), (2, 1.0), (1, 2.0), (Fraction(1, 2), 2.0), ("1/2", 1.0)):
+        with pytest.raises(TypeError):
+            qnum(*bad)
+
+
+def test_windows_are_ints_when_integral():
+    """window_q, the exponents of items_q and first_difference, and a
+    coefficient read off the grid are ints when integral; a window on a
+    fractional grid is a Rat."""
+    s = QSeries(4, 8, {2: 1, 4: rat(1, 2)})
+    assert s.window_q() == 2 and type(s.window_q()) is int
+    assert [type(e) for e, _ in s.items_q()] == [Fraction, int]
+    assert type(s.truncate_q(1).window_q()) is int
+    assert type(s.coeff_at(rat(1, 8))) is int and type(s.coeff_at(rat(1, 4))) is int
+    f = QSeries(4, 6, {})
+    assert f.window_q() == rat(3, 2) and type(f.window_q()) is Fraction
+    assert s.truncate_q(rat(5, 4)).window_q() == rat(5, 4)
+    e, ca, cb = QSeries.first_difference(s, QSeries(1, 2, {}))
+    assert (e, ca, cb) == (rat(1, 2), 1, 0) and type(cb) is int
+    e = QSeries.first_difference(QSeries(1, 5, {3: 1}), QSeries(1, 5, {}))[0]
+    assert e == 3 and type(e) is int
+    for order, kind in ((20, int), (rat(20), int), (rat(41, 2), Fraction)):
+        w = jtheta(qmono(1, rat(1, 2)), qmono(1, rat(3, 2)), order).window_q()
+        assert w == order and type(w) is kind
 
 
 def test_operand_orders_give_exactly_the_window_randomized():
