@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import DivisionByZero, UnsupportedSubstitution
 
@@ -395,15 +396,16 @@ def cpow(x, k: int):
 
 
 @lru_cache(maxsize=None)
-def _roots_of_unity(m: int) -> dict:
-    """Map each root of unity of order dividing m to its exponent."""
+def _roots_of_unity(m: int) -> MappingProxyType:
+    """Map each root of unity of order dividing m to its exponent, read-only:
+    every caller shares it."""
     table = {}
     z = zeta(1, m)
     cur = as_coeff(1)
     for j in range(m):
         table.setdefault(cur, j)
         cur = cur * z
-    return table
+    return MappingProxyType(table)
 
 def root_of_unity_log(x):
     """If x is a root of unity return (j, m) with x = zeta_m^j in lowest

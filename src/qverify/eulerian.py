@@ -11,8 +11,9 @@ multiplies it by a single binomial (1 - c*q^d) in place or divides it by
 one in place, both O(window), and each term adds the product times its
 monomials into the total.  The product and the total are dense lists on
 one grid, held by ``kernels.RowSum`` as rows of integer coordinates over
-Q(zeta_M) with one denominator (M = 1 for a rational sum), each output
-coefficient made once, an int when it is integral.  Summation stops at the
+Q(zeta_M), each over its own denominator (M = 1 for a rational sum; M
+widens when a coefficient needs it), each output coefficient made once,
+an int when it is integral.  Summation stops at the
 first n whose least monomial exponent reaches the window.  That is sound
 when no monomial's exponent decreases in n and every Pochhammer x has
 exponent >= 0: the product then has valuation >= 0, so no term from n on
@@ -30,8 +31,8 @@ from math import gcd, lcm
 
 from .cyclotomic import cinv
 from .errors import GenericityError
-from .kernels import RowSum, conductor
-from .series import QMonomial, QSeries, _int, common_scale, qnum
+from .kernels import RowSum
+from .series import QMonomial, QSeries, common_scale, qnum
 
 
 def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
@@ -77,8 +78,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
     lo = int(min(m.expo for m in first) * scale)
     base = min(0, lo) if lo < W else 0
     size, top = -(-W // g), W + base
-    m = conductor([mono.coeff for mono in (*lattice, const) if mono is not None])[0]
-    acc = RowSum(m, size)
+    acc = RowSum(size)
     add_term = acc.add
     # per spec: [over, count_fn, count k, scaled exponent and coefficient
     # of its next binomial x*b^k, and those of b]
@@ -105,7 +105,7 @@ def eulerian_sum(order, monos_fn, num=(), den=(), const=None, start=0):
                 if d == 0:  # a constant binomial: times 1 - c, or 1/(1 - c)
                     if over and c == 1:
                         raise GenericityError("pole: 1/(1 - 1)")
-                    acc.scale(_int(cinv(1 - c) if over else 1 - c))
+                    acc.scale(cinv(1 - c) if over else 1 - c)
                 elif over:
                     acc.over(c, d)
                 else:

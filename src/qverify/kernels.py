@@ -29,11 +29,15 @@ division a term (``long_division``).  Either way no slot is a Rat before
 ``_join``.
 
 Eulerian sums.  ``RowSum`` holds the running product and the total of the
-Eulerian engine (``eulerian``) on rows.  A binomial (1 - c*q^d) acts on
-them by slice ``map`` and strided prefix sums when c is an int
-(``times_one_minus``, ``over_one_minus``), a Rat divisor p/e as the
-integer divisor e - p*q^d by ``long_division``, and anything else through
-the integer matrix of c's numerator.
+Eulerian engine (``eulerian``) on rows, each over its own denominator,
+and owns their conductor: it starts at 1 and widens when a coefficient
+needs it.  A binomial (1 - c*q^d) acts on the product by slice ``map``
+and strided prefix sums when c is an int (``times_one_minus``,
+``over_one_minus``), a Rat divisor p/e as the integer divisor e - p*q^d
+by ``long_division``, and anything else through the integer matrix of
+c's numerator.  A term reaches the total over the lcm of the two
+denominators, so the total is rescaled only when a term brings a new
+factor.
 
 They are a module of their own because each module is compiled when it is
 imported without a bytecode cache, and the peak memory of that compile
@@ -309,78 +313,87 @@ def over_one_minus(a: list, c: int, d: int) -> None:
 
 class RowSum:
     """The running product and the total of an Eulerian sum as rows (see
-    ``_coords``) over one positive denominator.  An int coefficient acts
-    on every row at once, by ``times_one_minus``, ``over_one_minus`` or a
-    slice ``map``, and so does a Rat divisor (``over``); any other
-    coefficient acts through the integer matrix of its numerator
-    (``_matrix``).  A denominator e of a coefficient multiplies den, and
-    every list is rescaled to keep one den.  The conductor grows when a
+    ``_coords``), each over its own positive denominator: prod over pd,
+    the total over den.  An int coefficient acts on every row at once, by
+    ``times_one_minus``, ``over_one_minus`` or a slice ``map``, and so
+    does a Rat divisor (``over``); any other coefficient acts through the
+    integer matrix of its numerator (``_matrix``).  ``scale``, ``times``
+    and ``over`` change only prod and pd; ``add`` and ``add_const`` bring a
+    term over e*pd (e*1 for a constant) to the total, whose den becomes
+    the lcm of the two.  The sum starts at conductor 1, which widens when a
     coefficient needs it."""
 
-    __slots__ = ("m", "phi", "prod", "total", "den")
+    __slots__ = ("m", "phi", "prod", "pd", "total", "den")
 
-    def __init__(self, m: int, size: int):
-        self.m, self.phi, self.den = m, euler_phi(m), 1
-        self.total = [0] * (max(size, 0) * self.phi)
+    def __init__(self, size: int):
+        self.m = self.phi = self.pd = self.den = 1
+        self.total = [0] * max(size, 0)
         self.prod = [1] + self.total[1:] if self.total else []
 
     def _matrix(self, c):
-        """c's numerator matrix and denominator e; den and the total take e
-        (the caller rescales prod)."""
+        """(e, mat) of c (``_matrix``) at the conductor, widened first to
+        hold c."""
         if type(c) is CycRat and self.m % c.n:
             m = lcm(self.m, c.n)
             lift = _galois(self.m, m, 1)
             self.prod, self.total = (_apply(lift, a, self.phi) for a in (self.prod, self.total))
             self.m, self.phi = m, euler_phi(m)
-        e, mat = _matrix(c, self.m)
-        if e != 1:
-            self.den *= e
-            self.total = _scaled(self.total, e)
-        return mat, e
+        return _matrix(c, self.m)
+
+    def _to_total(self, e: int) -> int:
+        """The factor that puts a term over e on the total's den: den
+        becomes lcm(den, e), the total rescaled only when it moves."""
+        den = self.den
+        if den % e:
+            self.den = lcm(den, e)
+            self.total = _scaled(self.total, self.den // den)
+        return self.den // e
 
     def scale(self, f) -> None:
         """prod *= f."""
-        self.prod = _apply(self._matrix(f)[0], self.prod, self.phi)
+        e, mat = self._matrix(f)
+        self.prod, self.pd = _apply(mat, self.prod, self.phi), self.pd * e
 
     def times(self, c, d: int) -> None:
         """prod *= 1 - c*q^d."""
         if type(c) is int:
             return times_one_minus(self.prod, c, d * self.phi)
-        mat, e = self._matrix(c)
+        e, mat = self._matrix(c)
         d *= self.phi
         t = _apply(mat, self.prod[:-d], self.phi)
         if e != 1:
-            self.prod = _scaled(self.prod, e)
+            self.prod, self.pd = _scaled(self.prod, e), self.pd * e
         self.prod[d:] = map(sub, self.prod[d:], t)
 
     def over(self, c, d: int) -> None:
         """prod /= 1 - c*q^d: an int c by ``over_one_minus``, and a Rat
         c = p/e with d at most 1/STRIDED of the slots as e*prod over
-        e - p*q^d by ``long_division`` (prod, the total and den scaled
-        first by e^((slots - 1) // d), so that it is exact, and divided
-        after by their gcd: with the scale of doubling, a sum's ints grow
-        several times over); for c a root of unity of order k with k*d at
-        most 1/STRIDED of the slots, prod times 1 + c q^d + ... +
+        e - p*q^d by ``long_division`` (prod and pd scaled first by
+        e^((slots - 1) // d), so that it is exact, and divided after by
+        their gcd: with the scale of doubling, a sum's ints grow several
+        times over); for c a root of unity of order k with k*d at most
+        1/STRIDED of the slots, prod times 1 + c q^d + ... +
         c^(k-1) q^((k-1)d), then over 1 - q^(kd) by prefix sums; else by
         doubling, prod times (1 + c^(2^i) q^(2^i d))."""
-        phi = self.phi
         if type(c) is int:
-            return over_one_minus(self.prod, c, d * phi)
-        n = len(self.prod) // phi
+            return over_one_minus(self.prod, c, d * self.phi)
+        n = len(self.prod) // self.phi
         if type(c) is Rat and d * STRIDED <= n:
             e = c.denominator
             f = e ** ((n - 1) // d)
-            self.den *= f
-            self.total, self.prod = _scaled(self.total, f), _scaled(self.prod, f * e)
-            long_division(self.prod, [(d * phi, c.numerator)], e)
-            return self._reduce()
+            prod, pd = _scaled(self.prod, f * e), self.pd * f
+            long_division(prod, [(d * self.phi, c.numerator)], e)
+            g = gcd(pd, *prod)
+            self.prod, self.pd = ([x // g for x in prod], pd // g) if g > 1 else (prod, pd)
+            return
         k = _root_order(c)
         if k is None or k * d * STRIDED > n:
             while d < n:
                 self.times(-c, d)
                 c, d = c * c, 2 * d
             return
-        mat, _ = self._matrix(c)
+        _, mat = self._matrix(c)
+        phi = self.phi  # read after _matrix, which may widen the conductor
         d *= phi
         prod = s = self.prod
         for _ in range(k - 1):
@@ -388,36 +401,25 @@ class RowSum:
         over_one_minus(s, 1, k * d)
         self.prod = s
 
-    def _reduce(self) -> None:
-        """Divide den, prod and the total by their gcd."""
-        g = gcd(self.den, *self.prod, *self.total)
-        if g > 1:
-            self.den //= g
-            self.prod = [x // g for x in self.prod]
-            self.total = [x // g for x in self.total]
-
     def add(self, i: int, c) -> None:
         """total += c * q^i * prod."""
         if type(c) is int:
+            c *= self._to_total(self.pd)
             i *= self.phi
             total, prod = self.total, self.prod
             t = total[i:]
             total[i:] = (map(add, t, prod) if c == 1 else map(sub, t, prod) if c == -1
                          else map(add, t, map(mul, prod, repeat(c))))
             return
-        mat, e = self._matrix(c)
-        i *= self.phi
+        e, mat = self._matrix(c)
+        f, i = self._to_total(e * self.pd), i * self.phi
         t = _apply(mat, self.prod[:len(self.prod) - i], self.phi)
-        if e != 1:
-            self.prod = _scaled(self.prod, e)
-        self.total[i:] = map(add, self.total[i:], t)
+        self.total[i:] = map(add, self.total[i:], t if f == 1 else map(mul, t, repeat(f)))
 
     def add_const(self, i: int, c) -> None:
         """total += c * q^i."""
-        mat, e = self._matrix(c)
-        if e != 1:
-            self.prod = _scaled(self.prod, e)
-        f, i = self.den // e, i * self.phi  # c = (numerator * f) / den
+        e, mat = self._matrix(c)
+        f, i = self._to_total(e), i * self.phi  # c = (numerator * f) / den
         for j, x in enumerate(mat):
             self.total[i + j] += x[0] * f
 
@@ -430,27 +432,24 @@ def _scaled(a: list, e: int) -> list:
     return list(map(mul, a, repeat(e)))
 
 
-def _transpose(cols) -> list:
-    return [list(r) for r in zip(*cols)]
-
-
-def _galois(n: int, m: int, t: int) -> list:
+def _galois(n: int, m: int, t: int) -> tuple:
     """The matrix, for ``_apply``, of zeta_n -> zeta_n^t from conductor n to
     conductor m (n | m): a Galois conjugate (t prime to n), or a lift (t =
     1)."""
-    return _transpose([_lift_power(n, m, t * i % n) for i in range(euler_phi(n))])
+    return tuple(zip(*[_lift_power(n, m, t * i % n) for i in range(euler_phi(n))]))
 
 
 @lru_cache(maxsize=1024)
 def _matrix(c, m: int):
     """(e, mat): c = (numerator) / e with e > 0, and mat[j][i] coordinate j
-    at conductor m of the numerator times zeta^i."""
+    at conductor m of the numerator times zeta^i; tuples, since every
+    caller shares them."""
     phi = euler_phi(m)
     if type(c) is not CycRat:
         e, p = (1, c) if type(c) is int else (c.denominator, c.numerator)
-        return e, [[p if i == j else 0 for i in range(phi)] for j in range(phi)]
+        return e, tuple(tuple(p if i == j else 0 for i in range(phi)) for j in range(phi))
     nums = _lift(c.nums, c.n, m)
-    return c.den, _transpose([_reduce_mod_cyclo([0] * i + list(nums), m) for i in range(phi)])
+    return c.den, tuple(zip(*[_reduce_mod_cyclo([0] * i + list(nums), m) for i in range(phi)]))
 
 
 @lru_cache(maxsize=1024)

@@ -19,10 +19,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import has_coeff_types
+from qverify import kernels
 from qverify.catalog import CATALOG, catalog_lookup, catalog_names
 from qverify.cyclotomic import rat
 from qverify.dsl import eval_expr, parse_expression
 from qverify.errors import UnknownCatalogName
+from qverify.eulerian import eulerian_sum
 from qverify.series import QSeries, clear_memos
 
 
@@ -312,3 +314,23 @@ def test_eulerian_results_hold_no_integral_rats():
     for name, f in _definitions():
         s = f(60)
         assert not [c for c in s.terms.values() if type(c) is Fraction and c.denominator == 1], name
+
+
+def test_eulerian_sums_keep_their_ints_small(monkeypatch):
+    """The running product and the total keep their own denominators, so a
+    term's denominator reaches the total once, not once a term: at order
+    300, every definition and alternate ends with the total over at most 2
+    (mu_6th's +-1/2 terms), every total entry below 64 bits and the
+    product over 1."""
+    ends = []
+    items = kernels.RowSum.items
+    monkeypatch.setattr(kernels.RowSum, "items", lambda acc: ends.append(acc) or items(acc))
+    names = []
+    for name, f in _definitions():
+        eulerian_sum(300, *f.spec)
+        names.append(name)
+    assert len(ends) == len(names)
+    sizes = {name: (acc.den, max(abs(x) for x in acc.total).bit_length())
+           for name, acc in zip(names, ends)}
+    assert not {name: v for name, v in sizes.items() if v[0] > 2 or v[1] >= 64}
+    assert all(acc.pd == 1 for acc in ends)

@@ -3,6 +3,7 @@
 import pickle
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +32,9 @@ from qverify.cyclotomic import (
     root_of_unity_log,
     zeta,
 )
-from qverify import series
+from qverify import cyclotomic, kernels, series, theta
 from qverify.errors import DivisionByZero, UnsupportedSubstitution
-from qverify.series import QMonomial, qmono
+from qverify.series import QMonomial, QSeries, qmono
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,56 @@ def test_equality_is_structural_and_hashable():
     assert zeta(1, 3) != rat(1, 3)
     d = {a: "x"}
     assert d[b] == "x"
+
+
+def _immutable(v) -> bool:
+    """Whether v shares no mutable container: None, ints and Rats as they
+    are; a CycRat, QMonomial or QSeries by its coordinates, coefficient and
+    exponent, or terms; tuples and read-only mappings entry by entry."""
+    if v is None or type(v) in (int, Fraction):
+        return True
+    if type(v) is CycRat:
+        return _immutable(v.nums)
+    if type(v) is QMonomial:
+        return _immutable(v.coeff) and _immutable(v.expo)
+    if type(v) is QSeries:
+        return _immutable(v.terms)
+    if type(v) is tuple:
+        return all(map(_immutable, v))
+    if type(v) is MappingProxyType:
+        return all(_immutable(k) and _immutable(x) for k, x in v.items())
+    return False
+
+
+#: a call of every cached helper of these modules, in the fields and on the
+#: coefficient types it serves
+CACHED_CALLS = [
+    (cyclotomic.cyclotomic_coeffs, (12,)),
+    (cyclotomic.euler_phi, (12,)),
+    (cyclotomic._lift_power, (3, 12, 2)),
+    (cyclotomic._divisors, (12,)),
+    (cyclotomic._subconductors, (12,)),
+    (cyclotomic._subfield_basis, (12, 3)),
+    (cyclotomic._roots_of_unity, (12,)),
+    (kernels._matrix, (3, 1)),
+    (kernels._matrix, (rat(1, 2), 4)),
+    (kernels._matrix, (zeta(1, 3) / 2, 12)),
+    (kernels._root_order, (zeta(1, 6),)),
+    (theta.jtheta_shift, (qmono(zeta(1, 3), 7), qmono(-1, 2))),
+    (theta.poch_inf, (qmono(rat(1, 2), 1), qmono(1, 1), 20)),
+    (theta.jtheta, (qmono(zeta(1, 4), 1), qmono(1, 3), 20)),
+]
+
+
+def test_cached_helpers_return_immutable_values():
+    """A cached result is handed to every caller, so none holds a list, a
+    dict or another mutable container; the table covers every cached
+    helper of ``cyclotomic``, ``kernels`` and ``theta``."""
+    cached = {f for mod in (cyclotomic, kernels, theta) for f in vars(mod).values()
+              if hasattr(f, "cache_info") and f.__module__ == mod.__name__}
+    assert cached == {f for f, _ in CACHED_CALLS}
+    for fn, args in CACHED_CALLS:
+        assert _immutable(fn(*args)), (fn.__name__, args, fn(*args))
 
 
 # ---------------------------------------------------------------------------
